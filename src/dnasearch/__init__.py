@@ -16,8 +16,8 @@ from dnasearch.seqcore import (
     generate_query_matrix,
 )
 from dnasearch.fmindex import FmIndex, SaInterval, build_fm_index, backward_search
-from dnasearch.ipbwt import IpBwt, build_ipbwt, encode_key, true_compare, ipbwt_lower_bound
-from dnasearch.rmi import Rmi, build_rmi, rmi_lower_bound
+from dnasearch.ipbwt import IpBwt, build_ipbwt
+from dnasearch.rmi import Rmi, build_rmi
 from dnasearch.search import (
     SearchEngine,
     build_engine,
@@ -41,12 +41,8 @@ __all__ = [
     "backward_search",
     "IpBwt",
     "build_ipbwt",
-    "encode_key",
-    "true_compare",
-    "ipbwt_lower_bound",
     "Rmi",
     "build_rmi",
-    "rmi_lower_bound",
     "SearchEngine",
     "build_engine",
     "exact_search",

@@ -53,7 +53,6 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
         f"sa_bytes={sizes['sa']}",
         f"bwt_occ_bytes={sizes['bwt_occ']}",
         f"ipbwt_bytes={sizes['ipbwt']}",
-        f"sentinel_bytes={sizes['sentinel_table']}",
         f"rmi_bytes={sizes['rmi']}",
         f"total_bytes={sizes['total']}",
         f"ipbwt_expected_bytes={ipbwt_expected:.0f}",

@@ -6,8 +6,11 @@ Layout (all little-endian):
   RMI present), checkpoint stride u32, alpha_mid f64, alpha_leaf f64.
 * sections, lengths derivable from the header: suffix array (u32[n]),
   BWT (u8[n]) + occurrence checkpoints (u32[nblocks, 5]), IP-BWT packed
-  keys (u64[n] high words, u64[n] low words, original sentinel encoding),
-  sentinel side table, RMI layers.
+  keys (u64[n] high words, u64[n] low words), RMI layers.
+
+Version 2 changed the meaning of the packed keys (see ``dnasearch.ipbwt``)
+and dropped version 1's sentinel side table; version 1 files are refused.
+The suffix array must be a permutation of [0, n).
 
 Per RMI layer: model count u64, target size u64, then per model slope/
 intercept/avg_error (f64 each), partition starts (u64), and boundary keys
@@ -24,13 +27,13 @@ from typing import BinaryIO
 import numpy as np
 
 from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE, FmIndex, _pack_occ
-from dnasearch.ipbwt import IpBwt, SentinelEntry
+from dnasearch.ipbwt import IpBwt
 from dnasearch.rmi import LinearModel, Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<HHQIIdd")
 
 
@@ -88,17 +91,9 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
         sizes["bwt_occ"] = fh.tell() - pos
 
         pos = fh.tell()
-        hi, lo = ix.unpatched_words()
-        _write_array(fh, hi, "<u8")
-        _write_array(fh, lo, "<u8")
+        _write_array(fh, ix.key_hi, "<u8")
+        _write_array(fh, ix.key_lo, "<u8")
         sizes["ipbwt"] = fh.tell() - pos
-
-        pos = fh.tell()
-        fh.write(struct.pack("<I", len(ix.sentinels)))
-        for s in ix.sentinels:
-            fh.write(struct.pack("<QI", s.row, s.loc))
-            _write_array(fh, s.kmer_ranks, "u1")
-        sizes["sentinel_table"] = fh.tell() - pos
 
         pos = fh.tell()
         if rmi is not None:
@@ -142,6 +137,8 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
             raise CorruptIndexError("header", f"unsupported checkpoint stride {stride}")
 
         sa = _read_array(fh, "<u4", n, "sa")
+        if n and (int(sa.max()) >= n or not np.all(np.bincount(sa, minlength=n) == 1)):
+            raise CorruptIndexError("sa", "not a permutation of the rows")
         bwt = _read_array(fh, "u1", n, "bwt_occ")
         nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
         checkpoints = _read_array(fh, "<u4", nblocks * NUM_RANKS, "bwt_occ").reshape(
@@ -149,21 +146,6 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         )
         key_hi = _read_array(fh, "<u8", n, "ipbwt")
         key_lo = _read_array(fh, "<u8", n, "ipbwt")
-
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise CorruptIndexError("sentinel_table", "truncated")
-        (sent_count,) = struct.unpack("<I", raw)
-        if sent_count > k:
-            raise CorruptIndexError("sentinel_table", f"{sent_count} entries for k={k}")
-        sent_raw = []
-        for _ in range(sent_count):
-            rec = fh.read(12)
-            if len(rec) != 12:
-                raise CorruptIndexError("sentinel_table", "truncated")
-            row, loc = struct.unpack("<QI", rec)
-            kmer = _read_array(fh, "u1", k, "sentinel_table")
-            sent_raw.append((row, loc, kmer))
 
         rmi = None
         if flags & 1:
@@ -197,25 +179,7 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
     _, bits = _pack_occ(bwt)
     fm = FmIndex(n=n, sa=sa, bwt=bwt, d=d, checkpoints=checkpoints, occ_bits=bits)
 
-    # re-patch sentinel rows exactly as at build time
-    sent_rows = np.array(sorted(r for r, _, _ in sent_raw), dtype=np.int64)
-    is_sent = np.zeros(n, dtype=bool)
-    is_sent[sent_rows] = True
-    clean = np.flatnonzero(~is_sent)
-    sentinels = []
-    for row, loc, kmer in sorted(sent_raw):
-        enc_hi, enc_lo = int(key_hi[row]), int(key_lo[row])
-        pos = int(np.searchsorted(clean, row))
-        src = int(clean[pos]) if pos < clean.size else int(clean[-1])
-        key_hi[row] = key_hi[src]
-        key_lo[row] = key_lo[src]
-        sentinels.append(
-            SentinelEntry(row=int(row), kmer_ranks=kmer, loc=int(loc),
-                          enc_hi=enc_hi, enc_lo=enc_lo,
-                          patched_hi=int(key_hi[row]), patched_lo=int(key_lo[row]))
-        )
-    ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo, sentinels=sentinels)
-
+    ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
     engine = SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
     meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, stride=stride,
                      alpha_mid=alpha_mid, alpha_leaf=alpha_leaf)

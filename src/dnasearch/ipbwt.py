@@ -1,98 +1,53 @@
-"""Index-paired BWT: per BW-matrix row, (first K characters, swapped-rotation row).
+"""Index-paired BWT: per BW-matrix row, (first K characters, continuation row).
 
-Entries are kept in BW-matrix row order, which is sorted under the true
-ordering (sentinel below A, ties broken by the paired location). Keys are
-bit-packed as (2K+32)-bit integers split across two uint64 words; the
-sentinel shares code 0 with A inside the packed form, so the handful of
-rows whose k-mer contains the sentinel are tracked in a side table and
-their packed values are patched in memory to keep the word arrays sorted.
-Authoritative comparisons always go through :func:`true_compare`.
+Entries are kept in BW-matrix row order. Each is packed as a (2K+32)-bit
+key split across two uint64 words: 2-bit base codes (A=0 .. T=3) above a
+32-bit loc field. The encoding makes packed order equal true row order,
+so a plain two-word bisection gives exact lower bounds. For a row whose
+rotation starts at text position p, with the sentinel j = n-1-p
+characters later:
+
+* j >= K: the K-mer, with loc field ISA[p+K] + K;
+* j < K: the j bases before the sentinel, then code 0 (as A) for the
+  sentinel and every position after it, with loc field j. Such a row ties
+  on the packed K-mer only with rows that continue the same j bases with
+  A's; its loc field puts it first (theirs is at least K, or a larger j),
+  as X$ sorts below XA.
+
+A query key for a sentinel-free chunk c and bound b is (c, b + K). The low
+bound key of a chunk X shorter than K (first round, b = 0) is X padded
+with code 0 and loc field |X|: it sits above every row that is less than
+X in its first |X| characters and below every row that starts with X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.seqcore import SENTINEL_RANK, Reference
+from dnasearch.seqcore import Reference
 
 LOC_BITS = 32
 MAX_K = 28  # 2K+32 must fit the 96-bit key budget
 _U64 = np.uint64
 _MASK32 = np.uint64(0xFFFFFFFF)
+# 2-bit code per rank; the sentinel shares code 0 with A
+CODE_OF_RANK = np.array([0, 0, 1, 2, 3], dtype=np.uint64)
 
 
 class IpBwtError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SentinelEntry:
-    """A row whose k-mer contains the sentinel; kept verbatim."""
-
-    row: int
-    kmer_ranks: np.ndarray  # uint8[k], one value is SENTINEL_RANK
-    loc: int
-    enc_hi: int  # packed key with sentinel coded as 0
-    enc_lo: int
-    patched_hi: int  # value stored in the in-memory word arrays at ``row``
-    patched_lo: int
-
-
 @dataclass
 class IpBwt:
-    """Sorted (k-mer, location) array plus the sentinel side table.
-
-    ``key_hi``/``key_lo`` hold the packed keys in row order with sentinel
-    rows patched to preserve monotonicity; original packed values live in
-    ``sentinels``.
-    """
+    """Packed (k-mer, loc field) keys in row order, ascending as (hi, lo) pairs."""
 
     k: int
     n: int
     key_hi: np.ndarray  # uint64[n]
     key_lo: np.ndarray  # uint64[n]
-    sentinels: list[SentinelEntry]
-    _sent_rows: np.ndarray = field(init=False)
-    _sent_by_row: dict[int, SentinelEntry] = field(init=False)
-
-    def __post_init__(self):
-        self._sent_rows = np.array([s.row for s in self.sentinels], dtype=np.int64)
-        self._sent_by_row = {s.row: s for s in self.sentinels}
-
-    def entry(self, i: int) -> tuple[np.ndarray, int]:
-        """(k-mer ranks, loc) of row i."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} out of range")
-        sent = self._sent_by_row.get(i)
-        if sent is not None:
-            return sent.kmer_ranks, sent.loc
-        hi, lo = int(self.key_hi[i]), int(self.key_lo[i])
-        value = (hi << 64) | lo
-        loc = value & 0xFFFFFFFF
-        bits = value >> LOC_BITS
-        ranks = np.empty(self.k, dtype=np.uint8)
-        for j in range(self.k - 1, -1, -1):
-            ranks[j] = (bits & 3) + 1
-            bits >>= 2
-        return ranks, loc
-
-    def encoded_entry(self, i: int) -> int:
-        """Original packed key of row i (sentinel coded as 0), as a Python int."""
-        sent = self._sent_by_row.get(i)
-        if sent is not None:
-            return (sent.enc_hi << 64) | sent.enc_lo
-        return (int(self.key_hi[i]) << 64) | int(self.key_lo[i])
-
-    def unpatched_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-order packed keys with the sentinel rows' original values."""
-        hi = self.key_hi.copy()
-        lo = self.key_lo.copy()
-        for s in self.sentinels:
-            hi[s.row] = s.enc_hi
-            lo[s.row] = s.enc_lo
-        return hi, lo
 
     def key_floats(self) -> np.ndarray:
         """Packed keys as extended-precision reals, for model fitting."""
@@ -100,39 +55,11 @@ class IpBwt:
         return self.key_hi.astype(np.longdouble) * scale + self.key_lo.astype(np.longdouble)
 
 
-def encode_key(kmer_ranks, loc: int) -> int:
-    """Pack (k-mer, loc) into a (2K+32)-bit integer.
-
-    Top 2K bits are the concatenated 2-bit base codes (sentinel mapped to
-    0, same as A); the low 32 bits are loc.
-    """
-    if not 0 <= loc < (1 << LOC_BITS):
-        raise IpBwtError(f"location {loc} does not fit in {LOC_BITS} bits")
-    bits = 0
-    for r in kmer_ranks:
-        code = 0 if r == SENTINEL_RANK else int(r) - 1
-        bits = (bits << 2) | code
-    return (bits << LOC_BITS) | loc
-
-
-def ranked_key(kmer_ranks, loc: int) -> int:
-    """Order-isomorphic integer form of the true ordering (3 bits per char)."""
-    bits = 0
-    for r in kmer_ranks:
-        bits = (bits << 3) | int(r)
-    return (bits << LOC_BITS) | loc
-
-
-def true_compare(a: tuple, b: tuple) -> int:
-    """Total order: lexicographic on k-mer ranks (sentinel lowest), then loc."""
-    ka, la = a
-    kb, lb = b
-    for x, y in zip(ka, kb):
-        if x != y:
-            return -1 if x < y else 1
-    if la != lb:
-        return -1 if la < lb else 1
-    return 0
+def key_words(bits: np.ndarray, loc_field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 words of keys with 2K-bit k-mer codes ``bits``."""
+    hi = bits >> _U64(LOC_BITS)
+    lo = ((bits & _MASK32) << _U64(LOC_BITS)) | loc_field.astype(np.uint64)
+    return hi, lo
 
 
 def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
@@ -147,112 +74,37 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
         raise IpBwtError(f"k={k} out of range [1, {n - 1}]")
     if k > MAX_K:
         raise IpBwtError(f"k={k} exceeds the supported maximum {MAX_K}")
-    if n >= (1 << LOC_BITS):
-        raise IpBwtError(f"reference too long: n={n} must be < 2^{LOC_BITS}")
+    if n + k >= (1 << LOC_BITS):
+        raise IpBwtError(f"reference too long: n + k = {n + k} must be < 2^{LOC_BITS}")
 
     sa64 = sa.astype(np.int64)
     isa = np.empty(n, dtype=np.int64)
     isa[sa64] = np.arange(n, dtype=np.int64)
-    loc = isa[(sa64 + k) % n].astype(np.uint64)
 
-    # pack k-mer base codes, 2 bits per character, sentinel as 0
-    kmer_bits = np.zeros(n, dtype=np.uint64)
-    for j in range(k):
-        ranks_j = ref.ranks[(sa64 + j) % n]
-        codes = np.where(ranks_j == SENTINEL_RANK, 0, ranks_j.astype(np.int64) - 1)
-        kmer_bits = (kmer_bits << _U64(2)) | codes.astype(np.uint64)
-    key_hi = kmer_bits >> _U64(32)
-    key_lo = ((kmer_bits & _MASK32) << _U64(32)) | loc
-
-    # rows whose first k characters include the sentinel at text position n-1
-    sent_offsets = (n - 1 - sa64) % n
-    sent_rows = np.flatnonzero(sent_offsets < k)
-    sentinels: list[SentinelEntry] = []
-    sent_set = set(int(r) for r in sent_rows)
-    for row in sorted(sent_set):
-        kmer_ranks = ref.ranks[(sa64[row] + np.arange(k)) % n].copy()
-        sentinels.append(
-            SentinelEntry(
-                row=row,
-                kmer_ranks=kmer_ranks,
-                loc=int(loc[row]),
-                enc_hi=int(key_hi[row]),
-                enc_lo=int(key_lo[row]),
-                patched_hi=0,
-                patched_lo=0,
-            )
-        )
-
-    # patch sentinel rows so the word arrays are sorted: take the packed key
-    # of the next sentinel-free row (or the previous one at the tail)
-    is_sent = np.zeros(n, dtype=bool)
-    is_sent[sent_rows] = True
-    clean = np.flatnonzero(~is_sent)
-    patched = []
-    for s in sentinels:
-        pos = int(np.searchsorted(clean, s.row))
-        src = int(clean[pos]) if pos < clean.size else int(clean[-1])
-        key_hi[s.row] = key_hi[src]
-        key_lo[s.row] = key_lo[src]
-        patched.append(
-            SentinelEntry(
-                row=s.row,
-                kmer_ranks=s.kmer_ranks,
-                loc=s.loc,
-                enc_hi=s.enc_hi,
-                enc_lo=s.enc_lo,
-                patched_hi=int(key_hi[s.row]),
-                patched_lo=int(key_lo[s.row]),
-            )
-        )
-
-    return IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo, sentinels=patched)
+    # reading stops at the sentinel (position n-1), whose code 0 fills the rest
+    pos = sa64.copy()
+    bits = np.zeros(n, dtype=np.uint64)
+    for _ in range(k):
+        bits = (bits << _U64(2)) | CODE_OF_RANK[ref.ranks[pos]]
+        pos += 1
+        np.minimum(pos, n - 1, out=pos)
+    to_sentinel = n - 1 - sa64
+    loc = np.where(to_sentinel >= k, isa[pos] + k, to_sentinel)
+    key_hi, key_lo = key_words(bits, loc)
+    return IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
 
 
-def ipbwt_lower_bound(ix: IpBwt, kmer_ranks, loc: int) -> int:
-    """Binary search under true_compare: smallest row with entry >= (kmer, loc).
-
-    Returns n when every entry is smaller. This is the chunk-step function
-    the search engine evaluates once per chunk.
-    """
-    key = (tuple(int(r) for r in kmer_ranks), int(loc))
-    lo, hi = 0, ix.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ek, el = ix.entry(mid)
-        if true_compare((tuple(int(r) for r in ek), el), key) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray,
-                      rk_hi: np.ndarray, rk_lo: np.ndarray) -> np.ndarray:
-    """Vectorized lower bounds for a batch of packed query keys.
-
-    ``key_hi/lo`` are the 2-bit packed forms, ``rk_hi/lo`` the 3-bit ranked
-    forms (exact true order) of the same keys. Valid for sentinel-free
-    k-mers with any loc, and for padded low-bound k-mers (one sentinel
-    followed by A-padding) with loc == 0; the batch engine only produces
-    those shapes.
-    """
-    counts = _bisect_words(ix.key_hi, ix.key_lo, key_hi, key_lo,
-                           np.zeros(key_hi.size, dtype=np.int64),
-                           np.full(key_hi.size, ix.n, dtype=np.int64))
-    return counts + _sentinel_adjust(ix, key_hi, key_lo, rk_hi, rk_lo)
-
-
-def _bisect_words(arr_hi: np.ndarray, arr_lo: np.ndarray,
-                  q_hi: np.ndarray, q_lo: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-element searchsorted-left over a sorted (hi, lo) word pair array."""
+def bisect_words(arr_hi: np.ndarray, arr_lo: np.ndarray,
+                 q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
+    """Per-element searchsorted-left of (q_hi, q_lo) over a sorted word pair array."""
+    lo = np.zeros(q_hi.size, dtype=np.int64)
+    hi = np.full(q_hi.size, arr_hi.size, dtype=np.int64)
     top = arr_hi.size - 1
     while True:
         active = lo < hi
         if not active.any():
             return lo
-        mid = np.minimum((lo + hi) >> 1, top)  # converged lanes may sit at n
+        mid = np.minimum((lo + hi) >> 1, top)  # converged lanes may sit at the end
         mh = arr_hi[mid]
         ml = arr_lo[mid]
         less = (mh < q_hi) | ((mh == q_hi) & (ml < q_lo))
@@ -262,15 +114,6 @@ def _bisect_words(arr_hi: np.ndarray, arr_lo: np.ndarray,
         hi = np.where(go_left, mid, hi)
 
 
-def _sentinel_adjust(ix: IpBwt, key_hi, key_lo, rk_hi, rk_lo) -> np.ndarray:
-    """Correction from patched sentinel rows to exact true-order counts."""
-    delta = np.zeros(key_hi.size, dtype=np.int64)
-    for s in ix.sentinels:
-        s_rk = ranked_key(s.kmer_ranks, s.loc)
-        s_rk_hi = np.uint64(s_rk >> 64)
-        s_rk_lo = np.uint64(s_rk & 0xFFFFFFFFFFFFFFFF)
-        truly_less = (s_rk_hi < rk_hi) | ((s_rk_hi == rk_hi) & (s_rk_lo < rk_lo))
-        p_hi, p_lo = np.uint64(s.patched_hi), np.uint64(s.patched_lo)
-        counted = (p_hi < key_hi) | ((p_hi == key_hi) & (p_lo < key_lo))
-        delta += truly_less.astype(np.int64) - counted.astype(np.int64)
-    return delta
+def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray) -> np.ndarray:
+    """Exact lower bounds in the table for a batch of packed query keys."""
+    return bisect_words(ix.key_hi, ix.key_lo, key_hi, key_lo)

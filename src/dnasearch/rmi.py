@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dnasearch.ipbwt import IpBwt, encode_key, true_compare
+from dnasearch.ipbwt import IpBwt
 
 _SCALE64 = np.longdouble(2.0) ** 64
 
@@ -25,12 +25,8 @@ class LinearModel:
     intercept: float
     avg_error: float
 
-    def predict(self, key: np.longdouble, range_max: int) -> int:
-        raw = np.longdouble(self.slope) * key + np.longdouble(self.intercept)
-        p = int(np.floor(raw + np.longdouble(0.5)))  # round half up
-        return min(max(p, 0), range_max)
-
     def predict_many(self, keys: np.ndarray, range_max: int) -> np.ndarray:
+        """Positions for extended-precision keys, rounded half up, clamped to [0, range_max]."""
         raw = np.longdouble(self.slope) * keys + np.longdouble(self.intercept)
         p = np.floor(raw + np.longdouble(0.5)).astype(np.int64)
         return np.clip(p, 0, range_max)
@@ -163,108 +159,6 @@ def build_rmi(ix: IpBwt, alpha_mid: float = 14.0, alpha_leaf: float = 6.0) -> Rm
         cur_hi = layer.boundary_hi
         cur_lo = layer.boundary_lo
     return Rmi(layers=layers, alpha_mid=float(alpha_mid), alpha_leaf=float(alpha_leaf))
-
-
-def _boundary_locate_linear(layer: RmiLayer, key_value: int, start: int) -> int:
-    """Rightmost boundary <= key, by bidirectional linear walk from ``start``."""
-    bh, bl = layer.boundary_hi, layer.boundary_lo
-    m = len(layer)
-    i = min(max(start, 0), m - 1)
-
-    def bval(j: int) -> int:
-        return (int(bh[j]) << 64) | int(bl[j])
-
-    if bval(i) <= key_value:
-        while i + 1 < m and bval(i + 1) <= key_value:
-            i += 1
-    else:
-        while i > 0 and bval(i) > key_value:
-            i -= 1
-    return i
-
-
-def _boundary_locate_exponential(layer: RmiLayer, key_value: int, start: int) -> int:
-    """Rightmost boundary <= key: doubling steps outward, then bisect the bracket."""
-    bh, bl = layer.boundary_hi, layer.boundary_lo
-    m = len(layer)
-
-    def bval(j: int) -> int:
-        return (int(bh[j]) << 64) | int(bl[j])
-
-    i = min(max(start, 0), m - 1)
-    step = 1
-    if bval(i) <= key_value:
-        lo = i
-        hi = i + 1
-        while hi < m and bval(hi) <= key_value:
-            lo = hi
-            hi = min(hi + step, m)
-            step *= 2
-    else:
-        hi = i
-        lo = max(i - 1, 0)
-        while lo > 0 and bval(lo) > key_value:
-            hi = lo
-            lo = max(lo - step, 0)
-            step *= 2
-        if bval(lo) > key_value:
-            return 0
-    # invariant: bval(lo) <= key_value < bval(hi) (hi may be m)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bval(mid) <= key_value:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def rmi_lower_bound(rmi: Rmi, ix: IpBwt, kmer_ranks, loc: int) -> int:
-    """Exact lower bound of (kmer, loc): model traversal plus last-mile correction.
-
-    The root prediction is corrected by exponential search over the next
-    layer's boundaries, middle layers by bidirectional linear search, and
-    the leaf prediction by bidirectional linear search over the IP-BWT
-    under the true ordering. Result is always identical to
-    :func:`dnasearch.ipbwt.ipbwt_lower_bound`.
-    """
-    key_value = encode_key(kmer_ranks, int(loc))
-    key_float = np.longdouble(key_value >> 64) * _SCALE64 + np.longdouble(key_value & ((1 << 64) - 1))
-
-    model_idx = 0
-    for depth, layer in enumerate(rmi.layers):
-        model = layer.models[model_idx]
-        if depth == len(rmi.layers) - 1:
-            pred = model.predict(key_float, max(ix.n - 1, 0))
-            return _leaf_correct(ix, kmer_ranks, loc, pred)
-        nxt = rmi.layers[depth + 1]
-        pred = model.predict(key_float, len(nxt) - 1)
-        if depth == 0:
-            model_idx = _boundary_locate_exponential(nxt, key_value, pred)
-        else:
-            model_idx = _boundary_locate_linear(nxt, key_value, pred)
-    raise AssertionError("unreachable")
-
-
-def _leaf_correct(ix: IpBwt, kmer_ranks, loc: int, pred: int) -> int:
-    """Bidirectional linear walk to the smallest row with entry >= key."""
-    key = (tuple(int(r) for r in kmer_ranks), int(loc))
-
-    def entry_geq(i: int) -> bool:
-        ek, el = ix.entry(i)
-        return true_compare((tuple(int(r) for r in ek), el), key) >= 0
-
-    if ix.n == 0:
-        return 0
-    i = min(max(pred, 0), ix.n - 1)
-    if entry_geq(i):
-        while i > 0 and entry_geq(i - 1):
-            i -= 1
-        return i
-    i += 1
-    while i < ix.n and not entry_geq(i):
-        i += 1
-    return i
 
 
 def audit_errors(rmi: Rmi, ix: IpBwt) -> list[tuple[int, int, float]]:

@@ -1,10 +1,13 @@
 """Chunked exact search over the IP-BWT, single-query and batched.
 
 A query is processed right-to-left in chunks of K characters; each chunk
-costs one lower-bound evaluation per interval bound. Batched search runs
-one round per chunk: all active bound keys are packed, sorted, swept
-against the leaf partition boundaries in a single merge-like pass, and
-corrected locally around the model predictions.
+costs one lower-bound evaluation per interval bound. Bound keys are packed
+as described in :mod:`dnasearch.ipbwt`, so each lower bound is exact with
+no correction for the sentinel. Batched search runs one round per chunk.
+In ``binary`` mode all active bound keys are bisected in the table; in
+``rmi`` mode they are sorted, swept against the leaf partition boundaries
+in a single merge-like pass, and corrected locally around the model
+predictions.
 """
 
 from __future__ import annotations
@@ -14,18 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, SaInterval, backward_search, backward_search_batch
-from dnasearch.ipbwt import (
-    IpBwt,
-    _bisect_words,
-    ipbwt_lower_bound,
-    lower_bound_batch,
-    ranked_key,
-)
-from dnasearch.rmi import Rmi, rmi_lower_bound
-from dnasearch.seqcore import SENTINEL_RANK, Query
+from dnasearch.ipbwt import CODE_OF_RANK, IpBwt, bisect_words, key_words, lower_bound_batch
+from dnasearch.rmi import Rmi
+from dnasearch.seqcore import Query
 
 MODES = ("rmi", "binary", "fm")
-_MASK32 = np.uint64(0xFFFFFFFF)
 
 
 class SearchError(ValueError):
@@ -68,74 +64,25 @@ def build_engine(ref, k: int = 21, alpha_mid: float = 14.0, alpha_leaf: float = 
     return SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
 
 
-def split_chunks(ranks: np.ndarray, k: int) -> list[np.ndarray]:
-    """Left-to-right K-chunks; the final chunk may be shorter."""
-    return [ranks[i : i + k] for i in range(0, len(ranks), k)]
-
-
-def pad_short_chunk(chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bound k-mers for a short final chunk.
-
-    Low bound: chunk + sentinel + A-padding; high bound: chunk + T-padding.
-    Everything prefixed by the chunk sorts strictly between them.
-    """
-    if not 0 < len(chunk) < k:
-        raise SearchError(f"chunk length {len(chunk)} not in (0, {k})")
-    low = np.concatenate([chunk, [SENTINEL_RANK], np.full(k - len(chunk) - 1, 1, dtype=np.uint8)])
-    high = np.concatenate([chunk, np.full(k - len(chunk), 4, dtype=np.uint8)])
-    return low.astype(np.uint8), high.astype(np.uint8)
-
-
 def exact_search(engine: SearchEngine, query: Query | np.ndarray, mode: str = "rmi") -> SaInterval:
-    """Single-query chunked search; identical results to FM backward search."""
+    """Single-query search; identical results to FM backward search.
+
+    ``rmi`` and ``binary`` run a one-row batch.
+    """
     engine.require_mode(mode)
     if mode == "fm":
         return backward_search(engine.fm, query)
     ranks = query.ranks if isinstance(query, Query) else query
-    ix = engine.ipbwt
-    n = ix.n
-    if len(ranks) == 0:
-        return SaInterval(0, n)
-
-    if mode == "rmi":
-        f_k = lambda kmer, loc: rmi_lower_bound(engine.rmi, ix, kmer, loc)
-    else:
-        f_k = lambda kmer, loc: ipbwt_lower_bound(ix, kmer, loc)
-
-    low, high = 0, n
-    chunks = split_chunks(ranks, engine.k)
-    first = True
-    for chunk in reversed(chunks):
-        if len(chunk) < engine.k:
-            # a short chunk is always the first processed round
-            assert first and low == 0 and high == n
-            c_low, c_high = pad_short_chunk(chunk, engine.k)
-            low, high = f_k(c_low, low), f_k(c_high, high)
-        else:
-            low, high = f_k(chunk, low), f_k(chunk, high)
-        first = False
-        if low >= high:
-            return SaInterval(low, low)
-    return SaInterval(low, high)
+    low, high = batch_search_matrix(engine, np.asarray(ranks, dtype=np.uint8)[None, :], mode)
+    return SaInterval(int(low[0]), int(high[0]))
 
 
-def _pack_bits(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2-bit and 3-bit packed k-mer bits (sentinel as 0 / as its own rank)."""
-    enc_bits = np.zeros(kmers.shape[0], dtype=np.uint64)
-    rank_bits = np.zeros(kmers.shape[0], dtype=np.uint64)
+def _pack_codes(kmers: np.ndarray) -> np.ndarray:
+    """2-bit packed codes of rows of base ranks."""
+    bits = np.zeros(kmers.shape[0], dtype=np.uint64)
     for j in range(kmers.shape[1]):
-        r = kmers[:, j].astype(np.uint64)
-        code = np.where(r == SENTINEL_RANK, np.uint64(0), r - np.uint64(1))
-        enc_bits = (enc_bits << np.uint64(2)) | code
-        rank_bits = (rank_bits << np.uint64(3)) | r
-    return enc_bits, rank_bits
-
-
-def _key_words(bits: np.ndarray, locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    locs_u = locs.astype(np.uint64)
-    hi = bits >> np.uint64(32)
-    lo = ((bits & _MASK32) << np.uint64(32)) | locs_u
-    return hi, lo
+        bits = (bits << np.uint64(2)) | CODE_OF_RANK[kmers[:, j]]
+    return bits
 
 
 def _leaf_merge_sorted(rmi: Rmi, s_hi: np.ndarray, s_lo: np.ndarray) -> np.ndarray:
@@ -146,28 +93,14 @@ def _leaf_merge_sorted(rmi: Rmi, s_hi: np.ndarray, s_lo: np.ndarray) -> np.ndarr
     the resulting cut positions back over the keys.
     """
     leaf = rmi.leaf
-    b_hi, b_lo = leaf.boundary_hi, leaf.boundary_lo
-    nb = b_hi.size
-    m = s_hi.size
     # cuts[j] = number of stream keys strictly below boundary j
-    lo = np.zeros(nb, dtype=np.int64)
-    hi = np.full(nb, m, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = np.minimum((lo + hi) >> 1, m - 1)
-        kh = s_hi[mid]
-        kl = s_lo[mid]
-        less = (kh < b_hi) | ((kh == b_hi) & (kl < b_lo))
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
+    cuts = bisect_words(s_hi, s_lo, leaf.boundary_hi, leaf.boundary_lo)
     # key positions >= cuts[j] have boundary j <= key
-    return np.maximum(np.searchsorted(lo, np.arange(m), side="right") - 1, 0)
+    return np.maximum(np.searchsorted(cuts, np.arange(s_hi.size), side="right") - 1, 0)
 
 
 def _gallop_correct(ix: IpBwt, pred: np.ndarray, q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Lower bound over the patched key words, bracketing outward from ``pred``.
+    """Lower bound over the table's key words, bracketing outward from ``pred``.
 
     Expansion and bisection operate on the shrinking set of unresolved
     lanes, so cost tracks the models' prediction error rather than log n.
@@ -217,67 +150,10 @@ def _gallop_correct(ix: IpBwt, pred: np.ndarray, q_hi: np.ndarray, q_lo: np.ndar
     return lo
 
 
-def _decode_stream_ranked(ix: IpBwt, hi: int, lo: int, pad_pos: int | None) -> int:
-    """Ranked-order integer of a stream key, recovered from its packed form.
-
-    Valid because stream keys are either sentinel-free or carry the
-    sentinel at the fixed position ``pad_pos`` (short-chunk low bounds).
-    """
-    value = (hi << 64) | lo
-    loc = value & 0xFFFFFFFF
-    bits = value >> 32
-    out = 0
-    for j in range(ix.k):
-        code = (bits >> (2 * (ix.k - 1 - j))) & 3
-        rank = 0 if pad_pos == j else code + 1
-        out = (out << 3) | rank
-    return (out << 32) | loc
-
-
-def _sentinel_adjust_sorted(ix: IpBwt, s_hi: np.ndarray, s_lo: np.ndarray,
-                            pad_pos: int | None) -> np.ndarray:
-    """Exact-count correction for an ascending key stream.
-
-    Both the patched-count flip and the true-order flip of each sentinel
-    row are single positions in the stream, found by bisection; the per-key
-    deltas are accumulated with a difference array.
-    """
-    m = s_hi.size
-    diff = np.zeros(m + 1, dtype=np.int64)
-
-    def stream_enc(p: int) -> int:
-        return (int(s_hi[p]) << 64) | int(s_lo[p])
-
-    for s in ix.sentinels:
-        patched = (s.patched_hi << 64) | s.patched_lo
-        s_rk = ranked_key(s.kmer_ranks, s.loc)
-        # first position whose key exceeds the patched value
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if stream_enc(mid) <= patched:
-                lo = mid + 1
-            else:
-                hi = mid
-        c_patched = lo
-        # first position whose ranked key exceeds the entry's ranked key
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _decode_stream_ranked(ix, int(s_hi[mid]), int(s_lo[mid]), pad_pos) <= s_rk:
-                lo = mid + 1
-            else:
-                hi = mid
-        c_true = lo
-        diff[c_true] += 1
-        diff[c_patched] -= 1
-    return np.cumsum(diff[:m])
-
-
 def _resolve_stream_rmi(engine: SearchEngine, bits: np.ndarray, locs: np.ndarray,
-                        pad_pos: int | None, order: np.ndarray | None = None) -> np.ndarray:
+                        order: np.ndarray | None = None) -> np.ndarray:
     """One sorted bound-key stream through the leaf layer (one batch round)."""
-    e_hi, e_lo = _key_words(bits, locs)
+    e_hi, e_lo = key_words(bits, locs)
     if order is None:
         order = np.lexsort((e_lo, e_hi))
     s_hi, s_lo = e_hi[order], e_lo[order]
@@ -288,17 +164,9 @@ def _resolve_stream_rmi(engine: SearchEngine, bits: np.ndarray, locs: np.ndarray
     raw = leaf.slopes[leaf_idx] * keyf + leaf.intercepts[leaf_idx]
     pred = np.clip(np.floor(raw + 0.5).astype(np.int64), 0, max(engine.ipbwt.n - 1, 0))
     counts = _gallop_correct(engine.ipbwt, pred, s_hi, s_lo)
-    if engine.ipbwt.sentinels:
-        counts = counts + _sentinel_adjust_sorted(engine.ipbwt, s_hi, s_lo, pad_pos)
     out = np.empty_like(counts)
     out[order] = counts
     return out
-
-
-def _resolve_keys_binary(engine: SearchEngine, kmers_bits, rank_bits, locs) -> np.ndarray:
-    e_hi, e_lo = _key_words(kmers_bits, locs)
-    r_hi, r_lo = _key_words(rank_bits, locs)
-    return lower_bound_batch(engine.ipbwt, e_hi, e_lo, r_hi, r_lo)
 
 
 def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
@@ -320,50 +188,28 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     active = np.arange(nq, dtype=np.int64)
 
     for round_no in range(nchunks):
-        chunk_idx = nchunks - 1 - round_no  # rightmost chunk first
-        start = chunk_idx * k
+        start = (nchunks - 1 - round_no) * k  # rightmost chunk first
         chunk = qmatrix[active, start : start + k]
         m = active.size
-        pad_pos: int | None = None
-        if chunk.shape[1] < k:
-            # short final chunk: padded bound k-mers, always the first round
-            assert round_no == 0
-            short = chunk.shape[1]
-            pad_pos = short
-            low_kmers = np.empty((m, k), dtype=np.uint8)
-            high_kmers = np.empty((m, k), dtype=np.uint8)
-            low_kmers[:, :short] = chunk
-            low_kmers[:, short] = SENTINEL_RANK
-            low_kmers[:, short + 1 :] = 1  # A-padding
-            high_kmers[:, :short] = chunk
-            high_kmers[:, short:] = 4  # T-padding
-        else:
-            low_kmers = high_kmers = np.ascontiguousarray(chunk)
+        # A short final chunk X runs only in the first round, where low == 0.
+        # Its low key pads with code 0 and takes loc field |X|, its high key
+        # pads with T; a full chunk takes loc fields low + k and high + k.
+        pad = 2 * (k - chunk.shape[1])
+        low_bits = _pack_codes(chunk) << np.uint64(pad)
+        high_bits = low_bits | np.uint64((1 << pad) - 1) if pad else low_bits
+        low_locs = low[active] + chunk.shape[1]
+        high_locs = high[active] + k
 
         if mode == "rmi":
-            low_bits, _ = _pack_bits(low_kmers)
-            if high_kmers is low_kmers:
-                high_bits = low_bits
-            else:
-                high_bits, _ = _pack_bits(high_kmers)
-            low_order = high_order = None
-            if round_no == 0:
-                # both bound locs are constant (0 and n) in the first round, so
-                # the stream order reduces to the order of the packed chunk bits
-                low_order = np.argsort(low_bits)
-                high_order = low_order if high_bits is low_bits else np.argsort(high_bits)
-            low[active] = _resolve_stream_rmi(engine, low_bits, low[active], pad_pos, low_order)
-            high[active] = _resolve_stream_rmi(engine, high_bits, high[active], None, high_order)
+            # both loc fields are constant in the first round, so the order of
+            # the packed chunk bits sorts both bound streams
+            order = np.argsort(low_bits) if round_no == 0 else None
+            low[active] = _resolve_stream_rmi(engine, low_bits, low_locs, order)
+            high[active] = _resolve_stream_rmi(engine, high_bits, high_locs, order)
         else:
-            low_bits, low_rank = _pack_bits(low_kmers)
-            if high_kmers is low_kmers:
-                high_bits, high_rank = low_bits, low_rank
-            else:
-                high_bits, high_rank = _pack_bits(high_kmers)
-            bits = np.concatenate([low_bits, high_bits])
-            rbits = np.concatenate([low_rank, high_rank])
-            locs = np.concatenate([low[active], high[active]])
-            bounds = _resolve_keys_binary(engine, bits, rbits, locs)
+            key_hi, key_lo = key_words(np.concatenate([low_bits, high_bits]),
+                                       np.concatenate([low_locs, high_locs]))
+            bounds = lower_bound_batch(engine.ipbwt, key_hi, key_lo)
             low[active] = bounds[:m]
             high[active] = bounds[m:]
 

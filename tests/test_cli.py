@@ -9,6 +9,8 @@ from dnasearch.cli import (
     main,
 )
 
+from conftest import damage_index
+
 
 def write_fasta_file(path, bases, name="ref"):
     with open(path, "w") as fh:
@@ -128,6 +130,16 @@ class TestQuery:
         index, _ = built_index
         broken = tmp_path / "broken.idx"
         broken.write_bytes(index.read_bytes()[:100])
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("ACGT\n")
+        assert main(["query", str(broken), str(qfile)]) == EXIT_IO
+
+    @pytest.mark.parametrize("how", ["version_1", "sa_out_of_range", "sa_duplicate"])
+    def test_rejected_index_exit_2(self, built_index, tmp_path, how):
+        index, _ = built_index
+        broken = tmp_path / "broken.idx"
+        broken.write_bytes(index.read_bytes())
+        damage_index(broken, how)
         qfile = tmp_path / "q.txt"
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO

@@ -8,7 +8,7 @@ from dnasearch.search import (
     build_engine,
 )
 
-from conftest import make_reference, random_reference
+from conftest import damage_index, make_reference, random_reference
 
 
 @pytest.fixture()
@@ -59,10 +59,11 @@ class TestRoundTrip:
         path = str(tmp_path / "c.idx")
         save_index(path, engine)
         loaded, _, _ = load_index(path)
-        assert len(loaded.ipbwt.sentinels) == len(engine.ipbwt.sentinels)
-        for sa_, sb in zip(loaded.ipbwt.sentinels, engine.ipbwt.sentinels):
-            assert sa_.row == sb.row and sa_.loc == sb.loc
-            assert sa_.kmer_ranks.tolist() == sb.kmer_ranks.tolist()
+        # the k rows whose k-mer reaches the sentinel have loc fields below k
+        rows = np.flatnonzero((engine.ipbwt.key_lo & np.uint64(0xFFFFFFFF)) < 3)
+        assert rows.size == 3
+        assert np.array_equal(loaded.ipbwt.key_hi[rows], engine.ipbwt.key_hi[rows])
+        assert np.array_equal(loaded.ipbwt.key_lo[rows], engine.ipbwt.key_lo[rows])
 
     def test_no_rmi_round_trip(self, tmp_path):
         engine = build_engine(make_reference("ATACGACATT"), k=3, with_rmi=False)
@@ -101,3 +102,24 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(CorruptIndexError):
             load_index(str(path))
+
+    def test_version_1_refused(self, engine_and_ref, tmp_path):
+        # version 1 keys have another meaning; loading one would return wrong rows
+        engine, ref = engine_and_ref
+        path = tmp_path / "v1.idx"
+        save_index(str(path), engine)
+        damage_index(path, "version_1")
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "header"
+
+
+@pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate"])
+def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
+    engine, _ = engine_and_ref
+    path = tmp_path / "sa.idx"
+    save_index(str(path), engine)
+    damage_index(path, how)
+    with pytest.raises(CorruptIndexError) as exc:
+        load_index(str(path))
+    assert exc.value.section == "sa"

@@ -4,74 +4,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.ipbwt import (
-    IpBwt,
-    IpBwtError,
-    build_ipbwt,
-    encode_key,
-    ipbwt_lower_bound,
-    lower_bound_batch,
-    ranked_key,
-    true_compare,
-)
+from dnasearch.ipbwt import IpBwtError, build_ipbwt, key_words, lower_bound_batch
 from dnasearch.seqcore import encode_ranks
 
-from conftest import make_reference, random_reference, rotation_rows
-
-kmer_st = st.lists(st.integers(0, 4), min_size=1, max_size=6)
-loc_st = st.integers(0, 2**32 - 1)
-
-
-def brute_entries(ranks, k):
-    """(k-mer ranks, loc) pairs in row order, from the sorted-rotation matrix."""
-    seq = list(ranks)
-    n = len(seq)
-    rows = rotation_rows(seq)
-    rank_of = {start: r for r, start in enumerate(rows)}
-    out = []
-    for start in rows:
-        kmer = [seq[(start + j) % n] for j in range(k)]
-        out.append((kmer, rank_of[(start + k) % n]))
-    return out
+from conftest import (
+    brute_entries,
+    brute_lower_bound,
+    expected_key,
+    make_reference,
+    packed,
+    random_reference,
+    repetitive_reference,
+    sample_queries,
+    words,
+)
 
 
-def brute_lower_bound(entries, kmer, loc):
-    key = (list(kmer), loc)
-    return sum(
-        1
-        for e in entries
-        if (e[0], e[1]) < key
-    )
+def table_keys(ix):
+    return [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
 
 
 class TestKeyEncoding:
     def test_golden_encode(self):
-        # k-mer ATT with loc 5 at K=3: 2-bit codes 00 11 11 over 32 loc bits
-        assert encode_key(encode_ranks("ATT"), 5) == 64424509445
+        # k-mer ATT with loc field 5: 2-bit codes 00 11 11 over 32 loc bits
+        hi, lo = key_words(np.array([0b001111], dtype=np.uint64), np.array([5]))
+        assert (int(hi[0]), int(lo[0])) == (0, 64424509445)
+        # k-mer bits above 32 move to the high word
+        hi, lo = key_words(np.array([(1 << 40) | 3], dtype=np.uint64), np.array([7]))
+        assert (int(hi[0]), int(lo[0])) == (256, (3 << 32) | 7)
 
     def test_sentinel_shares_code_with_a(self):
-        k_a = encode_key([1, 1], 0)
-        k_s = encode_key([1, 0], 0)
-        assert k_a == k_s  # ambiguity resolved by the ranked side table
+        # CAA$ at K=2, rows $C, A$, AA, CA: the first three pack to k-mer AA;
+        # loc fields 0 and 1 (sentinel offsets) order the sentinel rows first
+        ref = make_reference("CAA")
+        ix = build_ipbwt(ref, build_suffix_array(ref), k=2)
+        assert ix.key_hi.tolist() == [0, 0, 0, 0]
+        assert (ix.key_lo >> np.uint64(32)).tolist() == [0, 0, 0, 0b0100]
+        assert (ix.key_lo & np.uint64(0xFFFFFFFF)).tolist() == [0, 1, 2, 3]
 
-    def test_ranked_key_orders_sentinel_first(self):
-        assert ranked_key([1, 0], 0) < ranked_key([1, 1], 0)
-
-    @given(kmer_st, loc_st, kmer_st, loc_st)
-    @settings(max_examples=200, deadline=None)
-    def test_true_compare_matches_tuple_order(self, ka, la, kb, lb):
-        if len(ka) != len(kb):
-            kb = (kb + ka)[: len(ka)]
-        a, b = (ka, la), (kb, lb)
-        expected = (list(ka), la) < (list(kb), lb)
-        got = true_compare(a, b)
-        assert (got < 0) == expected
-        assert (got == 0) == (a[0] == b[0] and la == lb)
-
-    @given(kmer_st, loc_st)
-    @settings(max_examples=100, deadline=None)
-    def test_compare_reflexive(self, kmer, loc):
-        assert true_compare((kmer, loc), (kmer, loc)) == 0
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_order_matches_true_order(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            ref = repetitive_reference(rng)
+        else:
+            ref = random_reference(rng, int(rng.integers(2, 40)))
+        k = int(rng.integers(1, min(8, ref.n - 1) + 1))
+        ix = build_ipbwt(ref, build_suffix_array(ref), k=k)
+        keys = table_keys(ix)
+        assert keys == [expected_key(kmer, loc, k) for kmer, loc in brute_entries(ref.ranks, k)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestBuild:
@@ -79,28 +62,15 @@ class TestBuild:
         ref = make_reference("CATTATTAGGA")
         sa = build_suffix_array(ref)
         ix = build_ipbwt(ref, sa, k=3)
-        expected = brute_entries(ref.ranks, 3)
-        for i in range(ref.n):
-            kmer, loc = ix.entry(i)
-            assert (kmer.tolist(), loc) == (expected[i][0], expected[i][1])
+        expected = [expected_key(kmer, loc, 3) for kmer, loc in brute_entries(ref.ranks, 3)]
+        assert table_keys(ix) == expected
 
     def test_sentinel_rows_counted(self):
         ref = make_reference("CATTATTAGGA")
         sa = build_suffix_array(ref)
         ix = build_ipbwt(ref, sa, k=3)
-        assert len(ix.sentinels) == 3  # k rows see the sentinel in their k-mer
-
-    def test_patched_words_are_sorted(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            ref = random_reference(rng, int(rng.integers(4, 60)))
-            sa = build_suffix_array(ref)
-            k = int(rng.integers(1, min(6, ref.n - 1) + 1))
-            ix = build_ipbwt(ref, sa, k=k)
-            combined = [
-                (int(h), int(lo)) for h, lo in zip(ix.key_hi, ix.key_lo)
-            ]
-            assert combined == sorted(combined)
+        loc_field = ix.key_lo & np.uint64(0xFFFFFFFF)
+        assert int(np.count_nonzero(loc_field < 3)) == 3  # k rows see the sentinel
 
     def test_k_validation(self):
         ref = make_reference("ACGT")
@@ -118,50 +88,32 @@ class TestLowerBound:
         ref = make_reference("CATTATTAGGA")
         sa = build_suffix_array(ref)
         ix = build_ipbwt(ref, sa, k=3)
-        assert ipbwt_lower_bound(ix, [1, 0, 1], 0) == 1  # A$A
-        att = encode_ranks("ATT")
-        assert ipbwt_lower_bound(ix, att, 12) == 5
-        assert ipbwt_lower_bound(ix, att, 1) == 3
-        assert ipbwt_lower_bound(ix, att, 5) == 5
+        att = encode_ranks("ATT").tolist()
+        keys = [
+            packed([1, 1, 1], 1),  # short-chunk low bound A$A
+            packed(att, 12 + 3),
+            packed(att, 1 + 3),
+            packed(att, 5 + 3),
+        ]
+        assert lower_bound_batch(ix, *words(keys)).tolist() == [1, 5, 3, 5]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_scalar_matches_brute_force(self, seed):
+    def test_both_key_shapes_match_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        ref = random_reference(rng, int(rng.integers(3, 50)))
-        sa = build_suffix_array(ref)
-        k = int(rng.integers(1, min(5, ref.n - 1) + 1))
-        ix = build_ipbwt(ref, sa, k=k)
-        entries = brute_entries(ref.ranks, k)
-        for _ in range(10):
-            kmer = rng.integers(0, 5, size=k).tolist()
-            loc = int(rng.integers(0, ref.n + 2))
-            assert ipbwt_lower_bound(ix, kmer, loc) == brute_lower_bound(entries, kmer, loc)
+        ref = repetitive_reference(rng)
+        k = int(rng.integers(1, min(8, ref.n - 1) + 1))
+        ix = build_ipbwt(ref, build_suffix_array(ref), k=k)
+        keys, expected = sample_queries(rng, brute_entries(ref.ranks, k), k, ref.n, 20)
+        assert lower_bound_batch(ix, *words(keys)).tolist() == expected
 
     def test_batch_matches_scalar_on_clean_keys(self):
         rng = np.random.default_rng(77)
         ref = random_reference(rng, 120)
         sa = build_suffix_array(ref)
         ix = build_ipbwt(ref, sa, k=4)
-        kmers = rng.integers(1, 5, size=(60, 4))
-        locs = rng.integers(0, ref.n, size=60)
-        hi = np.zeros(60, dtype=np.uint64)
-        lo = np.zeros(60, dtype=np.uint64)
-        r_hi = np.zeros(60, dtype=np.uint64)
-        r_lo = np.zeros(60, dtype=np.uint64)
-        for i in range(60):
-            key = encode_key(kmers[i], int(locs[i]))
-            rk = ranked_key(kmers[i], int(locs[i]))
-            hi[i], lo[i] = key >> 64, key & (2**64 - 1)
-            r_hi[i], r_lo[i] = rk >> 64, rk & (2**64 - 1)
-        got = lower_bound_batch(ix, hi, lo, r_hi, r_lo)
-        for i in range(60):
-            assert got[i] == ipbwt_lower_bound(ix, kmers[i], int(locs[i]))
-
-    def test_unpatched_words_restore_originals(self):
-        ref = make_reference("CATTATTAGGA")
-        sa = build_suffix_array(ref)
-        ix = build_ipbwt(ref, sa, k=3)
-        hi, lo = ix.unpatched_words()
-        for s in ix.sentinels:
-            assert hi[s.row] == s.enc_hi and lo[s.row] == s.enc_lo
+        entries = brute_entries(ref.ranks, 4)
+        kmers = rng.integers(1, 5, size=(60, 4)).tolist()
+        locs = rng.integers(0, ref.n + 1, size=60).tolist()
+        got = lower_bound_batch(ix, *words([packed(c, b + 4) for c, b in zip(kmers, locs)]))
+        assert got.tolist() == [brute_lower_bound(entries, c, b) for c, b in zip(kmers, locs)]

@@ -1,19 +1,22 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.ipbwt import build_ipbwt, ipbwt_lower_bound
+from dnasearch.ipbwt import build_ipbwt, lower_bound_batch
 from dnasearch.rmi import (
     LinearModel,
     audit_errors,
     build_rmi,
     partition_by_error,
-    rmi_lower_bound,
 )
+from dnasearch.search import _resolve_stream_rmi, build_engine
 
-from conftest import random_reference
+from conftest import brute_entries, random_reference, repetitive_reference, sample_queries, words
 
 
 def build_pair(rng, n_bases, k):
@@ -26,15 +29,20 @@ def build_pair(rng, n_bases, k):
 class TestLinearModel:
     def test_predict_rounds_half_up_and_clamps(self):
         m = LinearModel(slope=1.0, intercept=0.5, avg_error=0.0)
-        assert m.predict(np.longdouble(2.0), range_max=100) == 3  # 2.5 -> 3
-        assert m.predict(np.longdouble(500.0), range_max=100) == 100
-        assert m.predict(np.longdouble(-500.0), range_max=100) == 0
+        keys = np.array([2.0, 1.9, -1.0, -1.5, 500.0, -500.0], dtype=np.longdouble)
+        # raw 2.5 -> 3 and -0.5 -> 0 round half up, 2.4 -> 2; raw -1.0, 500.5 and -499.5 clamp
+        assert m.predict_many(keys, range_max=100).tolist() == [3, 2, 0, 0, 100, 0]
 
     def test_predict_many_matches_scalar(self):
         m = LinearModel(slope=0.37, intercept=12.1, avg_error=0.0)
         keys = np.linspace(-50, 400, 37).astype(np.longdouble)
         many = m.predict_many(keys, range_max=120)
-        assert many.tolist() == [m.predict(k, 120) for k in keys]
+
+        def scalar(key):
+            exact = Fraction(m.slope) * Fraction(float(key)) + Fraction(m.intercept)
+            return min(max(math.floor(exact + Fraction(1, 2)), 0), 120)
+
+        assert many.tolist() == [scalar(k) for k in keys]
 
 
 class TestPartition:
@@ -101,22 +109,28 @@ class TestBuild:
             assert leaf.boundary_lo[j] == ix.key_lo[s]
 
 
+def stream_bounds(engine, keys):
+    """Lower bounds of packed integer keys through the rmi stream path."""
+    bits = np.array([key >> 32 for key in keys], dtype=np.uint64)
+    locs = np.array([key & 0xFFFFFFFF for key in keys], dtype=np.int64)
+    return _resolve_stream_rmi(engine, bits, locs)
+
+
 class TestLowerBound:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_matches_plain_binary_search(self, seed):
         rng = np.random.default_rng(seed)
-        n_bases = int(rng.integers(4, 120))
-        k = int(rng.integers(1, min(6, n_bases) + 1))
-        ix, rmi = build_pair(rng, n_bases, k=k)
-        for _ in range(12):
-            kmer = rng.integers(0, 5, size=k).tolist()
-            loc = int(rng.integers(0, ix.n + 2))
-            assert rmi_lower_bound(rmi, ix, kmer, loc) == ipbwt_lower_bound(ix, kmer, loc)
+        ref = repetitive_reference(rng) if seed % 2 else random_reference(rng, int(rng.integers(4, 120)))
+        k = int(rng.integers(1, min(8, ref.n - 1) + 1))
+        engine = build_engine(ref, k=k)
+        keys, expected = sample_queries(rng, brute_entries(ref.ranks, k), k, ref.n, 24)
+        assert stream_bounds(engine, keys).tolist() == expected
+        assert lower_bound_batch(engine.ipbwt, *words(keys)).tolist() == expected
 
     def test_boundary_keys_map_to_their_rows(self):
         rng = np.random.default_rng(4)
-        ix, rmi = build_pair(rng, 600, k=5)
-        for i in range(ix.n):
-            kmer, loc = ix.entry(i)
-            assert rmi_lower_bound(rmi, ix, kmer, loc) == ipbwt_lower_bound(ix, kmer, loc)
+        engine = build_engine(random_reference(rng, 600), k=5)
+        ix = engine.ipbwt
+        keys = [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
+        assert stream_bounds(engine, keys).tolist() == list(range(ix.n))

@@ -13,12 +13,16 @@ from dnasearch.search import (
     batch_search_matrix,
     build_engine,
     exact_search,
-    pad_short_chunk,
-    split_chunks,
 )
 from dnasearch.seqcore import Query, encode_ranks
 
-from conftest import make_reference, naive_interval, naive_positions, random_reference
+from conftest import (
+    make_reference,
+    naive_interval,
+    naive_positions,
+    random_reference,
+    repetitive_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,18 +31,31 @@ def small_engine():
 
 
 class TestChunking:
-    def test_split_exact_multiple(self):
-        chunks = split_chunks(np.arange(6, dtype=np.uint8), 3)
-        assert [c.tolist() for c in chunks] == [[0, 1, 2], [3, 4, 5]]
+    """Query lengths at, across and below the chunk length K=3 of ``small_engine``."""
 
-    def test_split_with_remainder(self):
-        chunks = split_chunks(np.arange(7, dtype=np.uint8), 3)
-        assert [len(c) for c in chunks] == [3, 3, 1]
+    @staticmethod
+    def assert_interval(engine, bases, expected):
+        for mode in MODES:
+            iv = exact_search(engine, encode_ranks(bases), mode=mode)
+            assert (iv.low, iv.high) == expected, (bases, mode)
 
-    def test_pad_short_chunk_bounds(self):
-        low, high = pad_short_chunk(np.array([4, 2], dtype=np.uint8), 5)
-        assert low.tolist() == [4, 2, 0, 1, 1]  # sentinel then A-padding
-        assert high.tolist() == [4, 2, 4, 4, 4]  # T-padding
+    def test_split_exact_multiple(self, small_engine):
+        self.assert_interval(small_engine, "ATTATT", (4, 5))
+        self.assert_interval(small_engine, "TTAGGA", (10, 11))  # ends at the sentinel
+
+    def test_split_with_remainder(self, small_engine):
+        self.assert_interval(small_engine, "CATTATT", (5, 6))
+        self.assert_interval(small_engine, "ATTA", (3, 5))
+
+    def test_pad_short_chunk_bounds(self, small_engine):
+        # the padded bounds bracket every extension of a chunk shorter than K,
+        # including the row A$ next to the sentinel
+        self.assert_interval(small_engine, "A", (1, 5))
+        self.assert_interval(small_engine, "GA", (6, 7))
+        self.assert_interval(small_engine, "AG", (2, 3))
+        self.assert_interval(small_engine, "TT", (10, 12))
+        for mode in MODES:
+            assert exact_search(small_engine, encode_ranks("CC"), mode=mode).empty
 
 
 class TestExactSearch:
@@ -163,3 +180,33 @@ class TestQueryLengthSweep:
                 assert np.array_equal(low, flow)
                 assert np.array_equal(high, fhigh)
                 assert bool(np.all(low < high))  # sampled substrings must match
+
+
+class TestRepetitiveText:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_all_modes_match_oracle(self, seed):
+        # A-runs before the sentinel, homopolymers and tandem repeats: rows
+        # next to the sentinel tie with A-run rows on the packed k-mer
+        rng = np.random.default_rng(seed)
+        ref = repetitive_reference(rng)
+        body = ref.ranks[:-1]
+        k = int(rng.integers(1, min(8, ref.n - 1) + 1))
+        engine = build_engine(ref, k=k)
+        alphabet = np.unique(body)
+        for qlen in range(1, 3 * k + 2):
+            starts = rng.integers(0, max(body.size - qlen, 0) + 1, size=4)
+            present = [body[s : s + qlen] for s in starts if s + qlen <= body.size]
+            suffix = [body[-qlen:]] if qlen <= body.size else []  # ends at the sentinel
+            other = [rng.choice(alphabet, size=qlen), rng.integers(1, 5, size=qlen)]
+            qm = np.array(present + suffix + other, dtype=np.uint8)
+            for mode in MODES:
+                low, high = batch_search_matrix(engine, qm, mode=mode)
+                for i in range(qm.shape[0]):
+                    expected = naive_interval(ref.ranks, qm[i])
+                    if expected[0] == expected[1]:
+                        assert low[i] == high[i], (mode, qm[i])
+                        continue
+                    assert (int(low[i]), int(high[i])) == expected, (mode, qm[i])
+                    rows = engine.fm.sa[low[i] : high[i]]
+                    assert set(rows.tolist()) == naive_positions(ref.ranks, qm[i])
