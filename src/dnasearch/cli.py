@@ -15,6 +15,7 @@ import numpy as np
 from dnasearch import index_io
 from dnasearch.fmindex import locate as fm_locate
 from dnasearch.ipbwt import IpBwtError
+from dnasearch.rmi import key_errors
 from dnasearch.search import (
     MODES,
     MixedLengthBatchError,
@@ -60,6 +61,14 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
         f"total_expected_bytes={total_expected:.0f}",
         f"total_per_n={sizes['total'] / n:.2f}",
     ]
+    model = engine.rmi
+    if model is not None:
+        err = key_errors(model.leaf, engine.ipbwt.key_hi, engine.ipbwt.key_lo)
+        lines += [
+            f"rmi_layers={len(model.layers)}",
+            f"rmi_leaf_models={len(model.leaf)}",
+            f"rmi_leaf_err_max={int(err.max())}",
+        ]
     return lines
 
 

@@ -37,31 +37,39 @@ class SaInterval:
 
 
 def build_suffix_array(ref: Reference) -> np.ndarray:
-    """Prefix-doubling suffix sort; returns sa as uint32, sa[0] == n-1."""
+    """Prefix-doubling suffix sort; returns sa as uint32, sa[0] == n-1.
+
+    Each round sorts one uint64 key per suffix, rank[i] * (n+1) plus
+    rank[i+k] + 1 (0 past the end); n < 2^32 keeps it below 2^64.
+    """
     t = ref.ranks
     n = t.size
-    rank = t.astype(np.int64)
-    order = np.argsort(rank, kind="stable")
-    r_sorted = rank[order]
-    new = np.empty(n, dtype=np.int64)
-    new[order] = np.cumsum(np.concatenate(([0], (r_sorted[1:] != r_sorted[:-1]).astype(np.int64))))
-    rank = new
+    order = np.argsort(t, kind="stable")
+    rank = _dense_ranks(t[order], order)
     k = 1
     while rank.max() != n - 1:
-        # rank of suffix i+k; -1 past the end (sentinel makes real ties impossible there)
-        rank2 = np.full(n, -1, dtype=np.int64)
-        rank2[: n - k] = rank[k:]
-        order = np.lexsort((rank2, rank))
-        r1 = rank[order]
-        r2 = rank2[order]
-        changed = np.concatenate(([0], ((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])).astype(np.int64)))
-        new = np.empty(n, dtype=np.int64)
-        new[order] = np.cumsum(changed)
-        rank = new
+        key = rank.astype(np.uint64)
+        key *= np.uint64(n + 1)
+        key[: n - k] += rank[k:].astype(np.uint64)
+        key[: n - k] += np.uint64(1)
+        order = np.argsort(key)
+        rank = _dense_ranks(key[order], order)
+        del key, order
         k *= 2
     sa = np.empty(n, dtype=np.uint32)
     sa[rank] = np.arange(n, dtype=np.uint32)
     return sa
+
+
+def _dense_ranks(sorted_keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """rank[order[i]] = number of distinct keys below sorted_keys[i]."""
+    changed = np.empty(sorted_keys.size, dtype=np.int64)
+    changed[0] = 0
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=changed[1:])
+    np.cumsum(changed, out=changed)
+    rank = np.empty_like(changed)
+    rank[order] = changed
+    return rank
 
 
 def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:

@@ -4,23 +4,29 @@ Layout (all little-endian):
 
 * magic ``LSA1``; header: version u16, K u16, n u64, flags u32 (bit 0 =
   RMI present), checkpoint stride u32, alpha_mid f64, alpha_leaf f64.
-* sections, lengths derivable from the header: suffix array (u32[n]),
-  BWT (u8[n]) + occurrence checkpoints (u32[nblocks, 5]), IP-BWT packed
-  keys (u64[n] high words, u64[n] low words), RMI layers.
+* four sections, each followed by the ``zlib.crc32`` of its bytes (u32):
+  suffix array (u32[n]); BWT (u8[n]) + occurrence checkpoints
+  (u32[nblocks, 5]); IP-BWT packed keys (u64[n] high words, u64[n] low
+  words); RMI layers (empty without an RMI).
 
-Version 2 changed the meaning of the packed keys (see ``dnasearch.ipbwt``)
-and dropped version 1's sentinel side table; version 1 files are refused.
-The suffix array must be a permutation of [0, n).
-
-Per RMI layer: model count u64, target size u64, then per model slope/
-intercept/avg_error (f64 each), partition starts (u64), and boundary keys
-(u64 high words, u64 low words). Storing avg_error and starts makes
+The RMI section is a layer count u32, then per layer: model count u64,
+target size u64, slopes and intercepts (f64 each), partition starts (u64)
+and boundary keys (u64 high words, u64 low words). Storing starts makes
 load(save(x)) bit-identical without refitting.
+
+Version 3 models predict from keys relative to their partition's first
+key (see ``dnasearch.rmi``) and added the checksums; version 2 changed the
+meaning of the packed keys (see ``dnasearch.ipbwt``). Files of other
+versions are refused. ``load_index`` checks every section's checksum and
+that the suffix array is a permutation of [0, n); any failure raises
+:class:`CorruptIndexError` naming the section.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -28,12 +34,12 @@ import numpy as np
 
 from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE, FmIndex, _pack_occ
 from dnasearch.ipbwt import IpBwt
-from dnasearch.rmi import LinearModel, Rmi, RmiLayer
+from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<HHQIIdd")
 
 
@@ -56,16 +62,56 @@ class IndexMeta:
     alpha_leaf: float
 
 
-def _write_array(fh: BinaryIO, arr: np.ndarray, dtype) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+class _SectionWriter:
+    """Writes one section's arrays and then the CRC-32 of their bytes."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.start = fh.tell()
+        self.crc = 0
+
+    def write(self, data: bytes) -> None:
+        self.fh.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+    def array(self, arr: np.ndarray, dtype) -> None:
+        self.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+    def close(self) -> int:
+        """Write the checksum; returns the section's size in bytes."""
+        self.fh.write(struct.pack("<I", self.crc))
+        return self.fh.tell() - self.start
 
 
-def _read_array(fh: BinaryIO, dtype, count: int, section: str) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    raw = fh.read(dtype.itemsize * count)
-    if len(raw) != dtype.itemsize * count:
-        raise CorruptIndexError(section, "truncated")
-    return np.frombuffer(raw, dtype=dtype).copy()
+class _SectionReader:
+    """Reads one section's arrays, then checks the CRC-32 that follows them."""
+
+    def __init__(self, fh: BinaryIO, section: str, file_size: int):
+        self.fh = fh
+        self.section = section
+        self.file_size = file_size
+        self.crc = 0
+
+    def read(self, size: int) -> bytearray:
+        # a damaged count must not allocate more than the file holds
+        if size > self.file_size - self.fh.tell():
+            raise CorruptIndexError(self.section, "truncated")
+        buf = bytearray(size)
+        if self.fh.readinto(buf) != size:
+            raise CorruptIndexError(self.section, "truncated")
+        self.crc = zlib.crc32(buf, self.crc)
+        return buf
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.read(dtype.itemsize * count), dtype=dtype)
+
+    def close(self) -> None:
+        raw = self.fh.read(4)
+        if len(raw) != 4:
+            raise CorruptIndexError(self.section, "truncated")
+        if struct.unpack("<I", raw)[0] != self.crc:
+            raise CorruptIndexError(self.section, "checksum mismatch")
 
 
 def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> dict[str, int]:
@@ -81,34 +127,31 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
         fh.write(_HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_mid, alpha_leaf))
         sizes["header"] = 4 + _HEADER.size
 
-        pos = fh.tell()
-        _write_array(fh, fm.sa, "<u4")
-        sizes["sa"] = fh.tell() - pos
+        out = _SectionWriter(fh)
+        out.array(fm.sa, "<u4")
+        sizes["sa"] = out.close()
 
-        pos = fh.tell()
-        _write_array(fh, fm.bwt, "u1")
-        _write_array(fh, fm.checkpoints, "<u4")
-        sizes["bwt_occ"] = fh.tell() - pos
+        out = _SectionWriter(fh)
+        out.array(fm.bwt, "u1")
+        out.array(fm.checkpoints, "<u4")
+        sizes["bwt_occ"] = out.close()
 
-        pos = fh.tell()
-        _write_array(fh, ix.key_hi, "<u8")
-        _write_array(fh, ix.key_lo, "<u8")
-        sizes["ipbwt"] = fh.tell() - pos
+        out = _SectionWriter(fh)
+        out.array(ix.key_hi, "<u8")
+        out.array(ix.key_lo, "<u8")
+        sizes["ipbwt"] = out.close()
 
-        pos = fh.tell()
+        out = _SectionWriter(fh)
         if rmi is not None:
-            fh.write(struct.pack("<I", len(rmi.layers)))
+            out.write(struct.pack("<I", len(rmi.layers)))
             for layer in rmi.layers:
-                fh.write(struct.pack("<QQ", len(layer), layer.target_size))
-                params = np.array(
-                    [[m.slope, m.intercept, m.avg_error] for m in layer.models],
-                    dtype="<f8",
-                )
-                fh.write(params.tobytes())
-                _write_array(fh, layer.starts, "<u8")
-                _write_array(fh, layer.boundary_hi, "<u8")
-                _write_array(fh, layer.boundary_lo, "<u8")
-        sizes["rmi"] = fh.tell() - pos
+                out.write(struct.pack("<QQ", len(layer), layer.target_size))
+                out.array(layer.slopes, "<f8")
+                out.array(layer.intercepts, "<f8")
+                out.array(layer.starts, "<u8")
+                out.array(layer.boundary_hi, "<u8")
+                out.array(layer.boundary_lo, "<u8")
+        sizes["rmi"] = out.close()
         sizes["total"] = fh.tell()
     return sizes
 
@@ -124,6 +167,7 @@ def _rebuild_reference(sa: np.ndarray, bwt: np.ndarray, name: str) -> Reference:
 
 def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Reference, IndexMeta]:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CorruptIndexError("header", f"bad magic {magic!r}")
@@ -136,42 +180,41 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         if stride != OCC_STRIDE:
             raise CorruptIndexError("header", f"unsupported checkpoint stride {stride}")
 
-        sa = _read_array(fh, "<u4", n, "sa")
+        sec = _SectionReader(fh, "sa", file_size)
+        sa = sec.array("<u4", n)
+        sec.close()
         if n and (int(sa.max()) >= n or not np.all(np.bincount(sa, minlength=n) == 1)):
             raise CorruptIndexError("sa", "not a permutation of the rows")
-        bwt = _read_array(fh, "u1", n, "bwt_occ")
-        nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
-        checkpoints = _read_array(fh, "<u4", nblocks * NUM_RANKS, "bwt_occ").reshape(
-            nblocks, NUM_RANKS
-        )
-        key_hi = _read_array(fh, "<u8", n, "ipbwt")
-        key_lo = _read_array(fh, "<u8", n, "ipbwt")
 
+        sec = _SectionReader(fh, "bwt_occ", file_size)
+        bwt = sec.array("u1", n)
+        nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
+        checkpoints = sec.array("<u4", nblocks * NUM_RANKS).reshape(nblocks, NUM_RANKS)
+        sec.close()
+
+        sec = _SectionReader(fh, "ipbwt", file_size)
+        key_hi = sec.array("<u8", n)
+        key_lo = sec.array("<u8", n)
+        sec.close()
+
+        sec = _SectionReader(fh, "rmi", file_size)
         rmi = None
         if flags & 1:
-            raw = fh.read(4)
-            if len(raw) != 4:
-                raise CorruptIndexError("rmi", "truncated")
-            (nlayers,) = struct.unpack("<I", raw)
+            (nlayers,) = struct.unpack("<I", sec.read(4))
             layers = []
             for _ in range(nlayers):
-                rec = fh.read(16)
-                if len(rec) != 16:
-                    raise CorruptIndexError("rmi", "truncated")
-                count, target_size = struct.unpack("<QQ", rec)
-                params = _read_array(fh, "<f8", count * 3, "rmi").reshape(count, 3)
-                starts = _read_array(fh, "<u8", count, "rmi").astype(np.int64)
-                b_hi = _read_array(fh, "<u8", count, "rmi")
-                b_lo = _read_array(fh, "<u8", count, "rmi")
-                models = [
-                    LinearModel(slope=float(s), intercept=float(i), avg_error=float(e))
-                    for s, i, e in params
-                ]
+                count, target_size = struct.unpack("<QQ", sec.read(16))
+                slopes = sec.array("<f8", count)
+                intercepts = sec.array("<f8", count)
+                starts = sec.array("<u8", count).astype(np.int64)
+                b_hi = sec.array("<u8", count)
+                b_lo = sec.array("<u8", count)
                 layers.append(
-                    RmiLayer(models=models, boundary_hi=b_hi, boundary_lo=b_lo,
-                             starts=starts, target_size=int(target_size))
+                    RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts,
+                             boundary_hi=b_hi, boundary_lo=b_lo, target_size=int(target_size))
                 )
             rmi = Rmi(layers=layers, alpha_mid=alpha_mid, alpha_leaf=alpha_leaf)
+        sec.close()
 
     ref = _rebuild_reference(sa, bwt, name)
     counts = np.bincount(ref.ranks, minlength=NUM_RANKS).astype(np.int64)

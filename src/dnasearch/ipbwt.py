@@ -49,11 +49,6 @@ class IpBwt:
     key_hi: np.ndarray  # uint64[n]
     key_lo: np.ndarray  # uint64[n]
 
-    def key_floats(self) -> np.ndarray:
-        """Packed keys as extended-precision reals, for model fitting."""
-        scale = np.longdouble(2.0) ** 64
-        return self.key_hi.astype(np.longdouble) * scale + self.key_lo.astype(np.longdouble)
-
 
 def key_words(bits: np.ndarray, loc_field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) uint64 words of keys with 2K-bit k-mer codes ``bits``."""

@@ -1,11 +1,23 @@
 """Bottom-up recursive model index over the packed IP-BWT keys.
 
-Every layer is a list of linear models over contiguous key partitions,
-found by halving the data until each partition fits its layer's average
-absolute error bound. Leaf models predict IP-BWT positions; upper layers
-predict positions in the boundary array of the layer below. Predictions
-are approximate; the final answer is always corrected against the exact
-ordering, so lookups return precisely the true lower bound.
+Every layer holds one linear model per contiguous key partition, found by
+halving the data until each partition fits its layer's mean absolute
+error bound. All partitions of one halving level are fit at once. Leaf
+models predict IP-BWT rows; upper layers predict positions in the
+boundary array of the layer below.
+
+A model sees a key as its float64 distance ``d`` from its partition's
+first key (:func:`relative_keys`), taken from the exact two-word
+difference, so ``d`` is exact while the partition spans less than 2^53.
+It is fit by least squares to the key's position inside the partition and
+predicts the position
+
+    start + floor(slope * d + intercept + 0.5), clamped into the partition.
+
+This one function (:func:`predict`) computes the fit errors, the audit and
+the query-time predictions, so the audited bound is the bound in use.
+Predictions are approximate; search corrects them against the exact key
+order, so lookups return precisely the true lower bound.
 """
 
 from __future__ import annotations
@@ -16,46 +28,71 @@ import numpy as np
 
 from dnasearch.ipbwt import IpBwt
 
-_SCALE64 = np.longdouble(2.0) ** 64
+_TWO64 = 2.0**64
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    slope: float
-    intercept: float
-    avg_error: float
+def relative_keys(hi: np.ndarray, lo: np.ndarray,
+                  first_hi: np.ndarray, first_lo: np.ndarray) -> np.ndarray:
+    """(hi, lo) - (first_hi, first_lo) as float64, from the signed two-word difference.
 
-    def predict_many(self, keys: np.ndarray, range_max: int) -> np.ndarray:
-        """Positions for extended-precision keys, rounded half up, clamped to [0, range_max]."""
-        raw = np.longdouble(self.slope) * keys + np.longdouble(self.intercept)
-        p = np.floor(raw + np.longdouble(0.5)).astype(np.int64)
-        return np.clip(p, 0, range_max)
+    Exact while 0 <= key - first < 2^53; beyond that it is rounded, but
+    still never decreases as the key grows.
+    """
+    d_hi = hi.view(np.int64) - first_hi.view(np.int64)
+    d_hi -= lo < first_lo  # borrow from the low word
+    d = d_hi * _TWO64
+    del d_hi
+    d += lo - first_lo  # the low word of the difference, mod 2^64
+    return d
+
+
+def predict(start, last, slope, intercept, d: np.ndarray) -> np.ndarray:
+    """``start + floor(slope * d + intercept + 0.5)``, clamped to [start, start + last].
+
+    ``last`` (float64) is the position of the partition's last key
+    relative to its first.
+    """
+    r = slope * d
+    r += intercept
+    r += 0.5
+    np.floor(r, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.minimum(r, last, out=r)
+    p = r.astype(np.int64)
+    p += start
+    return p
 
 
 @dataclass
 class RmiLayer:
-    """Models plus the smallest key of each model's partition.
+    """Per-partition models plus each partition's first key.
 
     ``boundary_hi/lo`` are the packed-key words of the partition minima;
     ``target_size`` is the length of the array predictions index into.
     """
 
-    models: list[LinearModel]
+    starts: np.ndarray  # int64: first fit-input index of each partition
+    slopes: np.ndarray  # float64
+    intercepts: np.ndarray  # float64
     boundary_hi: np.ndarray  # uint64, ascending
     boundary_lo: np.ndarray  # uint64
-    starts: np.ndarray  # int64: first fit-input index of each partition
     target_size: int
 
-    # per-model slope/intercept as arrays, for vectorized evaluation
-    slopes: np.ndarray = field(init=False)
-    intercepts: np.ndarray = field(init=False)
+    sizes: np.ndarray = field(init=False)  # int64: fit inputs per partition
+    last: np.ndarray = field(init=False)  # float64: sizes - 1, the clamp of predict
 
     def __post_init__(self):
-        self.slopes = np.array([m.slope for m in self.models], dtype=np.float64)
-        self.intercepts = np.array([m.intercept for m in self.models], dtype=np.float64)
+        self.sizes = np.diff(self.starts, append=self.target_size)
+        self.last = self.sizes - 1.0
 
     def __len__(self) -> int:
-        return len(self.models)
+        return self.starts.size
+
+    def predict(self, part: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """Predicted positions of keys (hi, lo), each through its partition's model."""
+        d = relative_keys(hi, lo, self.boundary_hi[part], self.boundary_lo[part])
+        return predict(self.starts[part], self.last[part], self.slopes[part],
+                       self.intercepts[part], d)
 
 
 @dataclass
@@ -71,50 +108,72 @@ class Rmi:
         return self.layers[-1]
 
 
-def _fit_linear(keys: np.ndarray, positions: np.ndarray, range_max: int) -> LinearModel:
-    """OLS in extended precision; avg_error uses the rounded, clamped prediction."""
-    x = keys
-    y = positions.astype(np.longdouble)
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    var = (dx * dx).sum()
-    if var == 0:
-        slope = 0.0
-        intercept = float(ym)
-    else:
-        slope_ld = (dx * (y - ym)).sum() / var
-        slope = float(slope_ld)
-        intercept = float(ym - slope_ld * xm)
-    raw = np.longdouble(slope) * x + np.longdouble(intercept)
-    pred = np.clip(np.floor(raw + np.longdouble(0.5)).astype(np.int64), 0, range_max)
-    avg_error = float(np.mean(np.abs(pred - positions)))
-    return LinearModel(slope=slope, intercept=intercept, avg_error=avg_error)
+def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray,
+               sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of every partition of one halving level at once.
+
+    Returns per-partition slopes, intercepts and mean absolute errors of
+    :func:`predict` over the partition's keys.
+    """
+    offsets = np.cumsum(sizes) - sizes  # of each partition in the level's key list
+    rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+    d = relative_keys(hi[rows], lo[rows],
+                      np.repeat(hi[starts], sizes), np.repeat(lo[starts], sizes))
+    y = rows - np.repeat(starts, sizes)  # position inside the partition
+    del rows
+
+    count = sizes.astype(np.float64)
+    d_mean = np.add.reduceat(d, offsets) / count
+    y_mean = (count - 1) / 2
+    dx = d - np.repeat(d_mean, sizes)
+    sxx = np.add.reduceat(dx * dx, offsets)
+    dx *= y - np.repeat(y_mean, sizes)
+    sxy = np.add.reduceat(dx, offsets)
+    del dx
+    slopes = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    intercepts = y_mean - slopes * d_mean
+
+    pred = predict(0, np.repeat(count - 1, sizes), np.repeat(slopes, sizes),
+                   np.repeat(intercepts, sizes), d)
+    del d
+    pred -= y
+    np.abs(pred, out=pred)
+    errors = np.add.reduceat(pred, offsets) / count
+    return slopes, intercepts, errors
 
 
-def partition_by_error(keys: np.ndarray, positions: np.ndarray, alpha: float,
-                       range_max: int) -> list[tuple[int, int, LinearModel]]:
-    """Halve [start, end) ranges until each partition fits its error bound.
+def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
+    """Halve the sorted keys (hi, lo) until each partition fits ``alpha``.
 
-    Returns (start, end, model) triples in key order. The left half takes
-    the extra element on odd sizes; size <= 2 always terminates.
+    A partition stops at size <= 2 or mean absolute error <= alpha; on an
+    odd size the left half takes the extra element.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    out: list[tuple[int, int, LinearModel]] = []
-    stack = [(0, keys.size)]
-    while stack:
-        start, end = stack.pop()
-        size = end - start
-        model = _fit_linear(keys[start:end], positions[start:end], range_max)
-        if size <= 2 or model.avg_error <= alpha:
-            out.append((start, end, model))
-        else:
-            mid = start + (size + 1) // 2
-            stack.append((mid, end))
-            stack.append((start, mid))
-    out.sort(key=lambda t: t[0])
-    return out
+    starts = np.zeros(1, dtype=np.int64)
+    sizes = np.array([hi.size], dtype=np.int64)
+    done_starts, done_slopes, done_intercepts = [], [], []
+    while starts.size:
+        slopes, intercepts, errors = _fit_level(hi, lo, starts, sizes)
+        done = (sizes <= 2) | (errors <= alpha)
+        done_starts.append(starts[done])
+        done_slopes.append(slopes[done])
+        done_intercepts.append(intercepts[done])
+        split, split_sizes = starts[~done], sizes[~done]
+        left = (split_sizes + 1) // 2
+        starts = np.column_stack([split, split + left]).ravel()
+        sizes = np.column_stack([left, split_sizes - left]).ravel()
+    starts = np.concatenate(done_starts)
+    order = np.argsort(starts)
+    starts = starts[order]
+    return RmiLayer(
+        starts=starts,
+        slopes=np.concatenate(done_slopes)[order],
+        intercepts=np.concatenate(done_intercepts)[order],
+        boundary_hi=hi[starts],
+        boundary_lo=lo[starts],
+        target_size=hi.size,
+    )
 
 
 def build_rmi(ix: IpBwt, alpha_mid: float = 14.0, alpha_leaf: float = 6.0) -> Rmi:
@@ -125,40 +184,19 @@ def build_rmi(ix: IpBwt, alpha_mid: float = 14.0, alpha_leaf: float = 6.0) -> Rm
     under alpha_mid, until a single partition remains (the root, which
     carries no error bound).
     """
-    keys = ix.key_floats()
-    positions = np.arange(ix.n, dtype=np.int64)
-    parts = partition_by_error(keys, positions, alpha_leaf, range_max=max(ix.n - 1, 0))
-    starts = np.array([p[0] for p in parts], dtype=np.int64)
-    leaf = RmiLayer(
-        models=[p[2] for p in parts],
-        boundary_hi=ix.key_hi[starts].copy(),
-        boundary_lo=ix.key_lo[starts].copy(),
-        starts=starts,
-        target_size=ix.n,
-    )
-    layers = [leaf]
-    cur_keys = keys[starts]
-    cur_hi = leaf.boundary_hi
-    cur_lo = leaf.boundary_lo
+    layers = [fit_layer(ix.key_hi, ix.key_lo, alpha_leaf)]
     while len(layers[0]) > 1:
-        positions = np.arange(cur_keys.size, dtype=np.int64)
-        parts = partition_by_error(cur_keys, positions, alpha_mid,
-                                   range_max=cur_keys.size - 1)
-        starts = np.array([p[0] for p in parts], dtype=np.int64)
-        layer = RmiLayer(
-            models=[p[2] for p in parts],
-            boundary_hi=cur_hi[starts].copy(),
-            boundary_lo=cur_lo[starts].copy(),
-            starts=starts,
-            target_size=cur_keys.size,
-        )
-        layers.insert(0, layer)
-        if len(parts) == 1:
-            break
-        cur_keys = cur_keys[starts]
-        cur_hi = layer.boundary_hi
-        cur_lo = layer.boundary_lo
+        below = layers[0]
+        layers.insert(0, fit_layer(below.boundary_hi, below.boundary_lo, alpha_mid))
     return Rmi(layers=layers, alpha_mid=float(alpha_mid), alpha_leaf=float(alpha_leaf))
+
+
+def key_errors(layer: RmiLayer, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """|predicted - true position| of every fit-input key (hi, lo) of ``layer``."""
+    part = np.repeat(np.arange(len(layer)), layer.sizes)
+    err = layer.predict(part, hi, lo)
+    err -= np.arange(hi.size)
+    return np.abs(err, out=err)
 
 
 def audit_errors(rmi: Rmi, ix: IpBwt) -> list[tuple[int, int, float]]:
@@ -168,25 +206,11 @@ def audit_errors(rmi: Rmi, ix: IpBwt) -> list[tuple[int, int, float]]:
     Used by tests and the benchmark report to check the alpha bounds.
     """
     rows = []
-    # reconstruct each layer's fit inputs: leaf over all keys, upper layers
-    # over the boundary keys of the layer below
-    layer_inputs: list[np.ndarray] = [None] * len(rmi.layers)
-    layer_inputs[-1] = ix.key_floats()
-    for d in range(len(rmi.layers) - 2, -1, -1):
-        below = rmi.layers[d + 1]
-        layer_inputs[d] = (
-            below.boundary_hi.astype(np.longdouble) * _SCALE64
-            + below.boundary_lo.astype(np.longdouble)
-        )
-    for d, layer in enumerate(rmi.layers):
-        keys = layer_inputs[d]
-        n_keys = keys.size
-        starts = layer.starts
-        ends = np.append(starts[1:], n_keys)
-        for j, model in enumerate(layer.models):
-            s, e = int(starts[j]), int(ends[j])
-            pos = np.arange(s, e, dtype=np.int64)
-            pred = model.predict_many(keys[s:e], layer.target_size - 1)
-            err = float(np.mean(np.abs(pred - pos))) if e > s else 0.0
-            rows.append((d, j, err))
+    hi, lo = ix.key_hi, ix.key_lo
+    for d in range(len(rmi.layers) - 1, -1, -1):
+        layer = rmi.layers[d]
+        mean = np.add.reduceat(key_errors(layer, hi, lo), layer.starts) / layer.sizes
+        rows.extend((d, j, float(err)) for j, err in enumerate(mean))
+        hi, lo = layer.boundary_hi, layer.boundary_lo
+    rows.sort()
     return rows

@@ -157,12 +157,8 @@ def _resolve_stream_rmi(engine: SearchEngine, bits: np.ndarray, locs: np.ndarray
     if order is None:
         order = np.lexsort((e_lo, e_hi))
     s_hi, s_lo = e_hi[order], e_lo[order]
-    leaf = engine.rmi.leaf
     leaf_idx = _leaf_merge_sorted(engine.rmi, s_hi, s_lo)
-    # float64 keys lose low-order bits; corrections absorb the rounding
-    keyf = s_hi.astype(np.float64) * 18446744073709551616.0 + s_lo.astype(np.float64)
-    raw = leaf.slopes[leaf_idx] * keyf + leaf.intercepts[leaf_idx]
-    pred = np.clip(np.floor(raw + 0.5).astype(np.int64), 0, max(engine.ipbwt.n - 1, 0))
+    pred = engine.rmi.leaf.predict(leaf_idx, s_hi, s_lo)
     counts = _gallop_correct(engine.ipbwt, pred, s_hi, s_lo)
     out = np.empty_like(counts)
     out[order] = counts

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
+from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE
 from dnasearch.index_io import _HEADER
 from dnasearch.seqcore import Reference, encode_ranks
 from dnasearch.search import build_engine
@@ -143,23 +146,55 @@ def sample_queries(rng, entries, k, n, count):
     return keys, expected
 
 
+SECTIONS = ("sa", "bwt_occ", "ipbwt", "rmi")
+
+
+def index_sections(data) -> dict[str, tuple[int, int]]:
+    """Byte range [start, end) of each section of a saved index; its CRC-32 follows at end."""
+    n = _HEADER.unpack_from(data, 4)[2]
+    nblocks = -(-n // OCC_STRIDE)
+    pos = 4 + _HEADER.size
+    out = {}
+    for name, size in (("sa", 4 * n), ("bwt_occ", n + 4 * NUM_RANKS * nblocks),
+                       ("ipbwt", 16 * n), ("rmi", None)):
+        if size is None:
+            size = len(data) - pos - 4
+        out[name] = (pos, pos + size)
+        pos += size + 4
+    return out
+
+
 def damage_index(path, how: str) -> None:
     """Rewrite a saved index file with one defect.
 
-    ``version_1``: the header says version 1. ``sa_out_of_range`` and
-    ``sa_duplicate``: one flipped suffix-array byte makes a value out of
-    [0, n) or equal to another row's.
+    ``version_1``, ``version_2``: the header says that version.
+    ``flip_<section>``: one bit flipped inside the section, its checksum
+    left as it was (in ``ipbwt``, bit 0 of the middle row's high key word).
+    ``sa_out_of_range`` and ``sa_duplicate``: one flipped suffix-array byte
+    makes a value out of [0, n) or equal to another row's, and the
+    section's checksum is rewritten to match, so that only the
+    permutation check can see it.
     """
     data = bytearray(path.read_bytes())
-    sa_start = 4 + _HEADER.size
-    if how == "version_1":
-        data[4:6] = (1).to_bytes(2, "little")
-    elif how == "sa_out_of_range":
-        data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
-    elif how == "sa_duplicate":
-        sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
-        i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
-        data[sa_start + 4 * i] ^= 0x01
+    sections = index_sections(data)
+    sa_start, sa_end = sections["sa"]
+    if how in ("version_1", "version_2"):
+        data[4:6] = int(how[-1]).to_bytes(2, "little")
+    elif how.startswith("flip_"):
+        start, end = sections[how[len("flip_"):]]
+        if how == "flip_ipbwt":
+            n = (end - start) // 16
+            data[start + 8 * (n // 2)] ^= 0x01
+        else:
+            data[(start + end) // 2] ^= 0x10
+    elif how in ("sa_out_of_range", "sa_duplicate"):
+        if how == "sa_out_of_range":
+            data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
+        else:
+            sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
+            i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
+            data[sa_start + 4 * i] ^= 0x01
+        data[sa_end : sa_end + 4] = zlib.crc32(data[sa_start:sa_end]).to_bytes(4, "little")
     else:
         raise ValueError(how)
     path.write_bytes(bytes(data))

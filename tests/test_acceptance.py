@@ -140,11 +140,6 @@ def test_criterion_4_error_bound_audit(capsys, medium_engine):
     for depth, j, err in audit_errors(rmi, ix):
         if depth == 0:
             continue  # the root carries no bound
-        layer = rmi.layers[depth]
-        n_keys = layer.target_size
-        end = int(layer.starts[j + 1]) if j + 1 < len(layer.starts) else n_keys
-        if end - int(layer.starts[j]) <= 2:
-            continue  # minimal partitions terminate regardless of error
         if depth == leaf_depth:
             worst_leaf = max(worst_leaf, err)
             ok = ok and err <= rmi.alpha_leaf

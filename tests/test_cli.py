@@ -49,6 +49,17 @@ class TestBuild:
         for key in ("sa_bytes", "bwt_occ_bytes", "ipbwt_bytes", "rmi_bytes",
                     "total_bytes", "ipbwt_expected_bytes", "ipbwt_ratio_vs_expected"):
             assert key in report
+        # model shape: root to leaf layers, leaf count and the worst leaf prediction error
+        layers, leaves = int(report["rmi_layers"]), int(report["rmi_leaf_models"])
+        assert layers >= 1 and 1 <= leaves <= 801
+        assert 0 <= int(report["rmi_leaf_err_max"]) < 801
+
+    def test_space_report_without_rmi(self, tmp_path, capsys):
+        fasta = tmp_path / "r.fa"
+        write_fasta_file(fasta, random_bases(np.random.default_rng(1), 200))
+        rc = main(["build", str(fasta), "--k", "5", "--no-rmi", "--out", str(tmp_path / "r.idx")])
+        assert rc == 0
+        assert "rmi_layers" not in capsys.readouterr().out
 
     def test_missing_fasta_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.fa"), "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -134,7 +145,8 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
-    @pytest.mark.parametrize("how", ["version_1", "sa_out_of_range", "sa_duplicate"])
+    @pytest.mark.parametrize("how", ["version_1", "version_2", "sa_out_of_range", "sa_duplicate",
+                                     "flip_sa", "flip_bwt_occ", "flip_ipbwt", "flip_rmi"])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index
         broken = tmp_path / "broken.idx"

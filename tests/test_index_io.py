@@ -8,7 +8,7 @@ from dnasearch.search import (
     build_engine,
 )
 
-from conftest import damage_index, make_reference, random_reference
+from conftest import SECTIONS, damage_index, index_sections, make_reference, random_reference
 
 
 @pytest.fixture()
@@ -33,14 +33,10 @@ class TestRoundTrip:
         assert np.array_equal(ref2.ranks, ref.ranks)
         assert len(loaded.rmi.layers) == len(engine.rmi.layers)
         for la, lb in zip(loaded.rmi.layers, engine.rmi.layers):
-            assert np.array_equal(la.boundary_hi, lb.boundary_hi)
-            assert np.array_equal(la.starts, lb.starts)
-            for ma, mb in zip(la.models, lb.models):
-                assert (ma.slope, ma.intercept, ma.avg_error) == (
-                    mb.slope,
-                    mb.intercept,
-                    mb.avg_error,
-                )
+            assert la.target_size == lb.target_size
+            for name in ("starts", "slopes", "intercepts", "boundary_hi", "boundary_lo"):
+                a, b = getattr(la, name), getattr(lb, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_results_identical_after_reload(self, engine_and_ref, tmp_path):
         engine, ref = engine_and_ref
@@ -113,6 +109,37 @@ class TestCorruption:
             load_index(str(path))
         assert exc.value.section == "header"
 
+    def test_version_2_refused(self, engine_and_ref, tmp_path):
+        # version 2 models predict from absolute keys; this model would mispredict them
+        engine, ref = engine_and_ref
+        path = tmp_path / "v2.idx"
+        save_index(str(path), engine)
+        damage_index(path, "version_2")
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "header"
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_bit_flip_refused(self, engine_and_ref, tmp_path, section):
+        engine, ref = engine_and_ref
+        path = tmp_path / "flip.idx"
+        save_index(str(path), engine)
+        damage_index(path, f"flip_{section}")
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == section
+        assert "checksum" in str(exc.value)
+
+    def test_sections_tile_the_file(self, engine_and_ref, tmp_path):
+        engine, ref = engine_and_ref
+        path = tmp_path / "s.idx"
+        sizes = save_index(str(path), engine)
+        sections = index_sections(path.read_bytes())
+        # each size counts the section's 4-byte checksum
+        assert {name: end - start + 4 for name, (start, end) in sections.items()} == {
+            name: sizes[name] for name in SECTIONS
+        }
+
 
 @pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate"])
 def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
@@ -123,3 +150,4 @@ def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
     assert exc.value.section == "sa"
+    assert "permutation" in str(exc.value)  # the checksum was rewritten to match

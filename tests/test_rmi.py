@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from dnasearch.fmindex import build_suffix_array
 from dnasearch.ipbwt import build_ipbwt, lower_bound_batch
 from dnasearch.rmi import (
-    LinearModel,
     audit_errors,
     build_rmi,
-    partition_by_error,
+    fit_layer,
+    key_errors,
+    predict,
+    relative_keys,
 )
+from dnasearch import search
 from dnasearch.search import _resolve_stream_rmi, build_engine
 
 from conftest import brute_entries, random_reference, repetitive_reference, sample_queries, words
@@ -26,54 +29,94 @@ def build_pair(rng, n_bases, k):
     return ix, build_rmi(ix)
 
 
+def layer_mean_errors(layer, hi, lo):
+    return np.add.reduceat(key_errors(layer, hi, lo), layer.starts) / layer.sizes
+
+
+class TestRelativeKeys:
+    def test_borrow_from_the_low_word(self):
+        # (2, 0) - (1, 2^64 - 1) = 1; (5, 3) - (4, 7) = 2^64 - 4
+        hi, lo = words([(2 << 64) | 0, (5 << 64) | 3])
+        first_hi, first_lo = words([(1 << 64) | (2**64 - 1), (4 << 64) | 7])
+        assert relative_keys(hi, lo, first_hi, first_lo).tolist() == [1.0, float(2**64 - 4)]
+
+    @given(st.integers(0, 2**88 - 1), st.integers(0, 2**53 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_below_2_53(self, first, diff):
+        key = first + diff
+        (d,) = relative_keys(*words([key]), *words([first]))
+        assert d == diff  # exact: compares the float with the integer
+
+    @given(st.integers(0, 2**88 - 1), st.integers(0, 2**88 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_integer_subtraction(self, a, b):
+        first, key = min(a, b), max(a, b)
+        (d,) = relative_keys(*words([key]), *words([first]))
+        assert math.isclose(d, key - first, rel_tol=2.0**-52)
+
+
 class TestLinearModel:
     def test_predict_rounds_half_up_and_clamps(self):
-        m = LinearModel(slope=1.0, intercept=0.5, avg_error=0.0)
-        keys = np.array([2.0, 1.9, -1.0, -1.5, 500.0, -500.0], dtype=np.longdouble)
-        # raw 2.5 -> 3 and -0.5 -> 0 round half up, 2.4 -> 2; raw -1.0, 500.5 and -499.5 clamp
-        assert m.predict_many(keys, range_max=100).tolist() == [3, 2, 0, 0, 100, 0]
+        d = np.array([2.0, 1.9, -1.0, -1.5, 500.0, -500.0])
+        # raw 2.5 -> 3 and -0.5 -> 0 round half up, 2.4 -> 2; raw -1.0, 500.5 and
+        # -499.5 clamp into the partition's positions [0, 100], then shift by start
+        got = predict(10, 100.0, 1.0, 0.5, d)
+        assert got.tolist() == [13, 12, 10, 10, 110, 10]
 
     def test_predict_many_matches_scalar(self):
-        m = LinearModel(slope=0.37, intercept=12.1, avg_error=0.0)
-        keys = np.linspace(-50, 400, 37).astype(np.longdouble)
-        many = m.predict_many(keys, range_max=120)
+        rng = np.random.default_rng(8)
+        size = 120
+        starts = rng.integers(0, 1000, 37)
+        slopes = rng.uniform(-0.5, 2.0, 37)
+        intercepts = rng.uniform(-20, 20, 37)
+        d = np.linspace(-50, 400, 37)
+        many = predict(starts, np.full(37, size - 1.0), slopes, intercepts, d)
 
-        def scalar(key):
-            exact = Fraction(m.slope) * Fraction(float(key)) + Fraction(m.intercept)
-            return min(max(math.floor(exact + Fraction(1, 2)), 0), 120)
+        def scalar(start, slope, intercept, key):
+            # the same float64 operations, one key at a time
+            raw = math.floor(slope * key + intercept + 0.5)
+            return start + min(max(raw, 0), size - 1)
 
-        assert many.tolist() == [scalar(k) for k in keys]
+        def exact(start, slope, intercept, key):
+            raw = math.floor(Fraction(slope) * Fraction(key) + Fraction(intercept) + Fraction(1, 2))
+            return start + min(max(raw, 0), size - 1)
+
+        args = list(zip(starts.tolist(), slopes.tolist(), intercepts.tolist(), d.tolist()))
+        assert many.tolist() == [scalar(*a) for a in args]
+        # float64 rounding can move a prediction by at most one row
+        assert all(abs(p - exact(*a)) <= 1 for p, a in zip(many.tolist(), args))
+
+
+def sorted_keys(rng, size, bits=80):
+    """Distinct ascending integer keys of up to ``bits`` bits as word arrays."""
+    keys = sorted({int(x) << (bits - 62) | int(y) for x, y in zip(
+        rng.integers(0, 2**62, size=size), rng.integers(0, 2 ** (bits - 62), size=size))})
+    return words(keys)
 
 
 class TestPartition:
-    @given(st.integers(0, 2**32 - 1), st.integers(3, 200))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([0.5, 2.0, 6.0]))
     @settings(max_examples=40, deadline=None)
-    def test_partitions_respect_alpha(self, seed, size):
-        rng = np.random.default_rng(seed)
-        keys = np.sort(rng.uniform(0, 1e9, size=size)).astype(np.longdouble)
-        positions = np.arange(size, dtype=np.int64)
-        alpha = 2.0
-        parts = partition_by_error(keys, positions, alpha, range_max=size - 1)
+    def test_partitions_respect_alpha(self, seed, size, alpha):
+        hi, lo = sorted_keys(np.random.default_rng(seed), size)
+        layer = fit_layer(hi, lo, alpha)
         # contiguous cover of [0, size)
-        assert parts[0][0] == 0 and parts[-1][1] == size
-        for (s1, e1, _), (s2, _, _) in zip(parts, parts[1:]):
-            assert e1 == s2
-        for s, e, model in parts:
-            if e - s > 2:
-                assert model.avg_error <= alpha
+        assert layer.starts[0] == 0 and np.all(layer.sizes >= 1)
+        assert layer.sizes.sum() == hi.size
+        # no exemption: a one- or two-key fit on relative keys is exact
+        assert np.all(layer_mean_errors(layer, hi, lo) <= alpha)
+        assert np.all(layer_mean_errors(layer, hi, lo)[layer.sizes <= 2] == 0)
 
     def test_linear_keys_need_one_partition(self):
-        keys = np.arange(1000, dtype=np.longdouble) * 7.0
-        positions = np.arange(1000, dtype=np.int64)
-        parts = partition_by_error(keys, positions, alpha=1.0, range_max=999)
-        assert len(parts) == 1
-        assert parts[0][2].avg_error == 0.0
+        hi, lo = words([(1 << 70) + 7 * i for i in range(1000)])
+        layer = fit_layer(hi, lo, alpha=1.0)
+        assert len(layer) == 1
+        assert key_errors(layer, hi, lo).max() == 0
 
     def test_alpha_must_be_positive(self):
+        hi, lo = words([1, 2, 3])
         with pytest.raises(ValueError):
-            partition_by_error(
-                np.zeros(3, dtype=np.longdouble), np.arange(3), 0.0, range_max=2
-            )
+            fit_layer(hi, lo, 0.0)
 
 
 class TestBuild:
@@ -91,12 +134,8 @@ class TestBuild:
         ix, rmi = build_pair(rng, 5000, k=8)
         leaf_depth = len(rmi.layers) - 1
         for depth, j, err in audit_errors(rmi, ix):
-            layer = rmi.layers[depth]
-            starts = layer.starts
-            ends = np.append(starts[1:], layer.target_size if depth == leaf_depth else len(rmi.layers[depth + 1]))
-            size = int(ends[j] - starts[j])
-            if depth == 0 or size <= 2:
-                continue  # the root carries no bound; tiny partitions are exempt
+            if depth == 0:
+                continue  # the root carries no bound
             bound = rmi.alpha_leaf if depth == leaf_depth else rmi.alpha_mid
             assert err <= bound
 
@@ -107,6 +146,46 @@ class TestBuild:
         for j, s in enumerate(leaf.starts):
             assert leaf.boundary_hi[j] == ix.key_hi[s]
             assert leaf.boundary_lo[j] == ix.key_lo[s]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 2.0, 6.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_partition_within_alpha_at_query_time(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        ref = repetitive_reference(rng, 300) if seed % 2 else random_reference(rng, int(rng.integers(2, 400)))
+        k = int(rng.integers(1, min(8, ref.n - 1) + 1))
+        engine = build_engine(ref, k=k, alpha_mid=alpha, alpha_leaf=alpha)
+        ix, rmi = engine.ipbwt, engine.rmi
+        hi, lo = ix.key_hi, ix.key_lo
+        for layer in reversed(rmi.layers):
+            # partitions cover [0, target_size) contiguously, in key order
+            assert layer.starts[0] == 0 and np.all(layer.sizes >= 1)
+            assert layer.sizes.sum() == layer.target_size == hi.size
+            # each boundary is the key at its partition's start
+            assert np.array_equal(layer.boundary_hi, hi[layer.starts])
+            assert np.array_equal(layer.boundary_lo, lo[layer.starts])
+            hi, lo = layer.boundary_hi, layer.boundary_lo
+
+        # the table keys as one search stream; record the predictions it corrects
+        predictions = []
+
+        def recording(ix_, pred, q_hi, q_lo):
+            predictions.append(pred.copy())
+            return correct(ix_, pred, q_hi, q_lo)
+
+        correct = search._gallop_correct
+        bits = (ix.key_hi << np.uint64(32)) | (ix.key_lo >> np.uint64(32))
+        locs = (ix.key_lo & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_gallop_correct", recording)
+            rows = _resolve_stream_rmi(engine, bits, locs)
+        assert rows.tolist() == list(range(ix.n))
+        leaf = rmi.leaf
+        err = np.abs(predictions[0] - np.arange(ix.n))
+        mean = np.add.reduceat(err, leaf.starts) / leaf.sizes
+        assert np.all(mean <= alpha)  # every partition, of any size
+        audit = [e for depth, _, e in audit_errors(rmi, ix) if depth == len(rmi.layers) - 1]
+        assert np.array_equal(mean, audit)
+        assert all(e <= alpha for _, _, e in audit_errors(rmi, ix))
 
 
 def stream_bounds(engine, keys):
