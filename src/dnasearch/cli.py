@@ -15,7 +15,6 @@ import numpy as np
 from dnasearch import index_io
 from dnasearch.fmindex import locate as fm_locate
 from dnasearch.ipbwt import IpBwtError
-from dnasearch.rmi import key_errors
 from dnasearch.search import (
     MODES,
     MixedLengthBatchError,
@@ -63,11 +62,10 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
     ]
     model = engine.rmi
     if model is not None:
-        err = key_errors(model.leaf, engine.ipbwt.key_hi, engine.ipbwt.key_lo)
         lines += [
             f"rmi_layers={len(model.layers)}",
             f"rmi_leaf_models={len(model.leaf)}",
-            f"rmi_leaf_err_max={int(err.max())}",
+            f"rmi_leaf_err_max={int(model.leaf.max_errors.max())}",
         ]
     return lines
 
@@ -98,10 +96,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load(path: str):
-    return index_io.load_index(path)
-
-
 def _format_results(results, engine, with_locate: bool, queries) -> list[str]:
     lines = []
     for q, iv in zip(queries, results):
@@ -118,13 +112,10 @@ def _format_results(results, engine, with_locate: bool, queries) -> list[str]:
 
 def cmd_query(args) -> int:
     try:
-        engine, ref, meta = _load(args.index)
+        engine, ref, meta = index_io.load_index(args.index)
         with open(args.queries, "rb") as fh:
             queries = parse_queries(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except index_io.CorruptIndexError as exc:
+    except (OSError, index_io.CorruptIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -198,11 +189,8 @@ def run_bench(engine: SearchEngine, ref: Reference, lengths, batch_sizes, seed: 
 
 def cmd_bench(args) -> int:
     try:
-        engine, ref, meta = _load(args.index)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except index_io.CorruptIndexError as exc:
+        engine, ref, meta = index_io.load_index(args.index)
+    except (OSError, index_io.CorruptIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     lengths = [int(x) for x in args.lengths.split(",")]
@@ -227,13 +215,9 @@ def cmd_bench(args) -> int:
     kv_lines = []
     for row in rows:
         speedup = row.get("speedup_vs_fm")
-        print(
-            f"{row['length']:>5} {row['batch']:>9} {row['mode']:>7} "
-            f"{row['ns_per_query']:>12.1f} {row['qps']:>12.0f} "
-            f"{speedup:>7.2f}" if speedup is not None else
-            f"{row['length']:>5} {row['batch']:>9} {row['mode']:>7} "
-            f"{row['ns_per_query']:>12.1f} {row['qps']:>12.0f} {'-':>7}"
-        )
+        vs_fm = f"{speedup:>7.2f}" if speedup is not None else f"{'-':>7}"
+        print(f"{row['length']:>5} {row['batch']:>9} {row['mode']:>7} "
+              f"{row['ns_per_query']:>12.1f} {row['qps']:>12.0f} {vs_fm}")
         prefix = f"len{row['length']}.batch{row['batch']}.{row['mode']}"
         kv_lines.append(f"{prefix}.ns_per_query={row['ns_per_query']:.3f}")
         kv_lines.append(f"{prefix}.qps={row['qps']:.3f}")

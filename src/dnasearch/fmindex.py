@@ -142,9 +142,6 @@ class FmIndex:
         out = self.checkpoints[block, ranks].astype(np.int64) + inblock
         return np.where(rows < 0, 0, out)
 
-    def fm_step_many(self, ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return self.d[ranks] + self.occ_many(ranks, rows - 1)
-
 
 def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     if sa is None:
@@ -157,14 +154,15 @@ def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
 
 
 def backward_search(fm: FmIndex, query: Query | np.ndarray) -> SaInterval:
-    """Classic one-character-at-a-time FM-index search."""
+    """Classic one-character-at-a-time FM-index search.
+
+    An empty interval keeps stepping, so an absent query ends at its insertion point.
+    """
     ranks = query.ranks if isinstance(query, Query) else query
     low, high = 0, fm.n
     for c in ranks[::-1]:
         low = fm.fm_step(int(c), low)
         high = fm.fm_step(int(c), high)
-        if low >= high:
-            return SaInterval(low, low)
     return SaInterval(low, high)
 
 

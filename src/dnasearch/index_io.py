@@ -10,16 +10,18 @@ Layout (all little-endian):
   words); RMI layers (empty without an RMI).
 
 The RMI section is a layer count u32, then per layer: model count u64,
-target size u64, slopes and intercepts (f64 each), partition starts (u64)
-and boundary keys (u64 high words, u64 low words). Storing starts makes
-load(save(x)) bit-identical without refitting.
+target size u64, slopes and intercepts (f64 each), maximum errors (u64),
+partition starts (u64) and boundary keys (u64 high words, u64 low words).
+Storing starts makes load(save(x)) bit-identical without refitting; search
+reads the leaf layer's maximum errors as its window bounds.
 
-Version 3 models predict from keys relative to their partition's first
-key (see ``dnasearch.rmi``) and added the checksums; version 2 changed the
-meaning of the packed keys (see ``dnasearch.ipbwt``). Files of other
-versions are refused. ``load_index`` checks every section's checksum and
-that the suffix array is a permutation of [0, n); any failure raises
-:class:`CorruptIndexError` naming the section.
+Version 4 added the maximum errors; version 3 models predict from keys
+relative to their partition's first key (see ``dnasearch.rmi``) and added
+the checksums; version 2 changed the meaning of the packed keys (see
+``dnasearch.ipbwt``). Files of other versions are refused. ``load_index``
+checks every section's checksum and that the suffix array is a
+permutation of [0, n); any failure raises :class:`CorruptIndexError`
+naming the section.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<HHQIIdd")
 
 
@@ -148,6 +150,7 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
                 out.write(struct.pack("<QQ", len(layer), layer.target_size))
                 out.array(layer.slopes, "<f8")
                 out.array(layer.intercepts, "<f8")
+                out.array(layer.max_errors, "<u8")
                 out.array(layer.starts, "<u8")
                 out.array(layer.boundary_hi, "<u8")
                 out.array(layer.boundary_lo, "<u8")
@@ -206,14 +209,16 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
                 count, target_size = struct.unpack("<QQ", sec.read(16))
                 slopes = sec.array("<f8", count)
                 intercepts = sec.array("<f8", count)
+                max_errors = sec.array("<u8", count).astype(np.int64)
                 starts = sec.array("<u8", count).astype(np.int64)
                 b_hi = sec.array("<u8", count)
                 b_lo = sec.array("<u8", count)
                 layers.append(
                     RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts,
-                             boundary_hi=b_hi, boundary_lo=b_lo, target_size=int(target_size))
+                             max_errors=max_errors, boundary_hi=b_hi, boundary_lo=b_lo,
+                             target_size=int(target_size))
                 )
-            rmi = Rmi(layers=layers, alpha_mid=alpha_mid, alpha_leaf=alpha_leaf)
+            rmi = Rmi(layers=layers, alpha_mid=alpha_mid, alpha_leaf=alpha_leaf, k=k)
         sec.close()
 
     ref = _rebuild_reference(sa, bwt, name)

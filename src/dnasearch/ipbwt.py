@@ -89,26 +89,39 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     return IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
 
 
-def bisect_words(arr_hi: np.ndarray, arr_lo: np.ndarray,
-                 q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Per-element searchsorted-left of (q_hi, q_lo) over a sorted word pair array."""
-    lo = np.zeros(q_hi.size, dtype=np.int64)
-    hi = np.full(q_hi.size, arr_hi.size, dtype=np.int64)
-    top = arr_hi.size - 1
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = np.minimum((lo + hi) >> 1, top)  # converged lanes may sit at the end
-        mh = arr_hi[mid]
-        ml = arr_lo[mid]
-        less = (mh < q_hi) | ((mh == q_hi) & (ml < q_lo))
-        go_right = active & less
-        go_left = active & ~less
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(go_left, mid, hi)
+def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Order-preserving 64-bit words of packed keys (hi, lo) of an n-row table.
+
+    The k-mer code sits above the loc field cut to the bit_length(n + k)
+    bits its values need, and the result keeps the highest 64 bits. That is
+    one-to-one while 2k + bit_length(n + k) <= 64; beyond that, keys with
+    equal words are ordered by the low loc bits cut off.
+    """
+    loc_bits = (n + k).bit_length()
+    cut = max(2 * k + loc_bits - 64, 0)
+    codes = (hi << _U64(LOC_BITS)) | (lo >> _U64(LOC_BITS))
+    return (codes << _U64(loc_bits - cut)) | ((lo & _MASK32) >> _U64(cut))
 
 
-def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray) -> np.ndarray:
-    """Exact lower bounds in the table for a batch of packed query keys."""
-    return bisect_words(ix.key_hi, ix.key_lo, key_hi, key_lo)
+def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray,
+                      base=0, width: int | None = None) -> np.ndarray:
+    """Exact lower bounds of packed query keys in the table.
+
+    Key j is searched among rows [base[j], base[j] + width), by default the
+    whole table; its lower bound must lie in [base[j], base[j] + width].
+    The bisection is branchless: every key takes the same ceil(log2(width))
+    halving steps and one final comparison, with no per-key bookkeeping.
+    """
+    width = ix.n if width is None else width
+    lo = np.broadcast_to(base, key_hi.shape).astype(np.int64)
+
+    def less(rows: np.ndarray) -> np.ndarray:
+        h = ix.key_hi[rows]
+        return (h < key_hi) | ((h == key_hi) & (ix.key_lo[rows] < key_lo))
+
+    while width > 1:
+        half = width // 2
+        lo += less(lo + half) * half
+        width -= half
+    lo += less(lo)
+    return lo

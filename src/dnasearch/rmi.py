@@ -16,8 +16,13 @@ predicts the position
 
 This one function (:func:`predict`) computes the fit errors, the audit and
 the query-time predictions, so the audited bound is the bound in use.
-Predictions are approximate; search corrects them against the exact key
-order, so lookups return precisely the true lower bound.
+Slopes are clamped at 0, so predictions never decrease as the key grows.
+
+Each model also keeps its partition's maximum error: the largest
+|prediction - position| over the partition's keys. For any key whose
+partition is the last one starting at or below it, that monotonicity puts
+the key's true lower bound within [prediction - error, prediction + error
++ 1], the window search bisects (the guarantee of the PGM-index).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dnasearch.ipbwt import IpBwt
+from dnasearch.ipbwt import IpBwt, top_words
 
 _TWO64 = 2.0**64
 
@@ -72,8 +77,9 @@ class RmiLayer:
     """
 
     starts: np.ndarray  # int64: first fit-input index of each partition
-    slopes: np.ndarray  # float64
+    slopes: np.ndarray  # float64, >= 0
     intercepts: np.ndarray  # float64
+    max_errors: np.ndarray  # int64: max |predict - position| over the partition
     boundary_hi: np.ndarray  # uint64, ascending
     boundary_lo: np.ndarray  # uint64
     target_size: int
@@ -97,23 +103,53 @@ class RmiLayer:
 
 @dataclass
 class Rmi:
-    """layers[0] is the root (single model); layers[-1] is the leaf layer."""
+    """layers[0] is the root (single model); layers[-1] is the leaf layer.
+
+    ``k`` is the keys' chunk length; ``leaf_top`` the leaf boundaries' top words.
+    """
 
     layers: list[RmiLayer]
     alpha_mid: float
     alpha_leaf: float
+    k: int
+
+    leaf_top: np.ndarray = field(init=False)  # uint64
+
+    def __post_init__(self):
+        leaf = self.leaf
+        self.leaf_top = top_words(leaf.boundary_hi, leaf.boundary_lo, self.k, leaf.target_size)
 
     @property
     def leaf(self) -> RmiLayer:
         return self.layers[-1]
 
+    def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
 
-def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray,
-               sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        One ``searchsorted`` of the keys' top words; where a key's top word
+        ties with its leaf boundary's, the two full words decide, stepping
+        back over tied boundaries that are above the key.
+        """
+        leaf = self.leaf
+        top = top_words(hi, lo, self.k, leaf.target_size)
+        part = np.searchsorted(self.leaf_top, top, side="right") - 1
+        np.maximum(part, 0, out=part)
+        tied = np.flatnonzero(self.leaf_top[part] == top)
+        while tied.size:
+            p = part[tied]
+            b_hi, q_hi = leaf.boundary_hi[p], hi[tied]
+            above = (b_hi > q_hi) | ((b_hi == q_hi) & (leaf.boundary_lo[p] > lo[tied]))
+            tied = tied[above & (p > 0)]
+            part[tied] -= 1
+        return part
+
+
+def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fit of every partition of one halving level at once.
 
-    Returns per-partition slopes, intercepts and mean absolute errors of
-    :func:`predict` over the partition's keys.
+    Returns per-partition slopes (clamped at 0), intercepts, and the mean
+    and maximum absolute errors of :func:`predict` over the partition's keys.
     """
     offsets = np.cumsum(sizes) - sizes  # of each partition in the level's key list
     rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
@@ -131,6 +167,7 @@ def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray,
     sxy = np.add.reduceat(dx, offsets)
     del dx
     slopes = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    np.maximum(slopes, 0.0, out=slopes)  # keeps predict monotone
     intercepts = y_mean - slopes * d_mean
 
     pred = predict(0, np.repeat(count - 1, sizes), np.repeat(slopes, sizes),
@@ -138,8 +175,8 @@ def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray,
     del d
     pred -= y
     np.abs(pred, out=pred)
-    errors = np.add.reduceat(pred, offsets) / count
-    return slopes, intercepts, errors
+    means = np.add.reduceat(pred, offsets) / count
+    return slopes, intercepts, means, np.maximum.reduceat(pred, offsets)
 
 
 def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
@@ -152,13 +189,14 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
         raise ValueError("alpha must be positive")
     starts = np.zeros(1, dtype=np.int64)
     sizes = np.array([hi.size], dtype=np.int64)
-    done_starts, done_slopes, done_intercepts = [], [], []
+    done_starts, done_slopes, done_intercepts, done_max = [], [], [], []
     while starts.size:
-        slopes, intercepts, errors = _fit_level(hi, lo, starts, sizes)
+        slopes, intercepts, errors, max_errors = _fit_level(hi, lo, starts, sizes)
         done = (sizes <= 2) | (errors <= alpha)
         done_starts.append(starts[done])
         done_slopes.append(slopes[done])
         done_intercepts.append(intercepts[done])
+        done_max.append(max_errors[done])
         split, split_sizes = starts[~done], sizes[~done]
         left = (split_sizes + 1) // 2
         starts = np.column_stack([split, split + left]).ravel()
@@ -170,6 +208,7 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
         starts=starts,
         slopes=np.concatenate(done_slopes)[order],
         intercepts=np.concatenate(done_intercepts)[order],
+        max_errors=np.concatenate(done_max)[order],
         boundary_hi=hi[starts],
         boundary_lo=lo[starts],
         target_size=hi.size,
@@ -188,7 +227,7 @@ def build_rmi(ix: IpBwt, alpha_mid: float = 14.0, alpha_leaf: float = 6.0) -> Rm
     while len(layers[0]) > 1:
         below = layers[0]
         layers.insert(0, fit_layer(below.boundary_hi, below.boundary_lo, alpha_mid))
-    return Rmi(layers=layers, alpha_mid=float(alpha_mid), alpha_leaf=float(alpha_leaf))
+    return Rmi(layers=layers, alpha_mid=float(alpha_mid), alpha_leaf=float(alpha_leaf), k=ix.k)
 
 
 def key_errors(layer: RmiLayer, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Chunked exact search over the IP-BWT, single-query and batched.
 
 A query is processed right-to-left in chunks of K characters; each chunk
-costs one lower-bound evaluation per interval bound. Bound keys are packed
-as described in :mod:`dnasearch.ipbwt`, so each lower bound is exact with
-no correction for the sentinel. Batched search runs one round per chunk.
-In ``binary`` mode all active bound keys are bisected in the table; in
-``rmi`` mode they are sorted, swept against the leaf partition boundaries
-in a single merge-like pass, and corrected locally around the model
-predictions.
+costs one lower-bound evaluation per interval bound, exact with no
+correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). Batched
+search sorts the batch once by its first chunk and runs blocks of that
+order, one round per chunk. Every lower bound is one branchless bisection
+(:func:`dnasearch.ipbwt.lower_bound_batch`): over the whole table in
+``binary`` mode; in ``rmi`` mode over a window around the prediction of the
+key's leaf model (found by :meth:`dnasearch.rmi.Rmi.locate`), as wide as
+the leaf's maximum error allows. No step depends on the order of the keys.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, SaInterval, backward_search, backward_search_batch
-from dnasearch.ipbwt import CODE_OF_RANK, IpBwt, bisect_words, key_words, lower_bound_batch
+from dnasearch.ipbwt import IpBwt, key_words, lower_bound_batch
 from dnasearch.rmi import Rmi
 from dnasearch.seqcore import Query
 
@@ -77,97 +78,84 @@ def exact_search(engine: SearchEngine, query: Query | np.ndarray, mode: str = "r
     return SaInterval(int(low[0]), int(high[0]))
 
 
+# queries per block: a round's temporaries stay small, so a large batch
+# costs no more per query than a small one
+_BLOCK = 1 << 15
+
+
 def _pack_codes(kmers: np.ndarray) -> np.ndarray:
-    """2-bit packed codes of rows of base ranks."""
+    """2-bit codes (rank - 1) of rows of base ranks 1..4, packed into uint64.
+
+    Up to 26 columns at a time are one float64 dot product with powers of 4,
+    exact because every partial sum stays below 2^53.
+    """
     bits = np.zeros(kmers.shape[0], dtype=np.uint64)
-    for j in range(kmers.shape[1]):
-        bits = (bits << np.uint64(2)) | CODE_OF_RANK[kmers[:, j]]
+    for start in range(0, kmers.shape[1], 26):
+        part = kmers[:, start : start + 26]
+        width = part.shape[1]
+        # ranks are codes + 1, so the dot product exceeds the codes' by (4^width - 1) / 3
+        dot = part.astype(np.float64) @ 4.0 ** np.arange(width - 1, -1, -1)
+        bits <<= np.uint64(2 * width)
+        bits |= (dot - (4**width - 1) // 3).astype(np.uint64)
     return bits
 
 
-def _leaf_merge_sorted(rmi: Rmi, s_hi: np.ndarray, s_lo: np.ndarray) -> np.ndarray:
-    """Leaf index per key of an ascending key stream.
+def _rmi_window(engine: SearchEngine, key_hi: np.ndarray,
+                key_lo: np.ndarray) -> tuple[np.ndarray, int]:
+    """(first row, width) of the keys' search windows through their leaf models.
 
-    The merge of the sorted stream against the sorted leaf boundaries is
-    computed by bisecting each boundary into the stream once and expanding
-    the resulting cut positions back over the keys.
+    A window starts at its leaf's prediction minus the leaf's maximum error;
+    all share the width the worst of these leaves needs, inside the table.
     """
+    rmi, n = engine.rmi, engine.ipbwt.n
     leaf = rmi.leaf
-    # cuts[j] = number of stream keys strictly below boundary j
-    cuts = bisect_words(s_hi, s_lo, leaf.boundary_hi, leaf.boundary_lo)
-    # key positions >= cuts[j] have boundary j <= key
-    return np.maximum(np.searchsorted(cuts, np.arange(s_hi.size), side="right") - 1, 0)
+    part = rmi.locate(key_hi, key_lo)
+    eps = leaf.max_errors[part]
+    base = leaf.predict(part, key_hi, key_lo)
+    base -= eps
+    width = min(2 * int(eps.max()) + 1, n)
+    np.clip(base, 0, n - width, out=base)
+    return base, width
 
 
-def _gallop_correct(ix: IpBwt, pred: np.ndarray, q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Lower bound over the table's key words, bracketing outward from ``pred``.
+def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
+                  first_bits: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """One round per chunk, rightmost first, over the queries ``rows`` of the batch.
 
-    Expansion and bisection operate on the shrinking set of unresolved
-    lanes, so cost tracks the models' prediction error rather than log n.
+    ``first_bits`` pack the first round's chunks. Every query runs every round:
+    an empty interval maps to the empty one at the next suffix's insertion point.
     """
-    arr_hi, arr_lo = ix.key_hi, ix.key_lo
-    n = ix.n
-
-    def less_than_q(idx: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        ah = arr_hi[idx]
-        al = arr_lo[idx]
-        qh = q_hi[sel]
-        ql = q_lo[sel]
-        return (ah < qh) | ((ah == qh) & (al < ql))
-
-    lo = np.clip(pred, 0, n).astype(np.int64)
-    hi = lo.copy()
-    # widen left until arr[lo-1] < q or lo == 0
-    act = np.flatnonzero((lo > 0) & ~less_than_q(np.maximum(lo - 1, 0), np.arange(lo.size)))
-    step = np.ones(act.size, dtype=np.int64)
-    while act.size:
-        lo[act] = np.maximum(lo[act] - step, 0)
-        la = lo[act]
-        need = (la > 0) & ~less_than_q(np.maximum(la - 1, 0), act)
-        act = act[need]
-        step = step[need] * 2
-    # widen right until arr[hi] >= q or hi == n
-    act = np.flatnonzero((hi < n) & less_than_q(np.minimum(hi, n - 1), np.arange(hi.size)))
-    step = np.ones(act.size, dtype=np.int64)
-    while act.size:
-        hi[act] = np.minimum(hi[act] + step, n)
-        ha = hi[act]
-        need = (ha < n) & less_than_q(np.minimum(ha, n - 1), act)
-        act = act[need]
-        step = step[need] * 2
-    # bisect the per-lane brackets, shrinking the active set as lanes converge
-    act = np.flatnonzero(lo < hi)
-    while act.size:
-        l = lo[act]
-        h = hi[act]
-        mid = (l + h) >> 1
-        less = less_than_q(mid, act)
-        l = np.where(less, mid + 1, l)
-        h = np.where(less, h, mid)
-        lo[act] = l
-        hi[act] = h
-        act = act[l < h]
-    return lo
-
-
-def _resolve_stream_rmi(engine: SearchEngine, bits: np.ndarray, locs: np.ndarray,
-                        order: np.ndarray | None = None) -> np.ndarray:
-    """One sorted bound-key stream through the leaf layer (one batch round)."""
-    e_hi, e_lo = key_words(bits, locs)
-    if order is None:
-        order = np.lexsort((e_lo, e_hi))
-    s_hi, s_lo = e_hi[order], e_lo[order]
-    leaf_idx = _leaf_merge_sorted(engine.rmi, s_hi, s_lo)
-    pred = engine.rmi.leaf.predict(leaf_idx, s_hi, s_lo)
-    counts = _gallop_correct(engine.ipbwt, pred, s_hi, s_lo)
-    out = np.empty_like(counts)
-    out[order] = counts
-    return out
+    ix, k = engine.ipbwt, engine.k
+    nq, qlen = rows.size, qmatrix.shape[1]
+    nchunks = -(-qlen // k)
+    later = qmatrix[rows, : (nchunks - 1) * k]  # the full chunks of the later rounds
+    low = np.zeros(nq, dtype=np.int64)
+    high = np.full(nq, ix.n, dtype=np.int64)
+    chunk_bits, chunk_len = first_bits, qlen - (nchunks - 1) * k
+    for round_no in range(nchunks):
+        if round_no:
+            start = (nchunks - 1 - round_no) * k
+            chunk_bits, chunk_len = _pack_codes(later[:, start : start + k]), k
+        # A short chunk X runs only in the first round, where low == 0. Its
+        # low key pads with code 0 and takes loc field |X|, its high key pads
+        # with T; a full chunk takes loc fields low + k and high + k.
+        pad = 2 * (k - chunk_len)
+        low_bits = chunk_bits << np.uint64(pad)
+        high_bits = low_bits | np.uint64((1 << pad) - 1)
+        key_hi, key_lo = key_words(np.concatenate([low_bits, high_bits]),
+                                   np.concatenate([low + chunk_len, high + k]))
+        window = _rmi_window(engine, key_hi, key_lo) if mode == "rmi" else ()
+        bounds = lower_bound_batch(ix, key_hi, key_lo, *window)
+        low, high = bounds[:nq], bounds[nq:]
+    return low, high
 
 
 def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
                         mode: str = "rmi") -> tuple[np.ndarray, np.ndarray]:
-    """Core batched search over rows of query ranks; returns (low, high) arrays."""
+    """Batched search over rows of base ranks (1..4); returns (low, high) arrays.
+
+    An absent query gets the empty interval at its insertion point, as in FM search.
+    """
     engine.require_mode(mode)
     n = engine.ipbwt.n
     nq, qlen = qmatrix.shape
@@ -177,43 +165,16 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     if mode == "fm":
         return backward_search_batch(engine.fm, qmatrix)
 
-    k = engine.k
-    nchunks = -(-qlen // k)
-    low = np.zeros(nq, dtype=np.int64)
-    high = np.full(nq, n, dtype=np.int64)
-    active = np.arange(nq, dtype=np.int64)
-
-    for round_no in range(nchunks):
-        start = (nchunks - 1 - round_no) * k  # rightmost chunk first
-        chunk = qmatrix[active, start : start + k]
-        m = active.size
-        # A short final chunk X runs only in the first round, where low == 0.
-        # Its low key pads with code 0 and takes loc field |X|, its high key
-        # pads with T; a full chunk takes loc fields low + k and high + k.
-        pad = 2 * (k - chunk.shape[1])
-        low_bits = _pack_codes(chunk) << np.uint64(pad)
-        high_bits = low_bits | np.uint64((1 << pad) - 1) if pad else low_bits
-        low_locs = low[active] + chunk.shape[1]
-        high_locs = high[active] + k
-
-        if mode == "rmi":
-            # both loc fields are constant in the first round, so the order of
-            # the packed chunk bits sorts both bound streams
-            order = np.argsort(low_bits) if round_no == 0 else None
-            low[active] = _resolve_stream_rmi(engine, low_bits, low_locs, order)
-            high[active] = _resolve_stream_rmi(engine, high_bits, high_locs, order)
-        else:
-            key_hi, key_lo = key_words(np.concatenate([low_bits, high_bits]),
-                                       np.concatenate([low_locs, high_locs]))
-            bounds = lower_bound_batch(engine.ipbwt, key_hi, key_lo)
-            low[active] = bounds[:m]
-            high[active] = bounds[m:]
-
-        still = low[active] < high[active]
-        active = active[still]
-        if active.size == 0:
-            break
-    return low, np.maximum(high, low)
+    # sort once by the first round's chunk (packed a block at a time), then run blocks of that order
+    tail = qmatrix[:, (-(-qlen // engine.k) - 1) * engine.k :]
+    first_bits = np.concatenate([_pack_codes(tail[b : b + _BLOCK]) for b in range(0, nq, _BLOCK)])
+    order = np.argsort(first_bits)
+    low = np.empty(nq, dtype=np.int64)
+    high = np.empty(nq, dtype=np.int64)
+    for b in range(0, nq, _BLOCK):
+        rows = order[b : b + _BLOCK]
+        low[rows], high[rows] = _search_block(engine, qmatrix, rows, first_bits[rows], mode)
+    return low, high
 
 
 def batch_search(engine: SearchEngine, queries: list[Query], mode: str = "rmi") -> list[SaInterval | None]:

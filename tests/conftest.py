@@ -167,7 +167,7 @@ def index_sections(data) -> dict[str, tuple[int, int]]:
 def damage_index(path, how: str) -> None:
     """Rewrite a saved index file with one defect.
 
-    ``version_1``, ``version_2``: the header says that version.
+    ``version_1``, ``version_2``, ``version_3``: the header says that version.
     ``flip_<section>``: one bit flipped inside the section, its checksum
     left as it was (in ``ipbwt``, bit 0 of the middle row's high key word).
     ``sa_out_of_range`` and ``sa_duplicate``: one flipped suffix-array byte
@@ -178,7 +178,7 @@ def damage_index(path, how: str) -> None:
     data = bytearray(path.read_bytes())
     sections = index_sections(data)
     sa_start, sa_end = sections["sa"]
-    if how in ("version_1", "version_2"):
+    if how in ("version_1", "version_2", "version_3"):
         data[4:6] = int(how[-1]).to_bytes(2, "little")
     elif how.startswith("flip_"):
         start, end = sections[how[len("flip_"):]]

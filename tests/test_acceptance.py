@@ -17,7 +17,7 @@ import pytest
 from dnasearch.cli import main
 from dnasearch.fmindex import locate
 from dnasearch.index_io import load_index, save_index
-from dnasearch.rmi import audit_errors
+from dnasearch.rmi import audit_errors, key_errors
 from dnasearch.search import batch_search_matrix, build_engine, exact_search
 from dnasearch.seqcore import encode_ranks, generate_query_matrix
 
@@ -146,10 +146,18 @@ def test_criterion_4_error_bound_audit(capsys, medium_engine):
         else:
             worst_mid = max(worst_mid, err)
             ok = ok and err <= rmi.alpha_mid
+    # the stored maximum errors bound the search windows: each must be exact
+    leaf = rmi.leaf
+    max_errors = np.maximum.reduceat(key_errors(leaf, ix.key_hi, ix.key_lo), leaf.starts)
+    wrong_max = int(np.count_nonzero(leaf.max_errors != max_errors))
+    negative = sum(int(np.count_nonzero(layer.slopes < 0)) for layer in rmi.layers)
+    ok = ok and wrong_max == 0 and negative == 0
     elapsed = time.perf_counter() - t0
     _report(capsys, 4, ok and elapsed < 120, elapsed,
             f"worst leaf error {worst_leaf:.2f} <= {rmi.alpha_leaf}, "
-            f"worst mid error {worst_mid:.2f} <= {rmi.alpha_mid}")
+            f"worst mid error {worst_mid:.2f} <= {rmi.alpha_mid}, "
+            f"{wrong_max} stored leaf max errors wrong (largest {int(max_errors.max())}), "
+            f"{negative} negative slopes")
 
 
 @pytest.fixture(scope="module")

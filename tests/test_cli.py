@@ -23,6 +23,17 @@ def random_bases(rng, n):
     return "".join("ACGT"[i] for i in rng.integers(0, 4, size=n))
 
 
+def absent_queries(bases, length, count):
+    """``count`` random strings of ``length`` bases that do not occur in ``bases``."""
+    rng = np.random.default_rng(length)
+    out = []
+    while len(out) < count:
+        q = random_bases(rng, length)
+        if q not in bases:
+            out.append(q)
+    return out
+
+
 @pytest.fixture(scope="module")
 def built_index(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -95,18 +106,44 @@ class TestQuery:
         assert (int(low), int(high), int(count)) == (1, 3, 2)
         assert positions == "2,5"
 
-    def test_modes_agree(self, built_index, tmp_path, capsys):
-        index, bases = built_index
-        qfile = tmp_path / "q.txt"
-        qfile.write_text("\n".join(bases[i : i + 17] for i in range(0, 400, 40)) + "\n")
-        outputs = []
-        for mode in ("rmi", "binary", "fm"):
+    @staticmethod
+    def run_modes(index, qfile, tmp_path, modes=("rmi", "binary", "fm")):
+        """Result rows of each mode, as lists of TSV fields."""
+        rows = {}
+        for mode in modes:
             out_path = tmp_path / f"res.{mode}"
             assert main(["query", str(index), str(qfile), "--mode", mode,
                          "--out", str(out_path)]) == 0
-            outputs.append(out_path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert all(b"INVALID" not in o for o in outputs)
+            rows[mode] = [line.split("\t") for line in out_path.read_text().splitlines()]
+        return rows
+
+    def test_modes_agree(self, built_index, tmp_path, capsys):
+        index, bases = built_index
+        present = [bases[i : i + 17] for i in range(0, 400, 40)]
+        absent = absent_queries(bases, 17, 5)
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("\n".join(present + absent) + "\n")
+        rows = self.run_modes(index, qfile, tmp_path)
+        assert rows["rmi"] == rows["binary"] == rows["fm"]
+        assert all(int(row[3]) > 0 for row in rows["fm"][: len(present)])
+        assert all(row[1] == row[2] and row[3] == "0" for row in rows["fm"][len(present) :])
+
+    def test_absent_rows_agree_across_file_shapes(self, built_index, tmp_path, capsys):
+        # an absent query prints the same empty interval in every mode, whether
+        # the file holds one query length (batched search) or several (fm, one
+        # query at a time)
+        index, bases = built_index
+        queries = absent_queries(bases, 29, 3) + [bases[100:129]]
+        one = tmp_path / "one.txt"
+        one.write_text("\n".join(queries) + "\n")
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("\n".join(queries + [bases[7:19], "ACGTACGTACGTACGTACGT"]) + "\n")
+        rows = self.run_modes(index, one, tmp_path)
+        assert rows["rmi"] == rows["binary"] == rows["fm"]
+        mixed_rows = self.run_modes(index, mixed, tmp_path, modes=("fm",))["fm"]
+        assert mixed_rows[:4] == rows["fm"]
+        assert all(row[1] == row[2] and row[3] == "0" for row in rows["fm"][:3])
+        assert int(rows["fm"][3][3]) >= 1 and int(mixed_rows[4][3]) >= 1
 
     def test_invalid_line_marked(self, built_index, tmp_path, capsys):
         index, _ = built_index
@@ -145,8 +182,9 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
-    @pytest.mark.parametrize("how", ["version_1", "version_2", "sa_out_of_range", "sa_duplicate",
-                                     "flip_sa", "flip_bwt_occ", "flip_ipbwt", "flip_rmi"])
+    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "sa_out_of_range",
+                                     "sa_duplicate", "flip_sa", "flip_bwt_occ", "flip_ipbwt",
+                                     "flip_rmi"])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index
         broken = tmp_path / "broken.idx"

@@ -34,7 +34,8 @@ class TestRoundTrip:
         assert len(loaded.rmi.layers) == len(engine.rmi.layers)
         for la, lb in zip(loaded.rmi.layers, engine.rmi.layers):
             assert la.target_size == lb.target_size
-            for name in ("starts", "slopes", "intercepts", "boundary_hi", "boundary_lo"):
+            for name in ("starts", "slopes", "intercepts", "max_errors", "boundary_hi",
+                         "boundary_lo"):
                 a, b = getattr(la, name), getattr(lb, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -115,6 +116,16 @@ class TestCorruption:
         path = tmp_path / "v2.idx"
         save_index(str(path), engine)
         damage_index(path, "version_2")
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "header"
+
+    def test_version_3_refused(self, engine_and_ref, tmp_path):
+        # version 3 stores no maximum errors, which bound the rmi search windows
+        engine, ref = engine_and_ref
+        path = tmp_path / "v3.idx"
+        save_index(str(path), engine)
+        damage_index(path, "version_3")
         with pytest.raises(CorruptIndexError) as exc:
             load_index(str(path))
         assert exc.value.section == "header"

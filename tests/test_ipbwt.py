@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.ipbwt import IpBwtError, build_ipbwt, key_words, lower_bound_batch
+from dnasearch.ipbwt import IpBwtError, build_ipbwt, key_words, lower_bound_batch, top_words
 from dnasearch.seqcore import encode_ranks
 
 from conftest import (
@@ -55,6 +55,22 @@ class TestKeyEncoding:
         keys = table_keys(ix)
         assert keys == [expected_key(kmer, loc, k) for kmer, loc in brute_entries(ref.ranks, k)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+    @given(st.integers(1, 28), st.integers(2, 2**31), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_top_words_keep_key_order(self, k, n, data):
+        key = st.tuples(st.integers(0, 4**k - 1), st.integers(0, n + k))
+        pairs = data.draw(st.lists(key, min_size=2, max_size=8))
+        keys = [(code << 32) | loc for code, loc in pairs]
+        top = top_words(*words(keys), k, n).tolist()
+        exact = 2 * k + (n + k).bit_length() <= 64
+        for a, ta in zip(keys, top):
+            for b, tb in zip(keys, top):
+                assert (ta < tb) <= (a < b)  # a smaller word means a smaller key
+                assert (a < b) <= (ta <= tb)
+                if exact:
+                    assert (ta == tb) == (a == b)
 
 
 class TestBuild:

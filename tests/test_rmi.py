@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -17,9 +18,20 @@ from dnasearch.rmi import (
     relative_keys,
 )
 from dnasearch import search
-from dnasearch.search import _resolve_stream_rmi, build_engine
+from dnasearch.search import build_engine
 
-from conftest import brute_entries, random_reference, repetitive_reference, sample_queries, words
+from conftest import (
+    brute_entries,
+    make_reference,
+    random_reference,
+    repetitive_reference,
+    sample_queries,
+    words,
+)
+
+# top words are exact up to K = 16 whatever n; at K = 28 they cut loc bits
+# once n + K >= 256 (2K + bit_length(n + K) > 64)
+BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28)
 
 
 def build_pair(rng, n_bases, k):
@@ -165,34 +177,40 @@ class TestBuild:
             assert np.array_equal(layer.boundary_lo, lo[layer.starts])
             hi, lo = layer.boundary_hi, layer.boundary_lo
 
-        # the table keys as one search stream; record the predictions it corrects
-        predictions = []
+        # every table key searched as a query, through the windows search passes
+        # to the kernel
+        windows = []
 
-        def recording(ix_, pred, q_hi, q_lo):
-            predictions.append(pred.copy())
-            return correct(ix_, pred, q_hi, q_lo)
+        def recording(ix_, q_hi, q_lo, base=0, width=None):
+            windows.append((np.asarray(base).copy(), width))
+            return kernel(ix_, q_hi, q_lo, base, width)
 
-        correct = search._gallop_correct
-        bits = (ix.key_hi << np.uint64(32)) | (ix.key_lo >> np.uint64(32))
-        locs = (ix.key_lo & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        kernel = search.lower_bound_batch
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_gallop_correct", recording)
-            rows = _resolve_stream_rmi(engine, bits, locs)
+            mp.setattr(search, "lower_bound_batch", recording)
+            rows = stream_bounds(engine, table_keys(ix))
         assert rows.tolist() == list(range(ix.n))
+        (base, width), = windows
+        assert np.all(base <= rows) and np.all(rows <= base + width)
         leaf = rmi.leaf
-        err = np.abs(predictions[0] - np.arange(ix.n))
+        err = np.abs(leaf.predict(rmi.locate(ix.key_hi, ix.key_lo), ix.key_hi, ix.key_lo)
+                     - np.arange(ix.n))
         mean = np.add.reduceat(err, leaf.starts) / leaf.sizes
         assert np.all(mean <= alpha)  # every partition, of any size
+        assert np.array_equal(np.maximum.reduceat(err, leaf.starts), leaf.max_errors)
         audit = [e for depth, _, e in audit_errors(rmi, ix) if depth == len(rmi.layers) - 1]
         assert np.array_equal(mean, audit)
         assert all(e <= alpha for _, _, e in audit_errors(rmi, ix))
 
 
+def table_keys(ix):
+    return [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
+
+
 def stream_bounds(engine, keys):
-    """Lower bounds of packed integer keys through the rmi stream path."""
-    bits = np.array([key >> 32 for key in keys], dtype=np.uint64)
-    locs = np.array([key & 0xFFFFFFFF for key in keys], dtype=np.int64)
-    return _resolve_stream_rmi(engine, bits, locs)
+    """Lower bounds of packed integer keys, each searched in its rmi window."""
+    hi, lo = words(keys)
+    return search.lower_bound_batch(engine.ipbwt, hi, lo, *search._rmi_window(engine, hi, lo))
 
 
 class TestLowerBound:
@@ -211,5 +229,84 @@ class TestLowerBound:
         rng = np.random.default_rng(4)
         engine = build_engine(random_reference(rng, 600), k=5)
         ix = engine.ipbwt
-        keys = [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
-        assert stream_bounds(engine, keys).tolist() == list(range(ix.n))
+        assert stream_bounds(engine, table_keys(ix)).tolist() == list(range(ix.n))
+
+
+def probe_keys(rng, ix, k):
+    """Query keys of every kind, as integers whose loc fields a search can form.
+
+    Table keys and their neighbours (one below and one above, which covers
+    the rows next to the sentinel), keys between the keys of one k-mer
+    group, random k-mers with any loc field, and the padded bounds of
+    chunks shorter than k.
+    """
+    top_loc = ix.n + k  # the largest loc field of a query key
+    keys = table_keys(ix)
+    probes = set(keys)
+    probes.update(key + 1 for key in keys)
+    probes.update(key - 1 for key in keys if key & 0xFFFFFFFF)
+    for i in rng.integers(0, len(keys), size=40).tolist():
+        probes.add((keys[i] >> 32 << 32) | int(rng.integers(0, top_loc + 1)))
+    for _ in range(40):
+        probes.add(int(rng.integers(0, 4**k)) << 32 | int(rng.integers(0, top_loc + 1)))
+        short = int(rng.integers(0, k))
+        chunk = int(rng.integers(0, 4**short))
+        pad = 2 * (k - short)
+        probes.add((chunk << pad) << 32 | short)
+        probes.add((chunk << pad | (1 << pad) - 1) << 32 | top_loc)
+    return sorted(probes)
+
+
+def check_locate_and_window(engine, keys):
+    """The leaf of each key is the last boundary <= it, and its window holds its row."""
+    ix, rmi = engine.ipbwt, engine.rmi
+    leaf = rmi.leaf
+    hi, lo = words(keys)
+    bounds = [(int(h) << 64) | int(l) for h, l in zip(leaf.boundary_hi, leaf.boundary_lo)]
+    part = rmi.locate(hi, lo)
+    assert part.tolist() == [max(bisect.bisect_right(bounds, key) - 1, 0) for key in keys]
+
+    table = table_keys(ix)
+    rows = np.array([bisect.bisect_left(table, key) for key in keys])
+    pred = leaf.predict(part, hi, lo)
+    eps = leaf.max_errors[part]
+    assert np.all(pred - eps <= rows) and np.all(rows <= pred + eps + 1)
+    base, width = search._rmi_window(engine, hi, lo)
+    assert 0 <= base.min() and base.max() + width <= ix.n
+    assert np.all(base <= rows) and np.all(rows <= base + width)
+    assert search.lower_bound_batch(ix, hi, lo, base, width).tolist() == rows.tolist()
+
+
+class TestQueryTimeBound:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(BOUND_KS))
+    @settings(max_examples=60, deadline=None)
+    def test_locate_and_window_hold_for_any_query_key(self, seed, k):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(max(k + 1, 4), 400))
+        ref = repetitive_reference(rng, size) if seed % 2 else random_reference(rng, size)
+        k = min(k, ref.n - 1)
+        engine = build_engine(ref, k=k, alpha_leaf=float(rng.choice([0.5, 2.0, 6.0])))
+        check_locate_and_window(engine, probe_keys(rng, engine.ipbwt, k))
+
+    def test_tied_top_words_step_back(self):
+        # at K = 28 and n + K >= 256 the top words drop loc bits; in runs of
+        # A broken by single bases, many leaf boundaries share theirs
+        ref = make_reference(("A" * 60 + "C" + "A" * 33 + "G") * 30)
+        engine = build_engine(ref, k=28, alpha_leaf=0.5)
+        top = engine.rmi.leaf_top
+        assert np.count_nonzero(top[1:] == top[:-1]) >= 100
+        check_locate_and_window(engine, probe_keys(np.random.default_rng(5), engine.ipbwt, 28))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stored_max_errors_and_slopes(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 400))
+        ref = repetitive_reference(rng, 300) if seed % 2 else random_reference(rng, size)
+        engine = build_engine(ref, k=int(rng.integers(1, min(8, ref.n - 1) + 1)))
+        hi, lo = engine.ipbwt.key_hi, engine.ipbwt.key_lo
+        for layer in reversed(engine.rmi.layers):
+            assert np.all(layer.slopes >= 0)
+            recomputed = np.maximum.reduceat(key_errors(layer, hi, lo), layer.starts)
+            assert np.array_equal(layer.max_errors, recomputed)
+            hi, lo = layer.boundary_hi, layer.boundary_lo

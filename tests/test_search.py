@@ -165,6 +165,27 @@ class TestBatchSearch:
             exact_search(small_engine, encode_ranks("AC"), mode="turbo")
 
 
+class TestAbsentQueries:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_full_rows_agree_across_modes(self, seed):
+        # every mode, single-query and batched, gives an absent query the
+        # empty interval at its insertion point among the sorted rotations
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(3, 80))
+        ref = repetitive_reference(rng) if seed % 2 else random_reference(rng, size)
+        k = int(rng.integers(1, min(6, ref.n - 1) + 1))
+        engine = build_engine(ref, k=k)
+        for qlen in (1, k, k + 1, 2 * k + 1, 3 * k):
+            qm = rng.integers(1, 5, size=(16, qlen)).astype(np.uint8)
+            expected = [naive_interval(ref.ranks, q) for q in qm]
+            for mode in MODES:
+                low, high = batch_search_matrix(engine, qm, mode=mode)
+                assert list(zip(low.tolist(), high.tolist())) == expected, mode
+                single = [exact_search(engine, q, mode=mode) for q in qm]
+                assert [(iv.low, iv.high) for iv in single] == expected, mode
+
+
 class TestQueryLengthSweep:
     def test_lengths_spanning_chunk_boundaries(self):
         # lengths below, at, and across multiples of k, incl. a long query
