@@ -1,8 +1,9 @@
 """Exact DNA sequence search: FM-index baseline and a learned-index engine.
 
 The learned engine pairs a sorted k-mer/location array derived from the
-BW-matrix with a bottom-up hierarchy of linear models, so a query is
-resolved in ceil(|Q|/K) chunk steps instead of |Q| single-character steps.
+BW-matrix with one layer of linear models, each bounding its error over a
+contiguous run of the array, so a query is resolved in ceil(|Q|/K) chunk
+steps instead of |Q| single-character steps.
 """
 
 from dnasearch.seqcore import (

@@ -3,25 +3,29 @@
 Layout (all little-endian):
 
 * magic ``LSA1``; header: version u16, K u16, n u64, flags u32 (bit 0 =
-  RMI present), checkpoint stride u32, alpha_mid f64, alpha_leaf f64.
+  RMI present), checkpoint stride u32, alpha_leaf f64.
 * four sections, each followed by the ``zlib.crc32`` of its bytes (u32):
   suffix array (u32[n]); BWT (u8[n]) + occurrence checkpoints
   (u32[nblocks, 5]); IP-BWT packed keys (u64[n] high words, u64[n] low
-  words); RMI layers (empty without an RMI).
+  words); leaf models (empty without an RMI). The file ends there.
 
-The RMI section is a layer count u32, then per layer: model count u64,
-target size u64, slopes and intercepts (f64 each), maximum errors (u64),
-partition starts (u64) and boundary keys (u64 high words, u64 low words).
-Storing starts makes load(save(x)) bit-identical without refitting; search
-reads the leaf layer's maximum errors as its window bounds.
+The model section is a leaf count u64, then per leaf its slope and
+intercept (f64 each), maximum error (u64) and partition start (u64).
+Storing starts makes load(save(x)) bit-identical without refitting; each
+leaf's boundary key is the IP-BWT key at its start, read back from the
+keys. Search reads the maximum errors as its window bounds.
 
-Version 4 added the maximum errors; version 3 models predict from keys
-relative to their partition's first key (see ``dnasearch.rmi``) and added
-the checksums; version 2 changed the meaning of the packed keys (see
+Version 5 stores one layer of leaf models and no boundary keys; version 4
+added the maximum errors; version 3 models predict from keys relative to
+their partition's first key (see ``dnasearch.rmi``) and added the
+checksums; version 2 changed the meaning of the packed keys (see
 ``dnasearch.ipbwt``). Files of other versions are refused. ``load_index``
-checks every section's checksum and that the suffix array is a
-permutation of [0, n); any failure raises :class:`CorruptIndexError`
-naming the section.
+checks every section's checksum, then the structure the checksums cannot
+vouch for: the suffix array is a permutation of [0, n), the keys never
+decrease, leaf starts rise strictly from 0 below n, slopes are finite and
+>= 0, intercepts finite, maximum errors in [0, n], and no bytes follow the
+last section. Any failure raises :class:`CorruptIndexError` naming the
+section.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 4
-_HEADER = struct.Struct("<HHQIIdd")
+VERSION = 5
+_HEADER = struct.Struct("<HHQIId")
 
 
 class CorruptIndexError(ValueError):
@@ -60,8 +64,12 @@ class IndexMeta:
     n: int
     has_rmi: bool
     stride: int
-    alpha_mid: float
     alpha_leaf: float
+
+
+def _require(ok, section: str, detail: str) -> None:
+    if not ok:
+        raise CorruptIndexError(section, detail)
 
 
 class _SectionWriter:
@@ -124,9 +132,8 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         flags = 1 if rmi is not None else 0
-        alpha_mid = rmi.alpha_mid if rmi is not None else 0.0
         alpha_leaf = rmi.alpha_leaf if rmi is not None else 0.0
-        fh.write(_HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_mid, alpha_leaf))
+        fh.write(_HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_leaf))
         sizes["header"] = 4 + _HEADER.size
 
         out = _SectionWriter(fh)
@@ -145,15 +152,12 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
 
         out = _SectionWriter(fh)
         if rmi is not None:
-            out.write(struct.pack("<I", len(rmi.layers)))
-            for layer in rmi.layers:
-                out.write(struct.pack("<QQ", len(layer), layer.target_size))
-                out.array(layer.slopes, "<f8")
-                out.array(layer.intercepts, "<f8")
-                out.array(layer.max_errors, "<u8")
-                out.array(layer.starts, "<u8")
-                out.array(layer.boundary_hi, "<u8")
-                out.array(layer.boundary_lo, "<u8")
+            leaf = rmi.leaf
+            out.write(struct.pack("<Q", len(leaf)))
+            out.array(leaf.slopes, "<f8")
+            out.array(leaf.intercepts, "<f8")
+            out.array(leaf.max_errors, "<u8")
+            out.array(leaf.starts, "<u8")
         sizes["rmi"] = out.close()
         sizes["total"] = fh.tell()
     return sizes
@@ -177,7 +181,7 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise CorruptIndexError("header", "truncated")
-        version, k, n, flags, stride, alpha_mid, alpha_leaf = _HEADER.unpack(raw)
+        version, k, n, flags, stride, alpha_leaf = _HEADER.unpack(raw)
         if version != VERSION:
             raise CorruptIndexError("header", f"unsupported version {version}")
         if stride != OCC_STRIDE:
@@ -186,8 +190,8 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         sec = _SectionReader(fh, "sa", file_size)
         sa = sec.array("<u4", n)
         sec.close()
-        if n and (int(sa.max()) >= n or not np.all(np.bincount(sa, minlength=n) == 1)):
-            raise CorruptIndexError("sa", "not a permutation of the rows")
+        _require(not n or (int(sa.max()) < n and np.all(np.bincount(sa, minlength=n) == 1)),
+                 "sa", "not a permutation of the rows")
 
         sec = _SectionReader(fh, "bwt_occ", file_size)
         bwt = sec.array("u1", n)
@@ -199,27 +203,32 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         key_hi = sec.array("<u8", n)
         key_lo = sec.array("<u8", n)
         sec.close()
+        hi_a, hi_b = key_hi[:-1], key_hi[1:]
+        _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
+                 "ipbwt", "keys out of order")
 
         sec = _SectionReader(fh, "rmi", file_size)
-        rmi = None
         if flags & 1:
-            (nlayers,) = struct.unpack("<I", sec.read(4))
-            layers = []
-            for _ in range(nlayers):
-                count, target_size = struct.unpack("<QQ", sec.read(16))
-                slopes = sec.array("<f8", count)
-                intercepts = sec.array("<f8", count)
-                max_errors = sec.array("<u8", count).astype(np.int64)
-                starts = sec.array("<u8", count).astype(np.int64)
-                b_hi = sec.array("<u8", count)
-                b_lo = sec.array("<u8", count)
-                layers.append(
-                    RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts,
-                             max_errors=max_errors, boundary_hi=b_hi, boundary_lo=b_lo,
-                             target_size=int(target_size))
-                )
-            rmi = Rmi(layers=layers, alpha_mid=alpha_mid, alpha_leaf=alpha_leaf, k=k)
+            (count,) = struct.unpack("<Q", sec.read(8))
+            slopes = sec.array("<f8", count)
+            intercepts = sec.array("<f8", count)
+            max_errors = sec.array("<u8", count).astype(np.int64)
+            starts = sec.array("<u8", count).astype(np.int64)
         sec.close()
+        _require(fh.tell() == file_size, "rmi", f"{file_size - fh.tell()} trailing bytes")
+
+    rmi = None
+    if flags & 1:
+        _require(count and starts[0] == 0 and np.all(starts[:-1] < starts[1:]) and starts[-1] < n,
+                 "rmi", "leaf starts do not rise from 0 below n")
+        _require(np.all(np.isfinite(slopes) & (slopes >= 0)) and np.all(np.isfinite(intercepts)),
+                 "rmi", "slopes must be finite and >= 0, intercepts finite")
+        _require(np.all((max_errors >= 0) & (max_errors <= n)), "rmi",
+                 "maximum errors outside [0, n]")
+        leaf = RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts,
+                        max_errors=max_errors, boundary_hi=key_hi[starts],
+                        boundary_lo=key_lo[starts], target_size=n)
+        rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
 
     ref = _rebuild_reference(sa, bwt, name)
     counts = np.bincount(ref.ranks, minlength=NUM_RANKS).astype(np.int64)
@@ -229,6 +238,5 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
 
     ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
     engine = SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
-    meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, stride=stride,
-                     alpha_mid=alpha_mid, alpha_leaf=alpha_leaf)
+    meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, stride=stride, alpha_leaf=alpha_leaf)
     return engine, ref, meta

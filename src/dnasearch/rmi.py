@@ -1,10 +1,10 @@
-"""Bottom-up recursive model index over the packed IP-BWT keys.
+"""One layer of linear models over the packed IP-BWT keys.
 
-Every layer holds one linear model per contiguous key partition, found by
-halving the data until each partition fits its layer's mean absolute
-error bound. All partitions of one halving level are fit at once. Leaf
-models predict IP-BWT rows; upper layers predict positions in the
-boundary array of the layer below.
+The layer holds one linear model per contiguous key partition (a leaf),
+found by halving the keys until each partition fits the mean absolute
+error bound ``alpha_leaf``. All partitions of one halving level are fit at
+once. A key's leaf is found by search over the leaves' first keys
+(:meth:`Rmi.locate`), and its model predicts the key's IP-BWT row.
 
 A model sees a key as its float64 distance ``d`` from its partition's
 first key (:func:`relative_keys`), taken from the exact two-word
@@ -72,8 +72,8 @@ def predict(start, last, slope, intercept, d: np.ndarray) -> np.ndarray:
 class RmiLayer:
     """Per-partition models plus each partition's first key.
 
-    ``boundary_hi/lo`` are the packed-key words of the partition minima;
-    ``target_size`` is the length of the array predictions index into.
+    ``boundary_hi/lo`` are the packed-key words of the partition minima, the
+    keys at ``starts``; ``target_size`` is the number of keys fit.
     """
 
     starts: np.ndarray  # int64: first fit-input index of each partition
@@ -103,13 +103,12 @@ class RmiLayer:
 
 @dataclass
 class Rmi:
-    """layers[0] is the root (single model); layers[-1] is the leaf layer.
+    """The leaf layer, its error bound ``alpha_leaf`` and the keys' chunk length ``k``.
 
-    ``k`` is the keys' chunk length; ``leaf_top`` the leaf boundaries' top words.
+    ``leaf_top`` holds the leaf boundaries' top words.
     """
 
-    layers: list[RmiLayer]
-    alpha_mid: float
+    leaf: RmiLayer
     alpha_leaf: float
     k: int
 
@@ -120,8 +119,10 @@ class Rmi:
         self.leaf_top = top_words(leaf.boundary_hi, leaf.boundary_lo, self.k, leaf.target_size)
 
     @property
-    def leaf(self) -> RmiLayer:
-        return self.layers[-1]
+    def layers(self) -> list[RmiLayer]:
+        # read only by the benchmark's traced counts (perfbench/worker.py);
+        # goes when the benchmark is next revised (ROADMAP item 6)
+        return [self.leaf]
 
     def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
@@ -215,19 +216,10 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     )
 
 
-def build_rmi(ix: IpBwt, alpha_mid: float = 14.0, alpha_leaf: float = 6.0) -> Rmi:
-    """Construct the model hierarchy bottom-up from the IP-BWT keys.
-
-    The leaf layer partitions all entries under alpha_leaf; each layer
-    above is built from the partition-minimum keys of the layer below,
-    under alpha_mid, until a single partition remains (the root, which
-    carries no error bound).
-    """
-    layers = [fit_layer(ix.key_hi, ix.key_lo, alpha_leaf)]
-    while len(layers[0]) > 1:
-        below = layers[0]
-        layers.insert(0, fit_layer(below.boundary_hi, below.boundary_lo, alpha_mid))
-    return Rmi(layers=layers, alpha_mid=float(alpha_mid), alpha_leaf=float(alpha_leaf), k=ix.k)
+def build_rmi(ix: IpBwt, alpha_leaf: float = 6.0) -> Rmi:
+    """Fit the leaf layer over all IP-BWT keys under ``alpha_leaf``."""
+    return Rmi(leaf=fit_layer(ix.key_hi, ix.key_lo, alpha_leaf), alpha_leaf=float(alpha_leaf),
+               k=ix.k)
 
 
 def key_errors(layer: RmiLayer, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -239,17 +231,11 @@ def key_errors(layer: RmiLayer, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def audit_errors(rmi: Rmi, ix: IpBwt) -> list[tuple[int, int, float]]:
-    """Recompute every model's mean absolute error over its fit data.
+    """Recompute every leaf model's mean absolute error over its keys.
 
-    Returns (layer index, model index, error) rows; layer 0 is the root.
-    Used by tests and the benchmark report to check the alpha bounds.
+    Returns (layer, model index, error) rows, with layer 0 for the one
+    layer. Used by tests and the benchmark report to check ``alpha_leaf``.
     """
-    rows = []
-    hi, lo = ix.key_hi, ix.key_lo
-    for d in range(len(rmi.layers) - 1, -1, -1):
-        layer = rmi.layers[d]
-        mean = np.add.reduceat(key_errors(layer, hi, lo), layer.starts) / layer.sizes
-        rows.extend((d, j, float(err)) for j, err in enumerate(mean))
-        hi, lo = layer.boundary_hi, layer.boundary_lo
-    rows.sort()
-    return rows
+    leaf = rmi.leaf
+    mean = np.add.reduceat(key_errors(leaf, ix.key_hi, ix.key_lo), leaf.starts) / leaf.sizes
+    return [(0, j, float(err)) for j, err in enumerate(mean)]

@@ -53,15 +53,14 @@ class SearchEngine:
             raise ModeUnavailableError("index was built/loaded without an RMI")
 
 
-def build_engine(ref, k: int = 21, alpha_mid: float = 14.0, alpha_leaf: float = 6.0,
-                 with_rmi: bool = True) -> SearchEngine:
+def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0, with_rmi: bool = True) -> SearchEngine:
     from dnasearch.fmindex import build_fm_index
     from dnasearch.ipbwt import build_ipbwt
     from dnasearch.rmi import build_rmi
 
     fm = build_fm_index(ref)
     ix = build_ipbwt(ref, fm.sa, k)
-    rmi = build_rmi(ix, alpha_mid, alpha_leaf) if with_rmi else None
+    rmi = build_rmi(ix, alpha_leaf) if with_rmi else None
     return SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
 
 

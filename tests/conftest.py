@@ -150,36 +150,73 @@ SECTIONS = ("sa", "bwt_occ", "ipbwt", "rmi")
 
 
 def index_sections(data) -> dict[str, tuple[int, int]]:
-    """Byte range [start, end) of each section of a saved index; its CRC-32 follows at end."""
-    n = _HEADER.unpack_from(data, 4)[2]
+    """Byte range [start, end) of each section of a saved index; its CRC-32 follows at end.
+
+    The model section's size comes from its leaf count, so bytes appended
+    after the last checksum belong to no section.
+    """
+    _, _, n, flags, _, _ = _HEADER.unpack_from(data, 4)
     nblocks = -(-n // OCC_STRIDE)
     pos = 4 + _HEADER.size
     out = {}
     for name, size in (("sa", 4 * n), ("bwt_occ", n + 4 * NUM_RANKS * nblocks),
                        ("ipbwt", 16 * n), ("rmi", None)):
         if size is None:
-            size = len(data) - pos - 4
+            size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little") if flags & 1 else 0
         out[name] = (pos, pos + size)
         pos += size + 4
     return out
 
 
+def leaf_arrays(data) -> dict[str, np.ndarray]:
+    """Writable views of the leaf model arrays inside a saved index's bytearray."""
+    start, _ = index_sections(data)["rmi"]
+    count = int.from_bytes(data[start : start + 8], "little")
+    fields = (("slopes", "<f8"), ("intercepts", "<f8"), ("max_errors", "<u8"), ("starts", "<u8"))
+    return {name: np.frombuffer(data, dtype, count, start + 8 + 8 * count * i)
+            for i, (name, dtype) in enumerate(fields)}
+
+
+# defects that keep every checksum valid, each with the words of the
+# load_index structure check that must refuse it
+STRUCTURE_DAMAGE = {
+    "starts_swapped": "leaf starts",
+    "slopes_negated": "slopes",
+    "slope_inf": "slopes",
+    "intercept_nan": "intercepts",
+    "error_over_n": "maximum errors",
+    "keys_unsorted": "keys out of order",
+    "trailing_bytes": "trailing bytes",
+}
+
+
 def damage_index(path, how: str) -> None:
     """Rewrite a saved index file with one defect.
 
-    ``version_1``, ``version_2``, ``version_3``: the header says that version.
+    ``version_<d>``: the header says version d.
     ``flip_<section>``: one bit flipped inside the section, its checksum
     left as it was (in ``ipbwt``, bit 0 of the middle row's high key word).
-    ``sa_out_of_range`` and ``sa_duplicate``: one flipped suffix-array byte
-    makes a value out of [0, n) or equal to another row's, and the
-    section's checksum is rewritten to match, so that only the
-    permutation check can see it.
+    The other kinds rewrite the damaged section's checksum to match, so
+    that only a structure check can see them:
+
+    * ``sa_out_of_range``, ``sa_duplicate``: one flipped suffix-array byte
+      makes a value out of [0, n) or equal to another row's;
+    * ``starts_swapped``: leaf starts 1 and 2 trade places;
+    * ``slopes_negated``: every slope changes sign (some are > 0);
+    * ``slope_inf``, ``intercept_nan``: leaf 0's slope is +inf, its
+      intercept NaN;
+    * ``error_over_n``: leaf 0's maximum error is n + 1;
+    * ``error_raised``: the middle leaf's maximum error is one too large,
+      which loads but fails the audit;
+    * ``keys_unsorted``: the IP-BWT rows n // 2 and n // 2 + 1 trade places.
+
+    ``trailing_bytes`` appends four bytes after the last checksum.
     """
     data = bytearray(path.read_bytes())
     sections = index_sections(data)
-    sa_start, sa_end = sections["sa"]
-    if how in ("version_1", "version_2", "version_3"):
-        data[4:6] = int(how[-1]).to_bytes(2, "little")
+    section = "rmi"
+    if how.startswith("version_"):
+        data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")
     elif how.startswith("flip_"):
         start, end = sections[how[len("flip_"):]]
         if how == "flip_ipbwt":
@@ -187,16 +224,43 @@ def damage_index(path, how: str) -> None:
             data[start + 8 * (n // 2)] ^= 0x01
         else:
             data[(start + end) // 2] ^= 0x10
-    elif how in ("sa_out_of_range", "sa_duplicate"):
-        if how == "sa_out_of_range":
-            data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
-        else:
-            sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
-            i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
-            data[sa_start + 4 * i] ^= 0x01
-        data[sa_end : sa_end + 4] = zlib.crc32(data[sa_start:sa_end]).to_bytes(4, "little")
+    elif how == "trailing_bytes":
+        data += b"junk"
     else:
-        raise ValueError(how)
+        if how in ("sa_out_of_range", "sa_duplicate"):
+            section = "sa"
+            sa_start = sections["sa"][0]
+            if how == "sa_out_of_range":
+                data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
+            else:
+                sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
+                i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
+                data[sa_start + 4 * i] ^= 0x01
+        elif how == "keys_unsorted":
+            section = "ipbwt"
+            start, end = sections["ipbwt"]
+            keys = np.frombuffer(data, "<u8", (end - start) // 8, start).reshape(2, -1)
+            i = keys.shape[1] // 2
+            keys[:, [i, i + 1]] = keys[:, [i + 1, i]]
+        else:
+            leaf = leaf_arrays(data)
+            if how == "starts_swapped":
+                leaf["starts"][[1, 2]] = leaf["starts"][[2, 1]]
+            elif how == "slopes_negated":
+                assert np.any(leaf["slopes"] > 0)
+                leaf["slopes"] *= -1
+            elif how == "slope_inf":
+                leaf["slopes"][0] = np.inf
+            elif how == "intercept_nan":
+                leaf["intercepts"][0] = np.nan
+            elif how == "error_over_n":
+                leaf["max_errors"][0] = _HEADER.unpack_from(data, 4)[2] + 1
+            elif how == "error_raised":
+                leaf["max_errors"][leaf["max_errors"].size // 2] += 1
+            else:
+                raise ValueError(how)
+        start, end = sections[section]
+        data[end : end + 4] = zlib.crc32(data[start:end]).to_bytes(4, "little")
     path.write_bytes(bytes(data))
 
 

@@ -134,28 +134,18 @@ def test_criterion_4_error_bound_audit(capsys, medium_engine):
     t0 = time.perf_counter()
     engine, _ = medium_engine
     rmi, ix = engine.rmi, engine.ipbwt
-    leaf_depth = len(rmi.layers) - 1
-    worst_leaf = worst_mid = 0.0
-    ok = True
-    for depth, j, err in audit_errors(rmi, ix):
-        if depth == 0:
-            continue  # the root carries no bound
-        if depth == leaf_depth:
-            worst_leaf = max(worst_leaf, err)
-            ok = ok and err <= rmi.alpha_leaf
-        else:
-            worst_mid = max(worst_mid, err)
-            ok = ok and err <= rmi.alpha_mid
-    # the stored maximum errors bound the search windows: each must be exact
     leaf = rmi.leaf
+    mean_errors = [err for _, _, err in audit_errors(rmi, ix)]
+    worst = max(mean_errors)
+    over = sum(err > rmi.alpha_leaf for err in mean_errors)
+    # the stored maximum errors bound the search windows: each must be exact
     max_errors = np.maximum.reduceat(key_errors(leaf, ix.key_hi, ix.key_lo), leaf.starts)
     wrong_max = int(np.count_nonzero(leaf.max_errors != max_errors))
-    negative = sum(int(np.count_nonzero(layer.slopes < 0)) for layer in rmi.layers)
-    ok = ok and wrong_max == 0 and negative == 0
+    negative = int(np.count_nonzero(leaf.slopes < 0))
+    ok = len(mean_errors) == len(leaf) and over == 0 and wrong_max == 0 and negative == 0
     elapsed = time.perf_counter() - t0
     _report(capsys, 4, ok and elapsed < 120, elapsed,
-            f"worst leaf error {worst_leaf:.2f} <= {rmi.alpha_leaf}, "
-            f"worst mid error {worst_mid:.2f} <= {rmi.alpha_mid}, "
+            f"{len(leaf)} leaves, worst mean error {worst:.2f} <= {rmi.alpha_leaf}, "
             f"{wrong_max} stored leaf max errors wrong (largest {int(max_errors.max())}), "
             f"{negative} negative slopes")
 

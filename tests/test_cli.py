@@ -9,7 +9,7 @@ from dnasearch.cli import (
     main,
 )
 
-from conftest import damage_index
+from conftest import STRUCTURE_DAMAGE, damage_index
 
 
 def write_fasta_file(path, bases, name="ref"):
@@ -60,9 +60,8 @@ class TestBuild:
         for key in ("sa_bytes", "bwt_occ_bytes", "ipbwt_bytes", "rmi_bytes",
                     "total_bytes", "ipbwt_expected_bytes", "ipbwt_ratio_vs_expected"):
             assert key in report
-        # model shape: root to leaf layers, leaf count and the worst leaf prediction error
-        layers, leaves = int(report["rmi_layers"]), int(report["rmi_leaf_models"])
-        assert layers >= 1 and 1 <= leaves <= 801
+        # model shape: leaf count and the worst leaf prediction error
+        assert 1 <= int(report["rmi_leaf_models"]) <= 801
         assert 0 <= int(report["rmi_leaf_err_max"]) < 801
 
     def test_space_report_without_rmi(self, tmp_path, capsys):
@@ -70,7 +69,7 @@ class TestBuild:
         write_fasta_file(fasta, random_bases(np.random.default_rng(1), 200))
         rc = main(["build", str(fasta), "--k", "5", "--no-rmi", "--out", str(tmp_path / "r.idx")])
         assert rc == 0
-        assert "rmi_layers" not in capsys.readouterr().out
+        assert "rmi_leaf_models" not in capsys.readouterr().out
 
     def test_missing_fasta_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.fa"), "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -182,9 +181,10 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
-    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "sa_out_of_range",
-                                     "sa_duplicate", "flip_sa", "flip_bwt_occ", "flip_ipbwt",
-                                     "flip_rmi"])
+    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
+                                     "sa_out_of_range", "sa_duplicate", "flip_sa",
+                                     "flip_bwt_occ", "flip_ipbwt", "flip_rmi",
+                                     *STRUCTURE_DAMAGE])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index
         broken = tmp_path / "broken.idx"
@@ -204,34 +204,3 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(index), str(qfile), "--mode", "rmi"]) == EXIT_PARAMS
         assert main(["query", str(index), str(qfile), "--mode", "binary"]) == 0
-
-
-class TestBench:
-    def test_report_shape_and_kv_file(self, built_index, tmp_path, capsys):
-        index, _ = built_index
-        out = tmp_path / "bench.kv"
-        assert main(["bench", str(index), "--lengths", "6,10", "--batch-size", "64",
-                     "--seed", "7", "--out", str(out)]) == 0
-        table = capsys.readouterr().out.strip().splitlines()
-        assert len(table) == 1 + 2 * 3  # header + (2 lengths x 3 modes)
-        kv = out.read_text().strip().splitlines()
-        for length in (6, 10):
-            for mode in ("fm", "binary", "rmi"):
-                assert any(l.startswith(f"len{length}.batch64.{mode}.ns_per_query=") for l in kv)
-
-    def test_unknown_mode_exit_4(self, built_index):
-        index, _ = built_index
-        assert main(["bench", str(index), "--modes", "warp"]) == EXIT_PARAMS
-
-    def test_length_out_of_range_exit_4(self, built_index):
-        index, _ = built_index
-        assert main(["bench", str(index), "--lengths", "999999"]) == EXIT_PARAMS
-
-    def test_seeded_workload_is_deterministic(self, built_index):
-        from dnasearch.index_io import load_index
-        from dnasearch.seqcore import generate_query_matrix
-
-        _, ref, _ = load_index(str(built_index[0]))
-        a = generate_query_matrix(ref, length=9, count=50, seed=5)
-        b = generate_query_matrix(ref, length=9, count=50, seed=5)
-        assert np.array_equal(a, b)

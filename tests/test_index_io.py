@@ -8,7 +8,14 @@ from dnasearch.search import (
     build_engine,
 )
 
-from conftest import SECTIONS, damage_index, index_sections, make_reference, random_reference
+from conftest import (
+    SECTIONS,
+    STRUCTURE_DAMAGE,
+    damage_index,
+    index_sections,
+    make_reference,
+    random_reference,
+)
 
 
 @pytest.fixture()
@@ -31,13 +38,15 @@ class TestRoundTrip:
         assert np.array_equal(loaded.ipbwt.key_hi, engine.ipbwt.key_hi)
         assert np.array_equal(loaded.ipbwt.key_lo, engine.ipbwt.key_lo)
         assert np.array_equal(ref2.ranks, ref.ranks)
-        assert len(loaded.rmi.layers) == len(engine.rmi.layers)
-        for la, lb in zip(loaded.rmi.layers, engine.rmi.layers):
-            assert la.target_size == lb.target_size
-            for name in ("starts", "slopes", "intercepts", "max_errors", "boundary_hi",
-                         "boundary_lo"):
-                a, b = getattr(la, name), getattr(lb, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        la, lb = loaded.rmi.leaf, engine.rmi.leaf
+        assert la.target_size == lb.target_size
+        # boundaries and top words are gathered from the keys at load
+        for name in ("starts", "slopes", "intercepts", "max_errors", "boundary_hi",
+                     "boundary_lo"):
+            a, b = getattr(la, name), getattr(lb, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(loaded.rmi.leaf_top, engine.rmi.leaf_top)
+        assert (loaded.rmi.alpha_leaf, loaded.rmi.k) == (engine.rmi.alpha_leaf, engine.rmi.k)
 
     def test_results_identical_after_reload(self, engine_and_ref, tmp_path):
         engine, ref = engine_and_ref
@@ -100,32 +109,15 @@ class TestCorruption:
         with pytest.raises(CorruptIndexError):
             load_index(str(path))
 
-    def test_version_1_refused(self, engine_and_ref, tmp_path):
-        # version 1 keys have another meaning; loading one would return wrong rows
+    # version 1 keys have another meaning, version 2 models predict from
+    # absolute keys, version 3 stores no maximum errors and version 4 stores
+    # a layer count, upper layers and boundary keys: each would misread
+    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4"])
+    def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
-        path = tmp_path / "v1.idx"
+        path = tmp_path / "old.idx"
         save_index(str(path), engine)
-        damage_index(path, "version_1")
-        with pytest.raises(CorruptIndexError) as exc:
-            load_index(str(path))
-        assert exc.value.section == "header"
-
-    def test_version_2_refused(self, engine_and_ref, tmp_path):
-        # version 2 models predict from absolute keys; this model would mispredict them
-        engine, ref = engine_and_ref
-        path = tmp_path / "v2.idx"
-        save_index(str(path), engine)
-        damage_index(path, "version_2")
-        with pytest.raises(CorruptIndexError) as exc:
-            load_index(str(path))
-        assert exc.value.section == "header"
-
-    def test_version_3_refused(self, engine_and_ref, tmp_path):
-        # version 3 stores no maximum errors, which bound the rmi search windows
-        engine, ref = engine_and_ref
-        path = tmp_path / "v3.idx"
-        save_index(str(path), engine)
-        damage_index(path, "version_3")
+        damage_index(path, how)
         with pytest.raises(CorruptIndexError) as exc:
             load_index(str(path))
         assert exc.value.section == "header"
@@ -150,6 +142,7 @@ class TestCorruption:
         assert {name: end - start + 4 for name, (start, end) in sections.items()} == {
             name: sizes[name] for name in SECTIONS
         }
+        assert sections["rmi"][1] + 4 == sizes["total"]
 
 
 @pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate"])
@@ -162,3 +155,17 @@ def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
         load_index(str(path))
     assert exc.value.section == "sa"
     assert "permutation" in str(exc.value)  # the checksum was rewritten to match
+
+
+@pytest.mark.parametrize("how", list(STRUCTURE_DAMAGE))
+def test_structure_damage_refused(engine_and_ref, tmp_path, how):
+    # a tighter bound than the default gives the several leaves starts_swapped needs
+    engine = build_engine(engine_and_ref[1], k=4, alpha_leaf=2.0)
+    assert len(engine.rmi.leaf) >= 3
+    path = tmp_path / "bad.idx"
+    save_index(str(path), engine)
+    damage_index(path, how)
+    with pytest.raises(CorruptIndexError) as exc:
+        load_index(str(path))
+    assert exc.value.section == ("ipbwt" if how == "keys_unsorted" else "rmi")
+    assert STRUCTURE_DAMAGE[how] in str(exc.value)

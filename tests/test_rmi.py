@@ -1,6 +1,8 @@
 import bisect
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.ipbwt import build_ipbwt, lower_bound_batch
+from dnasearch.index_io import save_index
+from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch
 from dnasearch.rmi import (
     audit_errors,
     build_rmi,
@@ -22,6 +25,7 @@ from dnasearch.search import build_engine
 
 from conftest import (
     brute_entries,
+    damage_index,
     make_reference,
     random_reference,
     repetitive_reference,
@@ -133,23 +137,26 @@ class TestPartition:
 
 class TestBuild:
     def test_layers_root_to_leaf(self):
+        # one layer: the leaves are the whole model, fit over every key
         rng = np.random.default_rng(1)
         ix, rmi = build_pair(rng, 3000, k=6)
-        assert len(rmi.layers[0]) == 1  # single root model
-        assert rmi.leaf is rmi.layers[-1]
-        assert rmi.leaf.target_size == ix.n
-        sizes = [len(layer) for layer in rmi.layers]
-        assert sizes == sorted(sizes)  # layers narrow toward the root
+        assert len(rmi.layers) == 1 and rmi.layers[0] is rmi.leaf
+        assert rmi.leaf.target_size == ix.n and len(rmi.leaf) > 1
 
     def test_audit_within_bounds(self):
         rng = np.random.default_rng(2)
         ix, rmi = build_pair(rng, 5000, k=8)
-        leaf_depth = len(rmi.layers) - 1
-        for depth, j, err in audit_errors(rmi, ix):
-            if depth == 0:
-                continue  # the root carries no bound
-            bound = rmi.alpha_leaf if depth == leaf_depth else rmi.alpha_mid
-            assert err <= bound
+        rows = audit_errors(rmi, ix)
+        # every leaf, the first one included, in leaf order
+        assert [(depth, j) for depth, j, _ in rows] == [(0, j) for j in range(len(rmi.leaf))]
+        assert all(err <= rmi.alpha_leaf for _, _, err in rows)
+
+    def test_single_leaf_is_audited(self):
+        hi, lo = words([(1 << 70) + 7 * i for i in range(1000)])
+        ix = IpBwt(k=21, n=hi.size, key_hi=hi, key_lo=lo)
+        rmi = build_rmi(ix)
+        assert len(rmi.leaf) == 1
+        assert audit_errors(rmi, ix) == [(0, 0, 0.0)]
 
     def test_leaf_boundaries_are_entry_keys(self):
         rng = np.random.default_rng(3)
@@ -165,17 +172,15 @@ class TestBuild:
         rng = np.random.default_rng(seed)
         ref = repetitive_reference(rng, 300) if seed % 2 else random_reference(rng, int(rng.integers(2, 400)))
         k = int(rng.integers(1, min(8, ref.n - 1) + 1))
-        engine = build_engine(ref, k=k, alpha_mid=alpha, alpha_leaf=alpha)
+        engine = build_engine(ref, k=k, alpha_leaf=alpha)
         ix, rmi = engine.ipbwt, engine.rmi
-        hi, lo = ix.key_hi, ix.key_lo
-        for layer in reversed(rmi.layers):
-            # partitions cover [0, target_size) contiguously, in key order
-            assert layer.starts[0] == 0 and np.all(layer.sizes >= 1)
-            assert layer.sizes.sum() == layer.target_size == hi.size
-            # each boundary is the key at its partition's start
-            assert np.array_equal(layer.boundary_hi, hi[layer.starts])
-            assert np.array_equal(layer.boundary_lo, lo[layer.starts])
-            hi, lo = layer.boundary_hi, layer.boundary_lo
+        leaf = rmi.leaf
+        # partitions cover [0, n) contiguously, in key order
+        assert leaf.starts[0] == 0 and np.all(leaf.sizes >= 1)
+        assert leaf.sizes.sum() == leaf.target_size == ix.n
+        # each boundary is the key at its partition's start
+        assert np.array_equal(leaf.boundary_hi, ix.key_hi[leaf.starts])
+        assert np.array_equal(leaf.boundary_lo, ix.key_lo[leaf.starts])
 
         # every table key searched as a query, through the windows search passes
         # to the kernel
@@ -192,15 +197,12 @@ class TestBuild:
         assert rows.tolist() == list(range(ix.n))
         (base, width), = windows
         assert np.all(base <= rows) and np.all(rows <= base + width)
-        leaf = rmi.leaf
         err = np.abs(leaf.predict(rmi.locate(ix.key_hi, ix.key_lo), ix.key_hi, ix.key_lo)
                      - np.arange(ix.n))
         mean = np.add.reduceat(err, leaf.starts) / leaf.sizes
         assert np.all(mean <= alpha)  # every partition, of any size
         assert np.array_equal(np.maximum.reduceat(err, leaf.starts), leaf.max_errors)
-        audit = [e for depth, _, e in audit_errors(rmi, ix) if depth == len(rmi.layers) - 1]
-        assert np.array_equal(mean, audit)
-        assert all(e <= alpha for _, _, e in audit_errors(rmi, ix))
+        assert np.array_equal(mean, [e for _, _, e in audit_errors(rmi, ix)])
 
 
 def table_keys(ix):
@@ -304,9 +306,38 @@ class TestQueryTimeBound:
         size = int(rng.integers(2, 400))
         ref = repetitive_reference(rng, 300) if seed % 2 else random_reference(rng, size)
         engine = build_engine(ref, k=int(rng.integers(1, min(8, ref.n - 1) + 1)))
-        hi, lo = engine.ipbwt.key_hi, engine.ipbwt.key_lo
-        for layer in reversed(engine.rmi.layers):
-            assert np.all(layer.slopes >= 0)
-            recomputed = np.maximum.reduceat(key_errors(layer, hi, lo), layer.starts)
-            assert np.array_equal(layer.max_errors, recomputed)
-            hi, lo = layer.boundary_hi, layer.boundary_lo
+        leaf, ix = engine.rmi.leaf, engine.ipbwt
+        assert np.all(leaf.slopes >= 0)
+        recomputed = np.maximum.reduceat(key_errors(leaf, ix.key_hi, ix.key_lo), leaf.starts)
+        assert np.array_equal(leaf.max_errors, recomputed)
+
+
+def load_audit_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "audit_rmi.py"
+    spec = importlib.util.spec_from_file_location("audit_rmi", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAuditScript:
+    @pytest.fixture()
+    def index_path(self, tmp_path):
+        engine = build_engine(random_reference(np.random.default_rng(6), 2000), k=6)
+        path = tmp_path / "a.idx"
+        save_index(str(path), engine)
+        return path, len(engine.rmi.leaf)
+
+    def test_clean_index_passes(self, index_path, capsys):
+        path, leaves = index_path
+        assert load_audit_script().main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{leaves} leaf models" in out and "violations=0" in out
+
+    def test_raised_max_error_named(self, index_path, capsys):
+        path, leaves = index_path
+        damage_index(path, "error_raised")  # loads: the checksum is rewritten
+        assert load_audit_script().main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"VIOLATION leaf={leaves // 2} stored max error" in out
+        assert out.count("VIOLATION") == 1

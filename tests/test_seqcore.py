@@ -136,6 +136,12 @@ class TestQueries:
         for i, q in enumerate(qs):
             assert np.array_equal(qm[i], q.ranks)
 
+    def test_seeded_workload_is_deterministic(self):
+        ref = load_fasta(b">r\n" + b"TTGACCAGT" * 40 + b"\n")
+        a = generate_query_matrix(ref, length=9, count=50, seed=5)
+        b = generate_query_matrix(ref, length=9, count=50, seed=5)
+        assert np.array_equal(a, b)
+
     def test_generate_length_out_of_range(self):
         ref = load_fasta(b">r\nACGT\n")
         with pytest.raises(SequenceError):
