@@ -9,11 +9,8 @@ steps instead of |Q| single-character steps.
 from dnasearch.seqcore import (
     Reference,
     Query,
-    encode_base,
-    decode_base,
     load_fasta,
     parse_queries,
-    generate_queries,
     generate_query_matrix,
 )
 from dnasearch.fmindex import FmIndex, SaInterval, build_fm_index, backward_search
@@ -30,11 +27,8 @@ from dnasearch.search import (
 __all__ = [
     "Reference",
     "Query",
-    "encode_base",
-    "decode_base",
     "load_fasta",
     "parse_queries",
-    "generate_queries",
     "generate_query_matrix",
     "FmIndex",
     "SaInterval",

@@ -175,8 +175,6 @@ def backward_search_batch(fm: FmIndex, qmatrix: np.ndarray) -> tuple[np.ndarray,
         c = qmatrix[:, t].astype(np.int64)
         low = fm.d[c] + fm.occ_many(c, low - 1)
         high = fm.d[c] + fm.occ_many(c, high - 1)
-    # an emptied interval stays empty under fm_step; normalize low==high pairs
-    high = np.maximum(high, low)
     return low, high
 
 

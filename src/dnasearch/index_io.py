@@ -3,11 +3,12 @@
 Layout (all little-endian):
 
 * magic ``LSA1``; header: version u16, K u16, n u64, flags u32 (bit 0 =
-  RMI present), checkpoint stride u32, alpha_leaf f64.
+  RMI present), checkpoint stride u32, alpha_leaf f64; then the
+  ``zlib.crc32`` of the magic and header (u32).
 * four sections, each followed by the ``zlib.crc32`` of its bytes (u32):
   suffix array (u32[n]); BWT (u8[n]) + occurrence checkpoints
-  (u32[nblocks, 5]); IP-BWT packed keys (u64[n] high words, u64[n] low
-  words); leaf models (empty without an RMI). The file ends there.
+  (u32[nblocks, 5]); IP-BWT keys (u64[n] k-mer codes, then u32[n] loc
+  fields); leaf models (empty without an RMI). The file ends there.
 
 The model section is a leaf count u64, then per leaf its slope and
 intercept (f64 each), maximum error (u64) and partition start (u64).
@@ -15,17 +16,18 @@ Storing starts makes load(save(x)) bit-identical without refitting; each
 leaf's boundary key is the IP-BWT key at its start, read back from the
 keys. Search reads the maximum errors as its window bounds.
 
-Version 5 stores one layer of leaf models and no boundary keys; version 4
-added the maximum errors; version 3 models predict from keys relative to
-their partition's first key (see ``dnasearch.rmi``) and added the
-checksums; version 2 changed the meaning of the packed keys (see
+Version 6 stores the keys as a k-mer column and a loc column and checks
+the header; version 5 stores one layer of leaf models and no boundary
+keys; version 4 added the maximum errors; version 3 models predict from
+keys relative to their partition's first key (see ``dnasearch.rmi``) and
+added the checksums; version 2 changed the meaning of the keys (see
 ``dnasearch.ipbwt``). Files of other versions are refused. ``load_index``
-checks every section's checksum, then the structure the checksums cannot
-vouch for: the suffix array is a permutation of [0, n), the keys never
-decrease, leaf starts rise strictly from 0 below n, slopes are finite and
->= 0, intercepts finite, maximum errors in [0, n], and no bytes follow the
-last section. Any failure raises :class:`CorruptIndexError` naming the
-section.
+checks every checksum, then the structure the checksums cannot vouch for:
+K lies in [1, min(MAX_K, n - 1)], the suffix array is a permutation of
+[0, n), the keys never decrease from (0, 0), leaf starts rise strictly
+from 0 below n, slopes are finite and >= 0, intercepts finite, maximum
+errors in [0, n], and no bytes follow the last section. Any failure
+raises :class:`CorruptIndexError` naming the section.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from typing import BinaryIO
 import numpy as np
 
 from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE, FmIndex, _pack_occ
-from dnasearch.ipbwt import IpBwt
+from dnasearch.ipbwt import MAX_K, IpBwt
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 5
+VERSION = 6
 _HEADER = struct.Struct("<HHQIId")
 
 
@@ -130,11 +132,11 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
     n = fm.n
     sizes: dict[str, int] = {}
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
         flags = 1 if rmi is not None else 0
         alpha_leaf = rmi.alpha_leaf if rmi is not None else 0.0
-        fh.write(_HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_leaf))
-        sizes["header"] = 4 + _HEADER.size
+        out = _SectionWriter(fh)
+        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_leaf))
+        sizes["header"] = out.close()
 
         out = _SectionWriter(fh)
         out.array(fm.sa, "<u4")
@@ -147,7 +149,7 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
 
         out = _SectionWriter(fh)
         out.array(ix.key_hi, "<u8")
-        out.array(ix.key_lo, "<u8")
+        out.array(ix.key_lo, "<u4")
         sizes["ipbwt"] = out.close()
 
         out = _SectionWriter(fh)
@@ -175,22 +177,19 @@ def _rebuild_reference(sa: np.ndarray, bwt: np.ndarray, name: str) -> Reference:
 def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Reference, IndexMeta]:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CorruptIndexError("header", f"bad magic {magic!r}")
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise CorruptIndexError("header", "truncated")
-        version, k, n, flags, stride, alpha_leaf = _HEADER.unpack(raw)
-        if version != VERSION:
-            raise CorruptIndexError("header", f"unsupported version {version}")
-        if stride != OCC_STRIDE:
-            raise CorruptIndexError("header", f"unsupported checkpoint stride {stride}")
+        sec = _SectionReader(fh, "header", file_size)
+        magic = bytes(sec.read(4))
+        _require(magic == MAGIC, "header", f"bad magic {magic!r}")
+        version, k, n, flags, stride, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
+        _require(version == VERSION, "header", f"unsupported version {version}")
+        sec.close()
+        _require(stride == OCC_STRIDE, "header", f"unsupported checkpoint stride {stride}")
+        _require(1 <= k <= min(MAX_K, n - 1), "header", f"K={k} outside [1, min({MAX_K}, n - 1)]")
 
         sec = _SectionReader(fh, "sa", file_size)
         sa = sec.array("<u4", n)
         sec.close()
-        _require(not n or (int(sa.max()) < n and np.all(np.bincount(sa, minlength=n) == 1)),
+        _require(int(sa.max()) < n and np.all(np.bincount(sa, minlength=n) == 1),
                  "sa", "not a permutation of the rows")
 
         sec = _SectionReader(fh, "bwt_occ", file_size)
@@ -201,11 +200,13 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
 
         sec = _SectionReader(fh, "ipbwt", file_size)
         key_hi = sec.array("<u8", n)
-        key_lo = sec.array("<u8", n)
+        key_lo = sec.array("<u4", n)
         sec.close()
         hi_a, hi_b = key_hi[:-1], key_hi[1:]
         _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
                  "ipbwt", "keys out of order")
+        # the sentinel row's key (0, 0) is the least key, so no key lies below the first leaf
+        _require(key_hi[0] == 0 and key_lo[0] == 0, "ipbwt", "first key is not (0, 0)")
 
         sec = _SectionReader(fh, "rmi", file_size)
         if flags & 1:

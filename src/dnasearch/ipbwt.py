@@ -1,18 +1,18 @@
 """Index-paired BWT: per BW-matrix row, (first K characters, continuation row).
 
-Entries are kept in BW-matrix row order. Each is packed as a (2K+32)-bit
-key split across two uint64 words: 2-bit base codes (A=0 .. T=3) above a
-32-bit loc field. The encoding makes packed order equal true row order,
-so a plain two-word bisection gives exact lower bounds. For a row whose
-rotation starts at text position p, with the sentinel j = n-1-p
-characters later:
+Entries are kept in BW-matrix row order as two columns: ``key_hi``, the
+K-mer as 2-bit base codes (A=0 .. T=3) in one uint64, and ``key_lo``, a
+uint32 loc field. Keys compare as (k-mer, loc field) pairs, and that order
+is true row order, so a plain bisection over the pairs gives exact lower
+bounds. For a row whose rotation starts at text position p, with the
+sentinel j = n-1-p characters later:
 
 * j >= K: the K-mer, with loc field ISA[p+K] + K;
 * j < K: the j bases before the sentinel, then code 0 (as A) for the
   sentinel and every position after it, with loc field j. Such a row ties
-  on the packed K-mer only with rows that continue the same j bases with
-  A's; its loc field puts it first (theirs is at least K, or a larger j),
-  as X$ sorts below XA.
+  on the K-mer only with rows that continue the same j bases with A's;
+  its loc field puts it first (theirs is at least K, or a larger j), as
+  X$ sorts below XA.
 
 A query key for a sentinel-free chunk c and bound b is (c, b + K). The low
 bound key of a chunk X shorter than K (first round, b = 0) is X padded
@@ -29,9 +29,8 @@ import numpy as np
 from dnasearch.seqcore import Reference
 
 LOC_BITS = 32
-MAX_K = 28  # 2K+32 must fit the 96-bit key budget
+MAX_K = 32  # 2K bits of k-mer code fill one uint64
 _U64 = np.uint64
-_MASK32 = np.uint64(0xFFFFFFFF)
 # 2-bit code per rank; the sentinel shares code 0 with A
 CODE_OF_RANK = np.array([0, 0, 1, 2, 3], dtype=np.uint64)
 
@@ -42,19 +41,12 @@ class IpBwtError(ValueError):
 
 @dataclass
 class IpBwt:
-    """Packed (k-mer, loc field) keys in row order, ascending as (hi, lo) pairs."""
+    """(k-mer, loc field) keys in row order, ascending as (key_hi, key_lo) pairs."""
 
     k: int
     n: int
-    key_hi: np.ndarray  # uint64[n]
-    key_lo: np.ndarray  # uint64[n]
-
-
-def key_words(bits: np.ndarray, loc_field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) uint64 words of keys with 2K-bit k-mer codes ``bits``."""
-    hi = bits >> _U64(LOC_BITS)
-    lo = ((bits & _MASK32) << _U64(LOC_BITS)) | loc_field.astype(np.uint64)
-    return hi, lo
+    key_hi: np.ndarray  # uint64[n]: the k-mer codes
+    key_lo: np.ndarray  # uint32[n]: the loc fields
 
 
 def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
@@ -63,6 +55,8 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     Row i pairs the first k characters of BW-matrix row i with the row
     index of the rotation starting k characters later (computed through
     the inverse suffix array; the BW-matrix itself is never materialized).
+    Both columns are first computed per text position, then gathered once
+    in suffix-array order.
     """
     n = ref.n
     if not 1 <= k <= n - 1:
@@ -72,25 +66,23 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     if n + k >= (1 << LOC_BITS):
         raise IpBwtError(f"reference too long: n + k = {n + k} must be < 2^{LOC_BITS}")
 
-    sa64 = sa.astype(np.int64)
-    isa = np.empty(n, dtype=np.int64)
-    isa[sa64] = np.arange(n, dtype=np.int64)
-
-    # reading stops at the sentinel (position n-1), whose code 0 fills the rest
-    pos = sa64.copy()
+    # the k-mer at each text position; reading stops at the sentinel
+    # (position n-1), whose code 0 fills the rest
+    code = CODE_OF_RANK[ref.ranks]
     bits = np.zeros(n, dtype=np.uint64)
-    for _ in range(k):
-        bits = (bits << _U64(2)) | CODE_OF_RANK[ref.ranks[pos]]
-        pos += 1
-        np.minimum(pos, n - 1, out=pos)
-    to_sentinel = n - 1 - sa64
-    loc = np.where(to_sentinel >= k, isa[pos] + k, to_sentinel)
-    key_hi, key_lo = key_words(bits, loc)
-    return IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
+    for i in range(k):
+        bits <<= _U64(2)
+        bits[: n - i] |= code[i:]
+    isa = np.empty(n, dtype=np.uint32)
+    isa[sa] = np.arange(n, dtype=np.uint32)
+    loc = np.empty(n, dtype=np.uint32)
+    loc[: n - k] = isa[k:] + np.uint32(k)
+    loc[n - k :] = np.arange(k - 1, -1, -1, dtype=np.uint32)  # j, the distance to the sentinel
+    return IpBwt(k=k, n=n, key_hi=bits[sa], key_lo=loc[sa])
 
 
 def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Order-preserving 64-bit words of packed keys (hi, lo) of an n-row table.
+    """Order-preserving 64-bit words of keys (hi, lo) of an n-row table.
 
     The k-mer code sits above the loc field cut to the bit_length(n + k)
     bits its values need, and the result keeps the highest 64 bits. That is
@@ -99,13 +91,12 @@ def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:
     """
     loc_bits = (n + k).bit_length()
     cut = max(2 * k + loc_bits - 64, 0)
-    codes = (hi << _U64(LOC_BITS)) | (lo >> _U64(LOC_BITS))
-    return (codes << _U64(loc_bits - cut)) | ((lo & _MASK32) >> _U64(cut))
+    return (hi << _U64(loc_bits - cut)) | (lo >> np.uint32(cut))
 
 
 def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray,
                       base=0, width: int | None = None) -> np.ndarray:
-    """Exact lower bounds of packed query keys in the table.
+    """Exact lower bounds of query keys (key_hi, key_lo) in the table.
 
     Key j is searched among rows [base[j], base[j] + width), by default the
     whole table; its lower bound must lie in [base[j], base[j] + width].

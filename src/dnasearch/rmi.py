@@ -1,4 +1,4 @@
-"""One layer of linear models over the packed IP-BWT keys.
+"""One layer of linear models over the IP-BWT keys.
 
 The layer holds one linear model per contiguous key partition (a leaf),
 found by halving the keys until each partition fits the mean absolute
@@ -7,10 +7,10 @@ once. A key's leaf is found by search over the leaves' first keys
 (:meth:`Rmi.locate`), and its model predicts the key's IP-BWT row.
 
 A model sees a key as its float64 distance ``d`` from its partition's
-first key (:func:`relative_keys`), taken from the exact two-word
-difference, so ``d`` is exact while the partition spans less than 2^53.
-It is fit by least squares to the key's position inside the partition and
-predicts the position
+first key (:func:`relative_keys`): the k-mer difference times 2^32 plus
+the loc difference, rounded once, so ``d`` is exact while the partition
+spans less than 2^53. It is fit by least squares to the key's position
+inside the partition and predicts the position
 
     start + floor(slope * d + intercept + 0.5), clamped into the partition.
 
@@ -33,21 +33,24 @@ import numpy as np
 
 from dnasearch.ipbwt import IpBwt, top_words
 
-_TWO64 = 2.0**64
-
 
 def relative_keys(hi: np.ndarray, lo: np.ndarray,
                   first_hi: np.ndarray, first_lo: np.ndarray) -> np.ndarray:
-    """(hi, lo) - (first_hi, first_lo) as float64, from the signed two-word difference.
+    """(hi, lo) - (first_hi, first_lo) as float64, for keys at or above their first key.
 
-    Exact while 0 <= key - first < 2^53; beyond that it is rounded, but
-    still never decreases as the key grows.
+    ``(hi - first_hi) * 2^32 + (lo - first_lo)``, rounded once, so exact
+    while key - first < 2^53. Above 2^53, float64 rounds the k-mer
+    difference, and unequal ones can round alike; there the loc difference
+    is dropped, as it could put a key below a smaller one. So ``d`` never
+    decreases as the key grows.
     """
-    d_hi = hi.view(np.int64) - first_hi.view(np.int64)
-    d_hi -= lo < first_lo  # borrow from the low word
-    d = d_hi * _TWO64
-    del d_hi
-    d += lo - first_lo  # the low word of the difference, mod 2^64
+    a = hi - first_hi
+    d = a.astype(np.float64)
+    d *= 2.0**32
+    loc = lo.astype(np.int64)
+    loc -= first_lo
+    loc[a > 2**53] = 0
+    d += loc
     return d
 
 
@@ -72,7 +75,7 @@ def predict(start, last, slope, intercept, d: np.ndarray) -> np.ndarray:
 class RmiLayer:
     """Per-partition models plus each partition's first key.
 
-    ``boundary_hi/lo`` are the packed-key words of the partition minima, the
+    ``boundary_hi/lo`` are the key columns of the partition minima, the
     keys at ``starts``; ``target_size`` is the number of keys fit.
     """
 
@@ -80,8 +83,8 @@ class RmiLayer:
     slopes: np.ndarray  # float64, >= 0
     intercepts: np.ndarray  # float64
     max_errors: np.ndarray  # int64: max |predict - position| over the partition
-    boundary_hi: np.ndarray  # uint64, ascending
-    boundary_lo: np.ndarray  # uint64
+    boundary_hi: np.ndarray  # uint64 k-mer codes, ascending
+    boundary_lo: np.ndarray  # uint32 loc fields
     target_size: int
 
     sizes: np.ndarray = field(init=False)  # int64: fit inputs per partition
@@ -128,7 +131,7 @@ class Rmi:
         """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
 
         One ``searchsorted`` of the keys' top words; where a key's top word
-        ties with its leaf boundary's, the two full words decide, stepping
+        ties with its leaf boundary's, the full keys decide, stepping
         back over tied boundaries that are above the key.
         """
         leaf = self.leaf

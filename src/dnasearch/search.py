@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, SaInterval, backward_search, backward_search_batch
-from dnasearch.ipbwt import IpBwt, key_words, lower_bound_batch
+from dnasearch.ipbwt import IpBwt, lower_bound_batch
 from dnasearch.rmi import Rmi
 from dnasearch.seqcore import Query
 
@@ -141,8 +141,8 @@ def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
         pad = 2 * (k - chunk_len)
         low_bits = chunk_bits << np.uint64(pad)
         high_bits = low_bits | np.uint64((1 << pad) - 1)
-        key_hi, key_lo = key_words(np.concatenate([low_bits, high_bits]),
-                                   np.concatenate([low + chunk_len, high + k]))
+        key_hi = np.concatenate([low_bits, high_bits])
+        key_lo = np.concatenate([low + chunk_len, high + k], dtype=np.uint32, casting="unsafe")
         window = _rmi_window(engine, key_hi, key_lo) if mode == "rmi" else ()
         bounds = lower_bound_batch(ix, key_hi, key_lo, *window)
         low, high = bounds[:nq], bounds[nq:]
@@ -180,7 +180,7 @@ def batch_search(engine: SearchEngine, queries: list[Query], mode: str = "rmi") 
     """Search a fixed-length batch; invalid queries yield None.
 
     Semantically identical to mapping exact_search over the batch; runs in
-    ceil(|Q|/K) rounds over all still-active queries.
+    ceil(|Q|/K) rounds, each over every query.
     """
     engine.require_mode(mode)
     valid = [q for q in queries if q.valid]

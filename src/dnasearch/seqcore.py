@@ -1,4 +1,4 @@
-"""DNA alphabet handling, 2-bit codes, FASTA/query ingestion, query generation.
+"""DNA alphabet handling, FASTA/query ingestion, query generation.
 
 Two code conventions coexist:
 
@@ -12,23 +12,19 @@ All stored sequences (``Reference.ranks``, ``Query.ranks``) use ranks.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Union
+from dataclasses import dataclass
+from typing import BinaryIO, Union
 
 import numpy as np
 
 SENTINEL_RANK = 0
 ALPHABET = "ACGT"
-SENTINEL_CHAR = "$"
 RANK_TO_CHAR = "$ACGT"
 
-_CHAR_TO_BASE = {c: i for i, c in enumerate(ALPHABET)}
-_CHAR_TO_BASE.update({c.lower(): i for i, c in enumerate(ALPHABET)})
-
-# byte-value -> rank lookup; 255 marks invalid bytes
+# byte-value -> rank lookup, either case; 255 marks invalid bytes
 _BYTE_TO_RANK = np.full(256, 255, dtype=np.uint8)
-for _c, _i in _CHAR_TO_BASE.items():
-    _BYTE_TO_RANK[ord(_c)] = _i + 1
+for _i, _c in enumerate(ALPHABET):
+    _BYTE_TO_RANK[ord(_c)] = _BYTE_TO_RANK[ord(_c.lower())] = _i + 1
 
 
 class SequenceError(ValueError):
@@ -94,25 +90,6 @@ class Query:
     def __len__(self) -> int:
         return 0 if self.ranks is None else int(self.ranks.size)
 
-    def text(self) -> str:
-        if self.ranks is None:
-            return ""
-        return "".join(RANK_TO_CHAR[r] for r in self.ranks)
-
-
-def encode_base(c: str) -> int:
-    """2-bit code of a single base character; case-insensitive."""
-    code = _CHAR_TO_BASE.get(c)
-    if code is None:
-        raise InvalidCharacterError(c, 0)
-    return code
-
-
-def decode_base(code: int) -> str:
-    if not 0 <= code <= 3:
-        raise ValueError(f"base code out of range: {code}")
-    return ALPHABET[code]
-
 
 def encode_ranks(seq: Union[str, bytes], line: int | None = None) -> np.ndarray:
     """Encode a base string to a rank array, rejecting anything outside ACGT."""
@@ -125,10 +102,6 @@ def encode_ranks(seq: Union[str, bytes], line: int | None = None) -> np.ndarray:
         off = int(bad[0])
         raise InvalidCharacterError(chr(raw[off]), off, line)
     return ranks
-
-
-def ranks_to_text(ranks: Iterable[int]) -> str:
-    return "".join(RANK_TO_CHAR[r] for r in ranks)
 
 
 def _as_stream(source: Union[bytes, str, BinaryIO]) -> BinaryIO:
@@ -200,29 +173,11 @@ def parse_queries(source: Union[bytes, str, BinaryIO]) -> list[Query]:
     return queries
 
 
-def generate_queries(ref: Reference, length: int, count: int, seed: int) -> list[Query]:
-    """Sample ``count`` substrings of the reference (sentinel excluded).
-
-    Start positions are uniform over [0, n-1-length]; deterministic for a
-    fixed seed.
-    """
-    if not 1 <= length <= ref.n - 1:
-        raise SequenceError(
-            f"query length {length} out of range for reference of {ref.n - 1} bases"
-        )
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, ref.n - length, size=count)  # high exclusive: n-1-length inclusive
-    return [
-        Query(qid=i, ranks=ref.ranks[s : s + length].copy())
-        for i, s in enumerate(starts)
-    ]
-
-
 def generate_query_matrix(ref: Reference, length: int, count: int, seed: int) -> np.ndarray:
-    """Same sampling as :func:`generate_queries`, returned as a rank matrix.
+    """Sample ``count`` substrings of the reference (sentinel excluded) as a rank matrix.
 
-    The result has shape ``(count, length)`` and dtype uint8; row i equals the
-    ranks of query i produced by ``generate_queries`` with the same seed.
+    Start positions are uniform over [0, n-1-length]; the result has shape
+    ``(count, length)`` and dtype uint8, and is deterministic for a fixed seed.
     """
     if not 1 <= length <= ref.n - 1:
         raise SequenceError(

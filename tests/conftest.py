@@ -9,6 +9,7 @@ import pytest
 
 from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE
 from dnasearch.index_io import _HEADER
+from dnasearch.ipbwt import MAX_K
 from dnasearch.seqcore import Reference, encode_ranks
 from dnasearch.search import build_engine
 
@@ -119,9 +120,9 @@ def expected_key(kmer, loc, k):
 
 
 def words(keys):
-    """Integer keys as (hi, lo) uint64 word arrays."""
-    hi = np.array([key >> 64 for key in keys], dtype=np.uint64)
-    lo = np.array([key & (2**64 - 1) for key in keys], dtype=np.uint64)
+    """Integer keys as (k-mer, loc) column arrays: uint64 codes and uint32 loc fields."""
+    hi = np.array([key >> 32 for key in keys], dtype=np.uint64)
+    lo = np.array([key & 0xFFFFFFFF for key in keys], dtype=np.uint32)
     return hi, lo
 
 
@@ -152,15 +153,17 @@ SECTIONS = ("sa", "bwt_occ", "ipbwt", "rmi")
 def index_sections(data) -> dict[str, tuple[int, int]]:
     """Byte range [start, end) of each section of a saved index; its CRC-32 follows at end.
 
-    The model section's size comes from its leaf count, so bytes appended
-    after the last checksum belong to no section.
+    The header's range starts at the magic. The model section's size comes
+    from its leaf count, so bytes appended after the last checksum belong
+    to no section.
     """
     _, _, n, flags, _, _ = _HEADER.unpack_from(data, 4)
     nblocks = -(-n // OCC_STRIDE)
-    pos = 4 + _HEADER.size
+    pos = 0
     out = {}
-    for name, size in (("sa", 4 * n), ("bwt_occ", n + 4 * NUM_RANKS * nblocks),
-                       ("ipbwt", 16 * n), ("rmi", None)):
+    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n),
+                       ("bwt_occ", n + 4 * NUM_RANKS * nblocks), ("ipbwt", 12 * n),
+                       ("rmi", None)):
         if size is None:
             size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little") if flags & 1 else 0
         out[name] = (pos, pos + size)
@@ -186,6 +189,7 @@ STRUCTURE_DAMAGE = {
     "intercept_nan": "intercepts",
     "error_over_n": "maximum errors",
     "keys_unsorted": "keys out of order",
+    "first_key_raised": "first key",
     "trailing_bytes": "trailing bytes",
 }
 
@@ -193,12 +197,14 @@ STRUCTURE_DAMAGE = {
 def damage_index(path, how: str) -> None:
     """Rewrite a saved index file with one defect.
 
-    ``version_<d>``: the header says version d.
     ``flip_<section>``: one bit flipped inside the section, its checksum
-    left as it was (in ``ipbwt``, bit 0 of the middle row's high key word).
+    left as it was (in ``ipbwt``, bit 0 of the middle row's k-mer).
+    ``header_k``: the header's K is one less, its checksum left as it was.
     The other kinds rewrite the damaged section's checksum to match, so
-    that only a structure check can see them:
+    that only a version or structure check can see them:
 
+    * ``version_<d>``: the header says version d;
+    * ``k_out_of_range``: the header's K is MAX_K + 1;
     * ``sa_out_of_range``, ``sa_duplicate``: one flipped suffix-array byte
       makes a value out of [0, n) or equal to another row's;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
@@ -208,26 +214,34 @@ def damage_index(path, how: str) -> None:
     * ``error_over_n``: leaf 0's maximum error is n + 1;
     * ``error_raised``: the middle leaf's maximum error is one too large,
       which loads but fails the audit;
-    * ``keys_unsorted``: the IP-BWT rows n // 2 and n // 2 + 1 trade places.
+    * ``keys_unsorted``: the IP-BWT rows n // 2 and n // 2 + 1 trade places;
+    * ``first_key_raised``: IP-BWT row 0 takes row 1's key, so the keys
+      still never decrease but start above (0, 0).
 
     ``trailing_bytes`` appends four bytes after the last checksum.
     """
     data = bytearray(path.read_bytes())
     sections = index_sections(data)
     section = "rmi"
-    if how.startswith("version_"):
-        data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")
-    elif how.startswith("flip_"):
+    if how.startswith("flip_"):
         start, end = sections[how[len("flip_"):]]
         if how == "flip_ipbwt":
-            n = (end - start) // 16
+            n = (end - start) // 12
             data[start + 8 * (n // 2)] ^= 0x01
         else:
             data[(start + end) // 2] ^= 0x10
+    elif how == "header_k":
+        data[6:8] = (int.from_bytes(data[6:8], "little") - 1).to_bytes(2, "little")
     elif how == "trailing_bytes":
         data += b"junk"
     else:
-        if how in ("sa_out_of_range", "sa_duplicate"):
+        if how.startswith("version_") or how == "k_out_of_range":
+            section = "header"
+            if how == "k_out_of_range":
+                data[6:8] = (MAX_K + 1).to_bytes(2, "little")
+            else:
+                data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")
+        elif how in ("sa_out_of_range", "sa_duplicate"):
             section = "sa"
             sa_start = sections["sa"][0]
             if how == "sa_out_of_range":
@@ -236,12 +250,17 @@ def damage_index(path, how: str) -> None:
                 sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
                 i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
                 data[sa_start + 4 * i] ^= 0x01
-        elif how == "keys_unsorted":
+        elif how in ("keys_unsorted", "first_key_raised"):
             section = "ipbwt"
             start, end = sections["ipbwt"]
-            keys = np.frombuffer(data, "<u8", (end - start) // 8, start).reshape(2, -1)
-            i = keys.shape[1] // 2
-            keys[:, [i, i + 1]] = keys[:, [i + 1, i]]
+            n = (end - start) // 12
+            for col in (np.frombuffer(data, "<u8", n, start),
+                        np.frombuffer(data, "<u4", n, start + 8 * n)):
+                if how == "keys_unsorted":
+                    i = n // 2
+                    col[[i, i + 1]] = col[[i + 1, i]]
+                else:
+                    col[0] = col[1]
         else:
             leaf = leaf_arrays(data)
             if how == "starts_swapped":

@@ -89,6 +89,12 @@ class TestBuild:
         write_fasta_file(fasta, "ACGT")
         assert main(["build", str(fasta), "--k", "10", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
+    def test_k_up_to_32(self, tmp_path, capsys):
+        fasta = tmp_path / "r.fa"
+        write_fasta_file(fasta, random_bases(np.random.default_rng(3), 300))
+        assert main(["build", str(fasta), "--k", "32", "--out", str(tmp_path / "o")]) == 0
+        assert main(["build", str(fasta), "--k", "33", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
+
 
 class TestQuery:
     def test_locate_golden(self, tmp_path, capsys):
@@ -182,6 +188,7 @@ class TestQuery:
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
+                                     "version_5", "header_k", "k_out_of_range",
                                      "sa_out_of_range", "sa_duplicate", "flip_sa",
                                      "flip_bwt_occ", "flip_ipbwt", "flip_rmi",
                                      *STRUCTURE_DAMAGE])

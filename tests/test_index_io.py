@@ -66,7 +66,7 @@ class TestRoundTrip:
         save_index(path, engine)
         loaded, _, _ = load_index(path)
         # the k rows whose k-mer reaches the sentinel have loc fields below k
-        rows = np.flatnonzero((engine.ipbwt.key_lo & np.uint64(0xFFFFFFFF)) < 3)
+        rows = np.flatnonzero(engine.ipbwt.key_lo < 3)
         assert rows.size == 3
         assert np.array_equal(loaded.ipbwt.key_hi[rows], engine.ipbwt.key_hi[rows])
         assert np.array_equal(loaded.ipbwt.key_lo[rows], engine.ipbwt.key_lo[rows])
@@ -110,17 +110,33 @@ class TestCorruption:
             load_index(str(path))
 
     # version 1 keys have another meaning, version 2 models predict from
-    # absolute keys, version 3 stores no maximum errors and version 4 stores
-    # a layer count, upper layers and boundary keys: each would misread
-    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4"])
+    # absolute keys, version 3 stores no maximum errors, version 4 stores
+    # a layer count, upper layers and boundary keys, and version 5 stores
+    # two 64-bit words per key and no header checksum: each would misread
+    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
+                                     "version_5"])
     def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
         path = tmp_path / "old.idx"
+        save_index(str(path), engine)
+        damage_index(path, how)  # the header checksum is rewritten to match
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "header"
+        assert "unsupported version" in str(exc.value)
+
+    @pytest.mark.parametrize("how, words", [("header_k", "checksum"),
+                                            ("k_out_of_range", "outside")])
+    def test_header_damage_refused(self, engine_and_ref, tmp_path, how, words):
+        # a K that is wrong but in range would misread every rmi and binary row
+        engine, ref = engine_and_ref
+        path = tmp_path / "k.idx"
         save_index(str(path), engine)
         damage_index(path, how)
         with pytest.raises(CorruptIndexError) as exc:
             load_index(str(path))
         assert exc.value.section == "header"
+        assert words in str(exc.value)
 
     @pytest.mark.parametrize("section", SECTIONS)
     def test_bit_flip_refused(self, engine_and_ref, tmp_path, section):
@@ -140,8 +156,10 @@ class TestCorruption:
         sections = index_sections(path.read_bytes())
         # each size counts the section's 4-byte checksum
         assert {name: end - start + 4 for name, (start, end) in sections.items()} == {
-            name: sizes[name] for name in SECTIONS
+            name: sizes[name] for name in ("header", *SECTIONS)
         }
+        assert sections["header"][0] == 0
+        assert sections["ipbwt"][1] - sections["ipbwt"][0] == 12 * engine.ipbwt.n
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 
@@ -167,5 +185,6 @@ def test_structure_damage_refused(engine_and_ref, tmp_path, how):
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    assert exc.value.section == ("ipbwt" if how == "keys_unsorted" else "rmi")
+    assert exc.value.section == ("ipbwt" if how in ("keys_unsorted", "first_key_raised")
+                                 else "rmi")
     assert STRUCTURE_DAMAGE[how] in str(exc.value)

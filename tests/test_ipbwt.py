@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.ipbwt import IpBwtError, build_ipbwt, key_words, lower_bound_batch, top_words
+from dnasearch.ipbwt import IpBwtError, build_ipbwt, lower_bound_batch, top_words
 from dnasearch.seqcore import encode_ranks
 
 from conftest import (
@@ -21,26 +21,27 @@ from conftest import (
 
 
 def table_keys(ix):
-    return [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
+    return [(int(h) << 32) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
 
 
 class TestKeyEncoding:
     def test_golden_encode(self):
-        # k-mer ATT with loc field 5: 2-bit codes 00 11 11 over 32 loc bits
-        hi, lo = key_words(np.array([0b001111], dtype=np.uint64), np.array([5]))
-        assert (int(hi[0]), int(lo[0])) == (0, 64424509445)
-        # k-mer bits above 32 move to the high word
-        hi, lo = key_words(np.array([(1 << 40) | 3], dtype=np.uint64), np.array([7]))
-        assert (int(hi[0]), int(lo[0])) == (256, (3 << 32) | 7)
+        # ACGT$ at K=2, rows $A, AC, CG, GT, T$: 2-bit k-mer codes (the
+        # sentinel as A) in a uint64 column, loc fields in a uint32 column:
+        # the continuation row + 2, or the distance to the sentinel
+        ref = make_reference("ACGT")
+        ix = build_ipbwt(ref, build_suffix_array(ref), k=2)
+        assert (ix.key_hi.dtype, ix.key_lo.dtype) == (np.uint64, np.uint32)
+        assert ix.key_hi.tolist() == [0, 0b0001, 0b0110, 0b1011, 0b1100]
+        assert ix.key_lo.tolist() == [0, 3 + 2, 4 + 2, 0 + 2, 1]
 
     def test_sentinel_shares_code_with_a(self):
-        # CAA$ at K=2, rows $C, A$, AA, CA: the first three pack to k-mer AA;
+        # CAA$ at K=2, rows $C, A$, AA, CA: the first three have k-mer AA;
         # loc fields 0 and 1 (sentinel offsets) order the sentinel rows first
         ref = make_reference("CAA")
         ix = build_ipbwt(ref, build_suffix_array(ref), k=2)
-        assert ix.key_hi.tolist() == [0, 0, 0, 0]
-        assert (ix.key_lo >> np.uint64(32)).tolist() == [0, 0, 0, 0b0100]
-        assert (ix.key_lo & np.uint64(0xFFFFFFFF)).tolist() == [0, 1, 2, 3]
+        assert ix.key_hi.tolist() == [0, 0, 0, 0b0100]
+        assert ix.key_lo.tolist() == [0, 1, 2, 3]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -56,8 +57,19 @@ class TestKeyEncoding:
         assert keys == [expected_key(kmer, loc, k) for kmer, loc in brute_entries(ref.ranks, k)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k32_keys_match_brute_force(self, seed):
+        # 2K = 64: the k-mer fills its whole uint64 column
+        rng = np.random.default_rng(seed)
+        ref = repetitive_reference(rng, 80) if seed % 2 else random_reference(rng, 60)
+        while ref.n - 1 < 33:
+            ref = repetitive_reference(rng, 80)
+        ix = build_ipbwt(ref, build_suffix_array(ref), k=32)
+        keys = table_keys(ix)
+        assert keys == [expected_key(kmer, loc, 32) for kmer, loc in brute_entries(ref.ranks, 32)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
-    @given(st.integers(1, 28), st.integers(2, 2**31), st.data())
+    @given(st.integers(1, 32), st.integers(2, 2**31), st.data())
     @settings(max_examples=200, deadline=None)
     def test_top_words_keep_key_order(self, k, n, data):
         key = st.tuples(st.integers(0, 4**k - 1), st.integers(0, n + k))
@@ -85,8 +97,7 @@ class TestBuild:
         ref = make_reference("CATTATTAGGA")
         sa = build_suffix_array(ref)
         ix = build_ipbwt(ref, sa, k=3)
-        loc_field = ix.key_lo & np.uint64(0xFFFFFFFF)
-        assert int(np.count_nonzero(loc_field < 3)) == 3  # k rows see the sentinel
+        assert int(np.count_nonzero(ix.key_lo < 3)) == 3  # k rows see the sentinel
 
     def test_k_validation(self):
         ref = make_reference("ACGT")
@@ -95,8 +106,10 @@ class TestBuild:
             build_ipbwt(ref, sa, k=0)
         with pytest.raises(IpBwtError):
             build_ipbwt(ref, sa, k=ref.n)
+        long_ref = make_reference("ACGT" * 10)
+        build_ipbwt(long_ref, build_suffix_array(long_ref), k=32)
         with pytest.raises(IpBwtError):
-            build_ipbwt(ref, sa, k=29)
+            build_ipbwt(long_ref, build_suffix_array(long_ref), k=33)
 
 
 class TestLowerBound:

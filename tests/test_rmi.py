@@ -34,8 +34,9 @@ from conftest import (
 )
 
 # top words are exact up to K = 16 whatever n; at K = 28 they cut loc bits
-# once n + K >= 256 (2K + bit_length(n + K) > 64)
-BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28)
+# once n + K >= 256 (2K + bit_length(n + K) > 64), and at K = 32 they are
+# the k-mer alone
+BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28, 32)
 
 
 def build_pair(rng, n_bases, k):
@@ -49,26 +50,35 @@ def layer_mean_errors(layer, hi, lo):
     return np.add.reduceat(key_errors(layer, hi, lo), layer.starts) / layer.sizes
 
 
-class TestRelativeKeys:
-    def test_borrow_from_the_low_word(self):
-        # (2, 0) - (1, 2^64 - 1) = 1; (5, 3) - (4, 7) = 2^64 - 4
-        hi, lo = words([(2 << 64) | 0, (5 << 64) | 3])
-        first_hi, first_lo = words([(1 << 64) | (2**64 - 1), (4 << 64) | 7])
-        assert relative_keys(hi, lo, first_hi, first_lo).tolist() == [1.0, float(2**64 - 4)]
+# keys of K = 32: a 64-bit k-mer above a 32-bit loc field
+KEY_BITS = 96
 
-    @given(st.integers(0, 2**88 - 1), st.integers(0, 2**53 - 1))
+
+class TestRelativeKeys:
+    @given(st.integers(0, 2**KEY_BITS - 2**53), st.integers(0, 2**53 - 1))
     @settings(max_examples=200, deadline=None)
     def test_exact_below_2_53(self, first, diff):
         key = first + diff
         (d,) = relative_keys(*words([key]), *words([first]))
         assert d == diff  # exact: compares the float with the integer
 
-    @given(st.integers(0, 2**88 - 1), st.integers(0, 2**88 - 1))
+    @given(st.integers(0, 2**KEY_BITS - 1), st.integers(0, 2**KEY_BITS - 1))
     @settings(max_examples=200, deadline=None)
     def test_matches_integer_subtraction(self, a, b):
         first, key = min(a, b), max(a, b)
         (d,) = relative_keys(*words([key]), *words([first]))
         assert math.isclose(d, key - first, rel_tol=2.0**-52)
+
+    def test_never_decreases_where_kmer_difference_rounds(self):
+        # k-mer differences 2^53 and 2^53 + 1 both round to 2^53; the loc
+        # difference must not then put the larger key below the smaller
+        first = 2**32 - 1  # k-mer 0, loc field 2^32 - 1
+        keys = [(kmer << 32) | loc for kmer in (2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2)
+                for loc in (0, 2**31, 2**32 - 1)]
+        hi, lo = words(keys)
+        first_hi, first_lo = words([first] * len(keys))
+        d = relative_keys(hi, lo, first_hi, first_lo)
+        assert np.all(np.diff(d) >= 0), d
 
 
 class TestLinearModel:
@@ -206,7 +216,7 @@ class TestBuild:
 
 
 def table_keys(ix):
-    return [(int(h) << 64) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
+    return [(int(h) << 32) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
 
 
 def stream_bounds(engine, keys):
@@ -250,7 +260,8 @@ def probe_keys(rng, ix, k):
     for i in rng.integers(0, len(keys), size=40).tolist():
         probes.add((keys[i] >> 32 << 32) | int(rng.integers(0, top_loc + 1)))
     for _ in range(40):
-        probes.add(int(rng.integers(0, 4**k)) << 32 | int(rng.integers(0, top_loc + 1)))
+        probes.add(int(rng.integers(0, 4**k, dtype=np.uint64)) << 32
+                   | int(rng.integers(0, top_loc + 1)))
         short = int(rng.integers(0, k))
         chunk = int(rng.integers(0, 4**short))
         pad = 2 * (k - short)
@@ -264,7 +275,7 @@ def check_locate_and_window(engine, keys):
     ix, rmi = engine.ipbwt, engine.rmi
     leaf = rmi.leaf
     hi, lo = words(keys)
-    bounds = [(int(h) << 64) | int(l) for h, l in zip(leaf.boundary_hi, leaf.boundary_lo)]
+    bounds = [(int(h) << 32) | int(l) for h, l in zip(leaf.boundary_hi, leaf.boundary_lo)]
     part = rmi.locate(hi, lo)
     assert part.tolist() == [max(bisect.bisect_right(bounds, key) - 1, 0) for key in keys]
 

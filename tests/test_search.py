@@ -231,3 +231,32 @@ class TestRepetitiveText:
                     assert (int(low[i]), int(high[i])) == expected, (mode, qm[i])
                     rows = engine.fm.sa[low[i] : high[i]]
                     assert set(rows.tolist()) == naive_positions(ref.ranks, qm[i])
+
+
+class TestLongestChunk:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k32_all_modes_match_oracle(self, seed):
+        # K = 32, where the k-mer fills its whole 64-bit column: query lengths
+        # below, at and across one and two chunks, on texts of at least 33 bases
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            ref = repetitive_reference(rng, 90)
+            while ref.n - 1 < 33:
+                ref = repetitive_reference(rng, 90)
+        else:
+            ref = random_reference(rng, int(rng.integers(33, 90)))
+        body = ref.ranks[:-1]
+        engine = build_engine(ref, k=32)
+        for qlen in (12, 32, 33, 65):
+            starts = rng.integers(0, max(body.size - qlen, 0) + 1, size=4)
+            present = [body[s : s + qlen] for s in starts if s + qlen <= body.size]
+            suffix = [body[-qlen:]] if qlen <= body.size else []  # ends at the sentinel
+            other = [rng.choice(np.unique(body), size=qlen), rng.integers(1, 5, size=qlen)]
+            qm = np.array(present + suffix + other, dtype=np.uint8)
+            expected = [naive_interval(ref.ranks, q) for q in qm]
+            for mode in MODES:
+                low, high = batch_search_matrix(engine, qm, mode=mode)
+                assert list(zip(low.tolist(), high.tolist())) == expected, (mode, qlen)
+                for i in range(qm.shape[0]):
+                    rows = engine.fm.sa[low[i] : high[i]]
+                    assert set(rows.tolist()) == naive_positions(ref.ranks, qm[i]), (mode, qlen)

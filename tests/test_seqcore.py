@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.seqcore import (
+    RANK_TO_CHAR,
     EmptyInputError,
     InvalidCharacterError,
     Query,
     Reference,
     SequenceError,
-    decode_base,
-    encode_base,
     encode_ranks,
-    generate_queries,
     generate_query_matrix,
     load_fasta,
     parse_queries,
-    ranks_to_text,
     write_fasta,
 )
 
@@ -26,13 +23,6 @@ bases_st = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
 
 class TestEncoding:
-    def test_base_codes(self):
-        assert [encode_base(c) for c in "ACGT"] == [0, 1, 2, 3]
-
-    def test_decode_round_trip(self):
-        for c in "ACGT":
-            assert decode_base(encode_base(c)) == c
-
     def test_ranks_are_codes_plus_one(self):
         ranks = encode_ranks("ACGT")
         assert ranks.tolist() == [1, 2, 3, 4]
@@ -50,7 +40,7 @@ class TestEncoding:
     @given(bases_st)
     @settings(max_examples=50, deadline=None)
     def test_text_round_trip(self, text):
-        assert ranks_to_text(encode_ranks(text)) == text
+        assert "".join(RANK_TO_CHAR[r] for r in encode_ranks(text)) == text
 
 
 class TestReference:
@@ -110,31 +100,27 @@ class TestQueries:
     def test_parse_valid_and_invalid_lines(self):
         qs = parse_queries(b"ACGT\nACNT\n\nTTTT\n")
         assert [q.qid for q in qs] == [0, 1, 2]
-        assert qs[0].valid and qs[0].text() == "ACGT"
+        assert qs[0].valid and np.array_equal(qs[0].ranks, encode_ranks("ACGT"))
         assert not qs[1].valid and qs[1].error is not None
-        assert qs[2].text() == "TTTT"
+        assert np.array_equal(qs[2].ranks, encode_ranks("TTTT"))
 
     def test_parse_empty_file(self):
         assert parse_queries(b"") == []
 
     def test_generate_deterministic(self):
-        ref = load_fasta(b">r\n" + b"ACGT" * 50 + b"\n")
-        a = generate_queries(ref, length=5, count=20, seed=3)
-        b = generate_queries(ref, length=5, count=20, seed=3)
-        assert all(np.array_equal(x.ranks, y.ranks) for x, y in zip(a, b))
+        # the same seed gives the same rows, another seed other rows
+        ref = load_fasta(b">r\n" + b"ACGTTGCAAC" * 50 + b"\n")
+        a = generate_query_matrix(ref, length=5, count=20, seed=3)
+        assert np.array_equal(a, generate_query_matrix(ref, length=5, count=20, seed=3))
+        assert not np.array_equal(a, generate_query_matrix(ref, length=5, count=20, seed=4))
 
     def test_generate_queries_are_substrings(self):
         ref = load_fasta(b">r\n" + b"ACGTTGCA" * 20 + b"\n")
-        for q in generate_queries(ref, length=6, count=30, seed=1):
-            assert q.text() in ref.bases()
-
-    def test_matrix_matches_query_list(self):
-        ref = load_fasta(b">r\n" + b"GATTACA" * 30 + b"\n")
-        qs = generate_queries(ref, length=7, count=25, seed=11)
-        qm = generate_query_matrix(ref, length=7, count=25, seed=11)
-        assert qm.shape == (25, 7)
-        for i, q in enumerate(qs):
-            assert np.array_equal(qm[i], q.ranks)
+        qm = generate_query_matrix(ref, length=6, count=30, seed=1)
+        assert qm.shape == (30, 6) and qm.dtype == np.uint8
+        text = ref.bases()
+        for row in qm:
+            assert "".join(RANK_TO_CHAR[r] for r in row) in text
 
     def test_seeded_workload_is_deterministic(self):
         ref = load_fasta(b">r\n" + b"TTGACCAGT" * 40 + b"\n")
@@ -145,7 +131,9 @@ class TestQueries:
     def test_generate_length_out_of_range(self):
         ref = load_fasta(b">r\nACGT\n")
         with pytest.raises(SequenceError):
-            generate_queries(ref, length=5, count=1, seed=0)
+            generate_query_matrix(ref, length=5, count=1, seed=0)
+        with pytest.raises(SequenceError):
+            generate_query_matrix(ref, length=0, count=1, seed=0)
 
     def test_query_len_and_valid(self):
         q = Query(qid=0, ranks=encode_ranks("ACG"))
