@@ -8,7 +8,6 @@ steps instead of |Q| single-character steps.
 
 from dnasearch.seqcore import (
     Reference,
-    Query,
     load_fasta,
     parse_queries,
     generate_query_matrix,
@@ -26,7 +25,6 @@ from dnasearch.search import (
 
 __all__ = [
     "Reference",
-    "Query",
     "load_fasta",
     "parse_queries",
     "generate_query_matrix",

@@ -1,5 +1,9 @@
 """Command-line front end: build indexes and run query batches.
 
+``query`` parses the query file into one rank array (:func:`parse_queries`)
+and searches it with one :func:`batch_search` call in every mode: ``fm``
+takes lines of any lengths, ``rmi`` and ``binary`` one length per file.
+
 Exit codes: 2 I/O or corrupt index, 3 invalid FASTA, 4 bad parameters,
 5 mixed-length batch in a batched mode.
 """
@@ -19,7 +23,6 @@ from dnasearch.search import (
     SearchEngine,
     batch_search,
     build_engine,
-    exact_search,
 )
 from dnasearch.seqcore import SequenceError, load_fasta, parse_queries
 
@@ -81,16 +84,15 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _format_results(results, engine, with_locate: bool, queries) -> list[str]:
+def _format_results(engine, low, high, valid, with_locate: bool) -> list[str]:
     lines = []
-    for q, iv in zip(queries, results):
-        if iv is None:
-            lines.append(f"{q.qid}\tINVALID")
+    for qid, (lo, hi, ok) in enumerate(zip(low.tolist(), high.tolist(), valid.tolist())):
+        if not ok:
+            lines.append(f"{qid}\tINVALID")
             continue
-        row = f"{q.qid}\t{iv.low}\t{iv.high}\t{len(iv)}"
+        row = f"{qid}\t{lo}\t{hi}\t{hi - lo}"
         if with_locate:
-            positions = sorted(fm_locate(engine.fm, iv))
-            row += "\t" + ",".join(str(p) for p in positions)
+            row += "\t" + ",".join(map(str, fm_locate(engine.fm, lo, hi).tolist()))
         lines.append(row)
     return lines
 
@@ -99,23 +101,13 @@ def cmd_query(args) -> int:
     try:
         engine, ref, meta = index_io.load_index(args.index)
         with open(args.queries, "rb") as fh:
-            queries = parse_queries(fh)
+            ranks, lengths = parse_queries(fh)
     except (OSError, index_io.CorruptIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        if args.mode == "fm":
-            lengths = {len(q) for q in queries if q.valid}
-            if len(lengths) <= 1:
-                results = batch_search(engine, queries, mode="fm")
-            else:
-                results = [
-                    exact_search(engine, q, mode="fm") if q.valid else None
-                    for q in queries
-                ]
-        else:
-            results = batch_search(engine, queries, mode=args.mode)
+        low, high, valid = batch_search(engine, ranks, lengths, mode=args.mode)
     except MixedLengthBatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MIXED
@@ -123,7 +115,7 @@ def cmd_query(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 
-    lines = _format_results(results, engine, args.locate, queries)
+    lines = _format_results(engine, low, high, valid, args.locate)
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         try:

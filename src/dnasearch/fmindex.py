@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.seqcore import Query, Reference
+from dnasearch.seqcore import Reference
 
 OCC_STRIDE = 64  # checkpoint spacing; one 64-bit occurrence bitmap word per block
 NUM_RANKS = 5  # sentinel + ACGT
@@ -153,12 +153,12 @@ def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     return FmIndex(n=ref.n, sa=sa, bwt=bwt, d=d, checkpoints=checkpoints, occ_bits=bits)
 
 
-def backward_search(fm: FmIndex, query: Query | np.ndarray) -> SaInterval:
-    """Classic one-character-at-a-time FM-index search.
+def backward_search(fm: FmIndex, ranks: np.ndarray) -> SaInterval:
+    """Classic one-character-at-a-time FM-index search of one query's ranks.
 
-    An empty interval keeps stepping, so an absent query ends at its insertion point.
+    An empty interval keeps stepping, so an absent query ends at its insertion
+    point. The scalar reference that :func:`backward_search_batch` must equal.
     """
-    ranks = query.ranks if isinstance(query, Query) else query
     low, high = 0, fm.n
     for c in ranks[::-1]:
         low = fm.fm_step(int(c), low)
@@ -178,6 +178,6 @@ def backward_search_batch(fm: FmIndex, qmatrix: np.ndarray) -> tuple[np.ndarray,
     return low, high
 
 
-def locate(fm: FmIndex, interval: SaInterval) -> set[int]:
-    """Reference positions of the rows in the interval."""
-    return {int(p) for p in fm.sa[interval.low : interval.high]}
+def locate(fm: FmIndex, low: int, high: int) -> np.ndarray:
+    """Reference positions of the rows [low, high), ascending."""
+    return np.sort(fm.sa[low:high])

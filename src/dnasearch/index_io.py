@@ -23,11 +23,12 @@ keys relative to their partition's first key (see ``dnasearch.rmi``) and
 added the checksums; version 2 changed the meaning of the keys (see
 ``dnasearch.ipbwt``). Files of other versions are refused. ``load_index``
 checks every checksum, then the structure the checksums cannot vouch for:
-K lies in [1, min(MAX_K, n - 1)], the suffix array is a permutation of
-[0, n), the keys never decrease from (0, 0), leaf starts rise strictly
-from 0 below n, slopes are finite and >= 0, intercepts finite, maximum
-errors in [0, n], and no bytes follow the last section. Any failure
-raises :class:`CorruptIndexError` naming the section.
+K lies in [1, min(MAX_K, n - 1)], alpha_leaf is finite and > 0 when the
+RMI is present, the suffix array is a permutation of [0, n), the keys
+never decrease from (0, 0), leaf starts rise strictly from 0 below n,
+slopes are finite and >= 0, intercepts finite, maximum errors in [0, n],
+and no bytes follow the last section. Any failure raises
+:class:`CorruptIndexError` naming the section.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         sec.close()
         _require(stride == OCC_STRIDE, "header", f"unsupported checkpoint stride {stride}")
         _require(1 <= k <= min(MAX_K, n - 1), "header", f"K={k} outside [1, min({MAX_K}, n - 1)]")
+        _require(not flags & 1 or (np.isfinite(alpha_leaf) and alpha_leaf > 0), "header",
+                 f"alpha_leaf={alpha_leaf} is not finite and > 0")
 
         sec = _SectionReader(fh, "sa", file_size)
         sa = sec.array("<u4", n)

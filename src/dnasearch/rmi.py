@@ -189,8 +189,8 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     A partition stops at size <= 2 or mean absolute error <= alpha; on an
     odd size the left half takes the extra element.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     starts = np.zeros(1, dtype=np.int64)
     sizes = np.array([hi.size], dtype=np.int64)
     done_starts, done_slopes, done_intercepts, done_max = [], [], [], []

@@ -1,10 +1,15 @@
-"""Chunked exact search over the IP-BWT, single-query and batched.
+"""Chunked exact search over the IP-BWT, a batch of queries at a time.
+
+A batch is a matrix of base ranks, one query per row
+(:func:`batch_search_matrix`), or queries of any lengths laid back to back
+in one rank array (:func:`batch_search`, which searches one matrix per
+length); a single query is a one-row batch.
 
 A query is processed right-to-left in chunks of K characters; each chunk
 costs one lower-bound evaluation per interval bound, exact with no
-correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). Batched
-search sorts the batch once by its first chunk and runs blocks of that
-order, one round per chunk. Every lower bound is one branchless bisection
+correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). A batch
+is sorted once by its first chunk and run in blocks of that order, one
+round per chunk. Every lower bound is one branchless bisection
 (:func:`dnasearch.ipbwt.lower_bound_batch`): over the whole table in
 ``binary`` mode; in ``rmi`` mode over a window around the prediction of the
 key's leaf model (found by :meth:`dnasearch.rmi.Rmi.locate`), as wide as
@@ -17,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.fmindex import FmIndex, SaInterval, backward_search, backward_search_batch
+from dnasearch.fmindex import FmIndex, SaInterval, backward_search_batch
 from dnasearch.ipbwt import IpBwt, lower_bound_batch
 from dnasearch.rmi import Rmi
-from dnasearch.seqcore import Query
 
 MODES = ("rmi", "binary", "fm")
 
@@ -64,15 +68,8 @@ def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0, with_rmi: bool = Tru
     return SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
 
 
-def exact_search(engine: SearchEngine, query: Query | np.ndarray, mode: str = "rmi") -> SaInterval:
-    """Single-query search; identical results to FM backward search.
-
-    ``rmi`` and ``binary`` run a one-row batch.
-    """
-    engine.require_mode(mode)
-    if mode == "fm":
-        return backward_search(engine.fm, query)
-    ranks = query.ranks if isinstance(query, Query) else query
+def exact_search(engine: SearchEngine, ranks: np.ndarray, mode: str = "rmi") -> SaInterval:
+    """Search one query of base ranks (1..4), as a one-row batch."""
     low, high = batch_search_matrix(engine, np.asarray(ranks, dtype=np.uint8)[None, :], mode)
     return SaInterval(int(low[0]), int(high[0]))
 
@@ -154,8 +151,11 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     """Batched search over rows of base ranks (1..4); returns (low, high) arrays.
 
     An absent query gets the empty interval at its insertion point, as in FM search.
+    Raises :class:`SearchError` for any other shape or value, such as base codes 0..3.
     """
     engine.require_mode(mode)
+    if qmatrix.ndim != 2 or qmatrix.size and (qmatrix.min() < 1 or qmatrix.max() > 4):
+        raise SearchError("a batch must be a 2-D array of base ranks 1..4")
     n = engine.ipbwt.n
     nq, qlen = qmatrix.shape
     if qlen == 0 or nq == 0:
@@ -176,23 +176,27 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     return low, high
 
 
-def batch_search(engine: SearchEngine, queries: list[Query], mode: str = "rmi") -> list[SaInterval | None]:
-    """Search a fixed-length batch; invalid queries yield None.
+def batch_search(engine: SearchEngine, ranks: np.ndarray, lengths: np.ndarray,
+                 mode: str = "rmi") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search queries laid back to back in ``ranks``, of ``lengths``; returns (low, high, valid).
 
-    Semantically identical to mapping exact_search over the batch; runs in
-    ceil(|Q|/K) rounds, each over every query.
+    A query is valid when it holds no rank 255 (a byte outside ACGT, see
+    :func:`dnasearch.seqcore.parse_queries`); an invalid one gets [0, 0).
+    Valid queries are searched one matrix per length, which ``rmi`` and
+    ``binary`` require to be one length.
     """
     engine.require_mode(mode)
-    valid = [q for q in queries if q.valid]
-    lengths = {len(q) for q in valid}
-    if len(lengths) > 1:
-        raise MixedLengthBatchError(f"batch mixes query lengths {sorted(lengths)}")
-    results: list[SaInterval | None] = [None] * len(queries)
-    if not valid:
-        return results
-    qlen = lengths.pop()
-    qmatrix = np.array([q.ranks for q in valid], dtype=np.uint8).reshape(len(valid), qlen)
-    low, high = batch_search_matrix(engine, qmatrix, mode)
-    for q, l, h in zip(valid, low, high):
-        results[q.qid] = SaInterval(int(l), int(h))
-    return results
+    ends = np.cumsum(lengths)
+    valid = np.ones(lengths.size, dtype=bool)
+    valid[np.searchsorted(ends, np.flatnonzero(ranks == 255), side="right")] = False
+    qlens = np.unique(lengths[valid])
+    if mode != "fm" and qlens.size > 1:
+        raise MixedLengthBatchError(f"batch mixes query lengths {qlens.tolist()}")
+    low = np.zeros(lengths.size, dtype=np.int64)
+    high = np.zeros(lengths.size, dtype=np.int64)
+    for qlen in qlens.tolist():
+        rows = np.flatnonzero(valid & (lengths == qlen))
+        # each row is a window of the rank array: gathered as (m, qlen) bytes
+        qmatrix = np.lib.stride_tricks.sliding_window_view(ranks, qlen)[ends[rows] - qlen]
+        low[rows], high[rows] = batch_search_matrix(engine, qmatrix, mode)
+    return low, high, valid

@@ -6,7 +6,7 @@ Two code conventions coexist:
 * *ranks*: $=0, A=1, C=2, G=3, T=4 -- internal arrays where the sentinel
   must sort below every base. rank == base code + 1.
 
-All stored sequences (``Reference.ranks``, ``Query.ranks``) use ranks.
+The reference (``Reference.ranks``) and parsed query files use ranks.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ class Reference:
         return "".join(RANK_TO_CHAR[r] for r in self.ranks[:-1])
 
 
-@dataclass(frozen=True)
-class Query:
-    """One query in a batch. ``ranks`` is None when the line failed to parse."""
-
-    qid: int
-    ranks: np.ndarray | None
-    error: str | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.error is None
-
-    def __len__(self) -> int:
-        return 0 if self.ranks is None else int(self.ranks.size)
-
-
 def encode_ranks(seq: Union[str, bytes], line: int | None = None) -> np.ndarray:
     """Encode a base string to a rank array, rejecting anything outside ACGT."""
     if isinstance(seq, str):
@@ -151,26 +135,18 @@ def write_fasta(ref: Reference, width: int = 70) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def parse_queries(source: Union[bytes, str, BinaryIO]) -> list[Query]:
-    """One query per line (LF or CRLF). Blank lines are skipped.
+def parse_queries(source: Union[bytes, str, BinaryIO]) -> tuple[np.ndarray, np.ndarray]:
+    """One query per line (LF or CRLF), as (ranks, lengths).
 
-    Lines with invalid characters become Query objects with ``error`` set,
-    so one bad read never aborts the batch.
+    Each line is stripped of surrounding whitespace; blank lines are
+    skipped. ``ranks`` (uint8) holds the lines back to back, with 255 for
+    each byte outside ACGT/acgt, so one bad read never aborts the batch;
+    ``lengths`` (int64) holds each line's length.
     """
-    stream = _as_stream(source)
-    queries: list[Query] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        qid = len(queries)
-        try:
-            ranks = encode_ranks(bytes(line), line=lineno)
-        except InvalidCharacterError as exc:
-            queries.append(Query(qid=qid, ranks=None, error=str(exc)))
-        else:
-            queries.append(Query(qid=qid, ranks=ranks))
-    return queries
+    raw_lines = _as_stream(source).read().split(b"\n")
+    lines = [line for line in map(bytes.strip, raw_lines) if line]
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    return _BYTE_TO_RANK[np.frombuffer(b"".join(lines), dtype=np.uint8)], lengths
 
 
 def generate_query_matrix(ref: Reference, length: int, count: int, seed: int) -> np.ndarray:

@@ -191,6 +191,7 @@ STRUCTURE_DAMAGE = {
     "keys_unsorted": "keys out of order",
     "first_key_raised": "first key",
     "trailing_bytes": "trailing bytes",
+    "alpha_nan": "alpha_leaf",
 }
 
 
@@ -205,6 +206,7 @@ def damage_index(path, how: str) -> None:
 
     * ``version_<d>``: the header says version d;
     * ``k_out_of_range``: the header's K is MAX_K + 1;
+    * ``alpha_nan``: the header's alpha_leaf is NaN;
     * ``sa_out_of_range``, ``sa_duplicate``: one flipped suffix-array byte
       makes a value out of [0, n) or equal to another row's;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
@@ -235,9 +237,11 @@ def damage_index(path, how: str) -> None:
     elif how == "trailing_bytes":
         data += b"junk"
     else:
-        if how.startswith("version_") or how == "k_out_of_range":
+        if how.startswith("version_") or how in ("k_out_of_range", "alpha_nan"):
             section = "header"
-            if how == "k_out_of_range":
+            if how == "alpha_nan":
+                _HEADER.pack_into(data, 4, *_HEADER.unpack_from(data, 4)[:-1], np.nan)
+            elif how == "k_out_of_range":
                 data[6:8] = (MAX_K + 1).to_bytes(2, "little")
             else:
                 data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnasearch import cli
 from dnasearch.cli import (
     EXIT_FASTA,
     EXIT_IO,
@@ -8,6 +9,7 @@ from dnasearch.cli import (
     EXIT_PARAMS,
     main,
 )
+from dnasearch.search import MODES
 
 from conftest import STRUCTURE_DAMAGE, damage_index
 
@@ -89,6 +91,13 @@ class TestBuild:
         write_fasta_file(fasta, "ACGT")
         assert main(["build", str(fasta), "--k", "10", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+    def test_alpha_leaf_not_finite_positive_exits_4(self, tmp_path, alpha):
+        fasta = tmp_path / "r.fa"
+        write_fasta_file(fasta, random_bases(np.random.default_rng(4), 35))
+        rc = main(["build", str(fasta), "--alpha-leaf", alpha, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_PARAMS
+
     def test_k_up_to_32(self, tmp_path, capsys):
         fasta = tmp_path / "r.fa"
         write_fasta_file(fasta, random_bases(np.random.default_rng(3), 300))
@@ -96,7 +105,66 @@ class TestBuild:
         assert main(["build", str(fasta), "--k", "33", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
 
+GOLDEN_REFERENCE = "ATACGACGTTAGCATTACGGATCCATGACTAGGACATTTACGACCGTAGATTACA"
+
+# CRLF endings, blank and whitespace-only lines, surrounding spaces and tabs,
+# lowercase bases, an N line, a non-ASCII byte, an absent query and no final
+# newline; every mode must print exactly the expected TSV
+GOLDEN_QUERIES = b" ACGA\r\n\r\n\t \r\nttac\t\r\nGgAt \nACNA\n\nAC\xe9A\r\n  \t\nGGGG\r\nCATT"
+GOLDEN_TSV = ("0\t5\t7\t2\t2,39\n1\t51\t54\t3\t14,37,50\n2\t39\t40\t1\t18\n3\tINVALID\n"
+              "4\tINVALID\n5\t40\t40\t0\t\n6\t21\t23\t2\t12,34\n")
+GOLDEN_MIXED_QUERIES = b"ACGA\r\nttacg\n\n GA\t\nACNAT\nCCGTAGATT\nGGGGGG\r\n\xffCATT\nCATT"
+GOLDEN_MIXED_TSV = ("0\t5\t7\t2\t2,39\n1\t52\t54\t2\t14,37\n2\t31\t37\t6\t4,19,26,32,41,48\n"
+                    "3\tINVALID\n4\t24\t25\t1\t43\n5\t40\t40\t0\t\n6\tINVALID\n"
+                    "7\t21\t23\t2\t12,34\n")
+
+
+@pytest.fixture(scope="module")
+def golden_index(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    fasta = root / "ref.fa"
+    write_fasta_file(fasta, GOLDEN_REFERENCE)
+    index = root / "ref.idx"
+    assert main(["build", str(fasta), "--k", "3", "--out", str(index)]) == 0
+    return index
+
+
 class TestQuery:
+    def test_golden_tsv_every_mode(self, golden_index, tmp_path, capsys):
+        qfile = tmp_path / "q.txt"
+        qfile.write_bytes(GOLDEN_QUERIES)
+        capsys.readouterr()
+        for mode in MODES:
+            assert main(["query", str(golden_index), str(qfile), "--mode", mode, "--locate"]) == 0
+            assert capsys.readouterr().out == GOLDEN_TSV, mode
+
+    def test_golden_tsv_mixed_lengths(self, golden_index, tmp_path, capsys):
+        qfile = tmp_path / "q.txt"
+        qfile.write_bytes(GOLDEN_MIXED_QUERIES)
+        capsys.readouterr()
+        assert main(["query", str(golden_index), str(qfile), "--mode", "fm", "--locate"]) == 0
+        assert capsys.readouterr().out == GOLDEN_MIXED_TSV
+        for mode in ("rmi", "binary"):
+            assert main(["query", str(golden_index), str(qfile), "--mode", mode]) == EXIT_MIXED
+        assert capsys.readouterr().out == ""
+
+    def test_one_parse_and_one_search_call(self, golden_index, tmp_path, monkeypatch, capsys):
+        # the benchmark's traced run times a query command by wrapping
+        # cli.parse_queries and cli.batch_search: one call each, in every mode
+        calls = []
+        for name in ("parse_queries", "batch_search"):
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        for mode, queries in (("rmi", GOLDEN_QUERIES), ("binary", GOLDEN_QUERIES),
+                              ("fm", GOLDEN_MIXED_QUERIES)):
+            qfile = tmp_path / "q.txt"
+            qfile.write_bytes(queries)
+            calls.clear()
+            assert main(["query", str(golden_index), str(qfile), "--mode", mode, "--locate"]) == 0
+            assert calls == ["parse_queries", "batch_search"], mode
+
     def test_locate_golden(self, tmp_path, capsys):
         fasta = tmp_path / "g.fa"
         write_fasta_file(fasta, "ATACGAC")
@@ -135,8 +203,7 @@ class TestQuery:
 
     def test_absent_rows_agree_across_file_shapes(self, built_index, tmp_path, capsys):
         # an absent query prints the same empty interval in every mode, whether
-        # the file holds one query length (batched search) or several (fm, one
-        # query at a time)
+        # the file holds one query length or several (fm, one matrix per length)
         index, bases = built_index
         queries = absent_queries(bases, 29, 3) + [bases[100:129]]
         one = tmp_path / "one.txt"

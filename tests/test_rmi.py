@@ -140,9 +140,11 @@ class TestPartition:
         assert key_errors(layer, hi, lo).max() == 0
 
     def test_alpha_must_be_positive(self):
+        # NaN would split every partition down to two keys, inf fit one leaf
         hi, lo = words([1, 2, 3])
-        with pytest.raises(ValueError):
-            fit_layer(hi, lo, 0.0)
+        for alpha in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                fit_layer(hi, lo, alpha)
 
 
 class TestBuild:

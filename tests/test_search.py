@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnasearch.fmindex import locate
+from dnasearch.fmindex import backward_search, locate
 from dnasearch.search import (
     MODES,
     MixedLengthBatchError,
@@ -14,7 +14,7 @@ from dnasearch.search import (
     build_engine,
     exact_search,
 )
-from dnasearch.seqcore import Query, encode_ranks
+from dnasearch.seqcore import encode_ranks, parse_queries
 
 from conftest import (
     make_reference,
@@ -71,12 +71,7 @@ class TestExactSearch:
     def test_located_positions(self):
         engine = build_engine(make_reference("ATACGAC"), k=2)
         iv = exact_search(engine, encode_ranks("AC"))
-        assert locate(engine.fm, iv) == {2, 5}
-
-    def test_query_object_accepted(self, small_engine):
-        q = Query(qid=0, ranks=encode_ranks("TTA"))
-        iv = exact_search(small_engine, q)
-        assert not iv.empty
+        assert locate(engine.fm, iv.low, iv.high).tolist() == [2, 5]
 
     def test_empty_query_full_range(self, small_engine):
         iv = exact_search(small_engine, np.array([], dtype=np.uint8))
@@ -93,7 +88,7 @@ class TestBatchSearch:
         engine = build_engine(ref, k=5)
         for qlen in (1, 4, 5, 7, 12):
             qm = rng.integers(1, 5, size=(50, qlen)).astype(np.uint8)
-            reference = [exact_search(engine, qm[i]) for i in range(50)]
+            reference = [backward_search(engine.fm, qm[i]) for i in range(50)]
             for mode in MODES:
                 low, high = batch_search_matrix(engine, qm, mode=mode)
                 for i, iv in enumerate(reference):
@@ -133,25 +128,51 @@ class TestBatchSearch:
             assert got == naive_positions(ref.ranks, qm[i])
 
     def test_mixed_lengths_rejected(self, small_engine):
-        qs = [
-            Query(qid=0, ranks=encode_ranks("ATTA")),
-            Query(qid=1, ranks=encode_ranks("ATT")),
-        ]
-        with pytest.raises(MixedLengthBatchError):
-            batch_search(small_engine, qs, mode="rmi")
+        mixed = parse_queries(b"ATTA\nATT\n")
+        one_valid_length = parse_queries(b"ATTA\nANT\nTAGG\n")  # an invalid line's does not count
+        for mode in ("rmi", "binary"):
+            with pytest.raises(MixedLengthBatchError):
+                batch_search(small_engine, *mixed, mode=mode)
+            low, high, valid = batch_search(small_engine, *one_valid_length, mode=mode)
+            assert valid.tolist() == [True, False, True]
 
-    def test_invalid_queries_yield_none(self, small_engine):
-        qs = [
-            Query(qid=0, ranks=encode_ranks("ATTA")),
-            Query(qid=1, ranks=None, error="bad"),
-            Query(qid=2, ranks=encode_ranks("TAGG")),
-        ]
-        results = batch_search(small_engine, qs, mode="rmi")
-        assert results[1] is None
-        assert results[0] is not None and results[2] is not None
+    def test_fm_groups_lengths(self, small_engine):
+        lines = [b"ATTA", b"ATT", b"GGA", b"AXA", b"CATTATT", b"TT", b"CC", b"ATT"]
+        ranks, lengths = parse_queries(b"\n".join(lines))
+        low, high, valid = batch_search(small_engine, ranks, lengths, mode="fm")
+        assert valid.tolist() == [line != b"AXA" for line in lines]
+        ref = make_reference("CATTATTAGGA")
+        for i, line in enumerate(lines):
+            expected = naive_interval(ref.ranks, encode_ranks(line)) if valid[i] else (0, 0)
+            assert (int(low[i]), int(high[i])) == expected, line
+
+    def test_invalid_queries_marked(self, small_engine):
+        ranks, lengths = parse_queries(b"ATTA\nAT\xffA\nTAGG\nNNNN\n")
+        for mode in MODES:
+            low, high, valid = batch_search(small_engine, ranks, lengths, mode=mode)
+            assert valid.tolist() == [True, False, True, False]
+            for i, line in ((0, "ATTA"), (2, "TAGG")):
+                iv = exact_search(small_engine, encode_ranks(line), mode=mode)
+                assert (int(low[i]), int(high[i])) == (iv.low, iv.high)
+            assert low[[1, 3]].tolist() == high[[1, 3]].tolist() == [0, 0]
 
     def test_empty_batch(self, small_engine):
-        assert batch_search(small_engine, [], mode="rmi") == []
+        for mode in MODES:
+            low, high, valid = batch_search(small_engine, np.zeros(0, dtype=np.uint8),
+                                            np.zeros(0, dtype=np.int64), mode=mode)
+            assert low.size == high.size == valid.size == 0
+
+    def test_out_of_range_ranks_rejected(self, small_engine):
+        # base codes 0..3 in place of ranks 1..4, a rank above T, and one
+        # query not shaped as a batch: every mode refuses all three
+        codes = np.random.default_rng(8).integers(0, 4, size=(8, 7)).astype(np.uint8)
+        codes[0, :2] = 0, 3
+        for mode in MODES:
+            for batch in (codes, codes + 2, codes[0] + 1):
+                with pytest.raises(SearchError):
+                    batch_search_matrix(small_engine, batch, mode=mode)
+            with pytest.raises(SearchError):
+                exact_search(small_engine, np.array([1, 0, 2], dtype=np.uint8), mode=mode)
 
     def test_mode_unavailable_without_rmi(self):
         engine = build_engine(make_reference("ATACGAC"), k=2, with_rmi=False)

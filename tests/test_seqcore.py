@@ -9,7 +9,6 @@ from dnasearch.seqcore import (
     RANK_TO_CHAR,
     EmptyInputError,
     InvalidCharacterError,
-    Query,
     Reference,
     SequenceError,
     encode_ranks,
@@ -98,14 +97,27 @@ class TestFasta:
 
 class TestQueries:
     def test_parse_valid_and_invalid_lines(self):
-        qs = parse_queries(b"ACGT\nACNT\n\nTTTT\n")
-        assert [q.qid for q in qs] == [0, 1, 2]
-        assert qs[0].valid and np.array_equal(qs[0].ranks, encode_ranks("ACGT"))
-        assert not qs[1].valid and qs[1].error is not None
-        assert np.array_equal(qs[2].ranks, encode_ranks("TTTT"))
+        ranks, lengths = parse_queries(b"ACGT\nACNT\n\nTTTT\n")
+        assert ranks.dtype == np.uint8 and lengths.dtype == np.int64
+        assert lengths.tolist() == [4, 4, 4]
+        # the blank line is skipped; N is marked 255 and the line kept
+        assert ranks.tolist() == [1, 2, 3, 4, 1, 2, 255, 4, 4, 4, 4, 4]
+
+    def test_parse_strips_lines_and_marks_other_bytes(self):
+        data = b" acGt\r\n\t\r\n  \nAC\xe9\tx\nTT"
+        ranks, lengths = parse_queries(data)
+        # surrounding whitespace and CR go, inner bytes stay; no final newline needed
+        assert lengths.tolist() == [4, 5, 2]
+        assert ranks.tolist() == [1, 2, 3, 4, 1, 2, 255, 255, 255, 4, 4]
+        for source in (io.BytesIO(data), data.decode("latin-1").replace("\xe9", "?")):
+            again, again_lengths = parse_queries(source)
+            assert again_lengths.tolist() == lengths.tolist()
+            assert again.tolist() == ranks.tolist()
 
     def test_parse_empty_file(self):
-        assert parse_queries(b"") == []
+        for data in (b"", b"\n\r\n \t\n"):
+            ranks, lengths = parse_queries(data)
+            assert ranks.size == 0 and lengths.size == 0
 
     def test_generate_deterministic(self):
         # the same seed gives the same rows, another seed other rows
@@ -134,9 +146,3 @@ class TestQueries:
             generate_query_matrix(ref, length=5, count=1, seed=0)
         with pytest.raises(SequenceError):
             generate_query_matrix(ref, length=0, count=1, seed=0)
-
-    def test_query_len_and_valid(self):
-        q = Query(qid=0, ranks=encode_ranks("ACG"))
-        assert len(q) == 3 and q.valid
-        bad = Query(qid=1, ranks=None, error="bad char")
-        assert len(bad) == 0 and not bad.valid
