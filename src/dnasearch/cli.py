@@ -36,12 +36,11 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
     n = engine.fm.n
     k = engine.k
     ipbwt_expected = (0.25 * k + 4) * n
-    total_expected = (8.5 + 0.25 * k) * n
+    total_expected = 4 * n + ipbwt_expected  # suffix array + IP-BWT model
     lines = [
         f"n={n}",
         f"k={k}",
         f"sa_bytes={sizes['sa']}",
-        f"bwt_occ_bytes={sizes['bwt_occ']}",
         f"ipbwt_bytes={sizes['ipbwt']}",
         f"rmi_bytes={sizes['rmi']}",
         f"total_bytes={sizes['total']}",
@@ -75,7 +74,7 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     try:
-        sizes = index_io.save_index(args.out, engine, ref_name=ref.name)
+        sizes = index_io.save_index(args.out, engine)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

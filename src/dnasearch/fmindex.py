@@ -1,8 +1,11 @@
-"""Suffix array, BWT and FM-index baseline with checkpointed occurrence counts.
+"""Suffix array and FM-index baseline with checkpointed occurrence counts.
 
 The suffix array is built by prefix doubling over numpy ranks. Because the
 text ends with a unique sentinel that sorts below every base, suffix order
-equals sorted-rotation (BW-matrix) order.
+equals sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
+once to pack the occurrence tables (64-row checkpoints plus per-rank
+bitmaps), whose layout only this module knows. The index file stores
+neither, and load rebuilds them with :func:`build_fm_index`.
 """
 
 from __future__ import annotations
@@ -74,30 +77,20 @@ def _dense_ranks(sorted_keys: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:
     """Last column of the BW-matrix, as ranks (sentinel representable)."""
-    n = ref.n
-    prev = (sa.astype(np.int64) - 1) % n
-    return ref.ranks[prev]
+    return np.roll(ref.ranks, 1)[sa]  # the character before each row's suffix
 
 
 def _pack_occ(bwt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checkpoint counts at block starts plus per-rank occurrence bitmaps."""
     n = bwt.size
     nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
-    padded = np.zeros(nblocks * OCC_STRIDE, dtype=np.uint8)
+    padded = np.full(nblocks * OCC_STRIDE, 255, dtype=np.uint8)  # 255: no rank
     padded[:n] = bwt
-    bits = np.zeros((NUM_RANKS, nblocks), dtype=np.uint64)
-    checkpoints = np.zeros((nblocks, NUM_RANKS), dtype=np.uint32)
-    weights = (np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64))
     grid = padded.reshape(nblocks, OCC_STRIDE)
-    for r in range(NUM_RANKS):
-        mask = grid == r
-        if r == 0:
-            # padding bytes are 0; exclude them from the sentinel bitmap
-            valid = np.arange(nblocks * OCC_STRIDE).reshape(nblocks, OCC_STRIDE) < n
-            mask = mask & valid
-        bits[r] = (mask * weights).sum(axis=1, dtype=np.uint64)
-        per_block = mask.sum(axis=1, dtype=np.uint32)
-        checkpoints[1:, r] = np.cumsum(per_block, dtype=np.uint32)[:-1]
+    bits = np.stack([np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
+                     for r in range(NUM_RANKS)])
+    checkpoints = np.zeros((nblocks, NUM_RANKS), dtype=np.uint32)
+    np.cumsum(np.bitwise_count(bits[:, :-1]).T, axis=0, dtype=np.uint32, out=checkpoints[1:])
     return checkpoints, bits
 
 
@@ -105,7 +98,6 @@ def _pack_occ(bwt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FmIndex:
     n: int
     sa: np.ndarray  # uint32, length n
-    bwt: np.ndarray  # uint8 ranks, length n
     d: np.ndarray  # int64[NUM_RANKS]: count of ranks smaller than r
     checkpoints: np.ndarray  # uint32[nblocks, NUM_RANKS]
     occ_bits: np.ndarray  # uint64[NUM_RANKS, nblocks]
@@ -146,11 +138,10 @@ class FmIndex:
 def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     if sa is None:
         sa = build_suffix_array(ref)
-    bwt = build_bwt(ref, sa)
     counts = np.bincount(ref.ranks, minlength=NUM_RANKS).astype(np.int64)
     d = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    checkpoints, bits = _pack_occ(bwt)
-    return FmIndex(n=ref.n, sa=sa, bwt=bwt, d=d, checkpoints=checkpoints, occ_bits=bits)
+    checkpoints, bits = _pack_occ(build_bwt(ref, sa))
+    return FmIndex(n=ref.n, sa=sa, d=d, checkpoints=checkpoints, occ_bits=bits)
 
 
 def backward_search(fm: FmIndex, ranks: np.ndarray) -> SaInterval:

@@ -3,12 +3,17 @@
 Layout (all little-endian):
 
 * magic ``LSA1``; header: version u16, K u16, n u64, flags u32 (bit 0 =
-  RMI present), checkpoint stride u32, alpha_leaf f64; then the
-  ``zlib.crc32`` of the magic and header (u32).
-* four sections, each followed by the ``zlib.crc32`` of its bytes (u32):
-  suffix array (u32[n]); BWT (u8[n]) + occurrence checkpoints
-  (u32[nblocks, 5]); IP-BWT keys (u64[n] k-mer codes, then u32[n] loc
+  RMI present), alpha_leaf f64; then the ``zlib.crc32`` of the magic and
+  header (u32).
+* three sections, each followed by the ``zlib.crc32`` of its bytes (u32):
+  suffix array (u32[n]); IP-BWT keys (u64[n] k-mer codes, then u32[n] loc
   fields); leaf models (empty without an RMI). The file ends there.
+
+No BWT or occurrence table is stored. The first BW-matrix column is each
+row's first k-mer base (row 0, the sentinel row, excepted); scattered
+through the suffix array it gives back the text, from which load rebuilds
+the FM tables with :func:`dnasearch.fmindex.build_fm_index`, as the build
+does.
 
 The model section is a leaf count u64, then per leaf its slope and
 intercept (f64 each), maximum error (u64) and partition start (u64).
@@ -16,19 +21,20 @@ Storing starts makes load(save(x)) bit-identical without refitting; each
 leaf's boundary key is the IP-BWT key at its start, read back from the
 keys. Search reads the maximum errors as its window bounds.
 
-Version 6 stores the keys as a k-mer column and a loc column and checks
-the header; version 5 stores one layer of leaf models and no boundary
-keys; version 4 added the maximum errors; version 3 models predict from
-keys relative to their partition's first key (see ``dnasearch.rmi``) and
-added the checksums; version 2 changed the meaning of the keys (see
-``dnasearch.ipbwt``). Files of other versions are refused. ``load_index``
-checks every checksum, then the structure the checksums cannot vouch for:
-K lies in [1, min(MAX_K, n - 1)], alpha_leaf is finite and > 0 when the
-RMI is present, the suffix array is a permutation of [0, n), the keys
-never decrease from (0, 0), leaf starts rise strictly from 0 below n,
-slopes are finite and >= 0, intercepts finite, maximum errors in [0, n],
-and no bytes follow the last section. Any failure raises
-:class:`CorruptIndexError` naming the section.
+Version 7 stores no BWT; version 6 stores the keys as a k-mer column and
+a loc column and checks the header; version 5 stores one layer of leaf
+models and no boundary keys; version 4 added the maximum errors; version 3
+models predict from keys relative to their partition's first key (see
+``dnasearch.rmi``) and added the checksums; version 2 changed the meaning
+of the keys (see ``dnasearch.ipbwt``). Files of other versions are
+refused. ``load_index`` checks every checksum, then the structure the
+checksums cannot vouch for: K lies in [1, min(MAX_K, n - 1)], alpha_leaf
+is finite and > 0 when the RMI is present, the suffix array is a
+permutation of [0, n) whose row 0 is the sentinel's position n - 1, the
+keys never decrease from (0, 0) and their k-mers fit in 2K bits, leaf
+starts rise strictly from 0 below n, slopes are finite and >= 0,
+intercepts finite, maximum errors in [0, n], and no bytes follow the last
+section. Any failure raises :class:`CorruptIndexError` naming the section.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ from typing import BinaryIO
 
 import numpy as np
 
-from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE, FmIndex, _pack_occ
+from dnasearch.fmindex import build_fm_index
 from dnasearch.ipbwt import MAX_K, IpBwt
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 6
-_HEADER = struct.Struct("<HHQIId")
+VERSION = 7
+_HEADER = struct.Struct("<HHQId")
 
 
 class CorruptIndexError(ValueError):
@@ -66,7 +72,6 @@ class IndexMeta:
     k: int
     n: int
     has_rmi: bool
-    stride: int
     alpha_leaf: float
 
 
@@ -127,7 +132,7 @@ class _SectionReader:
             raise CorruptIndexError(self.section, "checksum mismatch")
 
 
-def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> dict[str, int]:
+def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     """Write the engine to ``path``; returns per-section byte sizes."""
     fm, ix, rmi = engine.fm, engine.ipbwt, engine.rmi
     n = fm.n
@@ -136,17 +141,14 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
         flags = 1 if rmi is not None else 0
         alpha_leaf = rmi.alpha_leaf if rmi is not None else 0.0
         out = _SectionWriter(fh)
-        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, flags, OCC_STRIDE, alpha_leaf))
+        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, flags, alpha_leaf))
         sizes["header"] = out.close()
 
         out = _SectionWriter(fh)
         out.array(fm.sa, "<u4")
         sizes["sa"] = out.close()
 
-        out = _SectionWriter(fh)
-        out.array(fm.bwt, "u1")
-        out.array(fm.checkpoints, "<u4")
-        sizes["bwt_occ"] = out.close()
+        sizes["bwt_occ"] = 0  # no such section; perfbench/run.py still reads the key
 
         out = _SectionWriter(fh)
         out.array(ix.key_hi, "<u8")
@@ -166,25 +168,15 @@ def save_index(path: str, engine: SearchEngine, ref_name: str = "reference") -> 
     return sizes
 
 
-def _rebuild_reference(sa: np.ndarray, bwt: np.ndarray, name: str) -> Reference:
-    # first BW-matrix column is the sorted text; scatter it back through sa
-    counts = np.bincount(bwt, minlength=NUM_RANKS)
-    first_col = np.repeat(np.arange(NUM_RANKS, dtype=np.uint8), counts)
-    ranks = np.empty(sa.size, dtype=np.uint8)
-    ranks[sa.astype(np.int64)] = first_col
-    return Reference(name=name, ranks=ranks)
-
-
-def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Reference, IndexMeta]:
+def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         sec = _SectionReader(fh, "header", file_size)
         magic = bytes(sec.read(4))
         _require(magic == MAGIC, "header", f"bad magic {magic!r}")
-        version, k, n, flags, stride, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
+        version, k, n, flags, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
         _require(version == VERSION, "header", f"unsupported version {version}")
         sec.close()
-        _require(stride == OCC_STRIDE, "header", f"unsupported checkpoint stride {stride}")
         _require(1 <= k <= min(MAX_K, n - 1), "header", f"K={k} outside [1, min({MAX_K}, n - 1)]")
         _require(not flags & 1 or (np.isfinite(alpha_leaf) and alpha_leaf > 0), "header",
                  f"alpha_leaf={alpha_leaf} is not finite and > 0")
@@ -194,12 +186,7 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
         sec.close()
         _require(int(sa.max()) < n and np.all(np.bincount(sa, minlength=n) == 1),
                  "sa", "not a permutation of the rows")
-
-        sec = _SectionReader(fh, "bwt_occ", file_size)
-        bwt = sec.array("u1", n)
-        nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
-        checkpoints = sec.array("<u4", nblocks * NUM_RANKS).reshape(nblocks, NUM_RANKS)
-        sec.close()
+        _require(sa[0] == n - 1, "sa", f"row 0 is position {sa[0]}, not the sentinel's {n - 1}")
 
         sec = _SectionReader(fh, "ipbwt", file_size)
         key_hi = sec.array("<u8", n)
@@ -210,6 +197,7 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
                  "ipbwt", "keys out of order")
         # the sentinel row's key (0, 0) is the least key, so no key lies below the first leaf
         _require(key_hi[0] == 0 and key_lo[0] == 0, "ipbwt", "first key is not (0, 0)")
+        _require(int(key_hi[-1]) >> 2 * k == 0, "ipbwt", f"k-mer codes wider than {2 * k} bits")
 
         sec = _SectionReader(fh, "rmi", file_size)
         if flags & 1:
@@ -234,13 +222,15 @@ def load_index(path: str, name: str = "reference") -> tuple[SearchEngine, Refere
                         boundary_lo=key_lo[starts], target_size=n)
         rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
 
-    ref = _rebuild_reference(sa, bwt, name)
-    counts = np.bincount(ref.ranks, minlength=NUM_RANKS).astype(np.int64)
-    d = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    _, bits = _pack_occ(bwt)
-    fm = FmIndex(n=n, sa=sa, bwt=bwt, d=d, checkpoints=checkpoints, occ_bits=bits)
+    # the first BW-matrix column, scattered back through sa, is the text;
+    # row 0 is the sentinel, every other row starts with its k-mer's first base
+    first_col = (key_hi >> np.uint64(2 * (k - 1))).astype(np.uint8) + np.uint8(1)
+    first_col[0] = 0
+    ranks = np.empty(n, dtype=np.uint8)
+    ranks[sa] = first_col
+    ref = Reference(name="reference", ranks=ranks)
 
     ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
-    engine = SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
-    meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, stride=stride, alpha_leaf=alpha_leaf)
+    engine = SearchEngine(fm=build_fm_index(ref, sa), ipbwt=ix, rmi=rmi, k=k)
+    meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, alpha_leaf=alpha_leaf)
     return engine, ref, meta

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import BinaryIO, Union
+from typing import BinaryIO
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Reference:
         return "".join(RANK_TO_CHAR[r] for r in self.ranks[:-1])
 
 
-def encode_ranks(seq: Union[str, bytes], line: int | None = None) -> np.ndarray:
+def encode_ranks(seq: str | bytes, line: int | None = None) -> np.ndarray:
     """Encode a base string to a rank array, rejecting anything outside ACGT."""
     if isinstance(seq, str):
         seq = seq.encode("ascii", errors="replace")
@@ -88,15 +88,11 @@ def encode_ranks(seq: Union[str, bytes], line: int | None = None) -> np.ndarray:
     return ranks
 
 
-def _as_stream(source: Union[bytes, str, BinaryIO]) -> BinaryIO:
-    if isinstance(source, bytes):
-        return io.BytesIO(source)
-    if isinstance(source, str):
-        return io.BytesIO(source.encode("ascii"))
-    return source
+def _as_stream(source: bytes | BinaryIO) -> BinaryIO:
+    return io.BytesIO(source) if isinstance(source, bytes) else source
 
 
-def load_fasta(source: Union[bytes, str, BinaryIO]) -> Reference:
+def load_fasta(source: bytes | BinaryIO) -> Reference:
     """Parse FASTA into a Reference.
 
     Multi-record inputs are concatenated in file order into one text; the
@@ -135,7 +131,7 @@ def write_fasta(ref: Reference, width: int = 70) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def parse_queries(source: Union[bytes, str, BinaryIO]) -> tuple[np.ndarray, np.ndarray]:
+def parse_queries(source: bytes | BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """One query per line (LF or CRLF), as (ranks, lengths).
 
     Each line is stripped of surrounding whitespace; blank lines are

@@ -7,7 +7,6 @@ import zlib
 import numpy as np
 import pytest
 
-from dnasearch.fmindex import NUM_RANKS, OCC_STRIDE
 from dnasearch.index_io import _HEADER
 from dnasearch.ipbwt import MAX_K
 from dnasearch.seqcore import Reference, encode_ranks
@@ -147,7 +146,7 @@ def sample_queries(rng, entries, k, n, count):
     return keys, expected
 
 
-SECTIONS = ("sa", "bwt_occ", "ipbwt", "rmi")
+SECTIONS = ("sa", "ipbwt", "rmi")
 
 
 def index_sections(data) -> dict[str, tuple[int, int]]:
@@ -157,12 +156,10 @@ def index_sections(data) -> dict[str, tuple[int, int]]:
     from its leaf count, so bytes appended after the last checksum belong
     to no section.
     """
-    _, _, n, flags, _, _ = _HEADER.unpack_from(data, 4)
-    nblocks = -(-n // OCC_STRIDE)
+    _, _, n, flags, _ = _HEADER.unpack_from(data, 4)
     pos = 0
     out = {}
-    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n),
-                       ("bwt_occ", n + 4 * NUM_RANKS * nblocks), ("ipbwt", 12 * n),
+    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("ipbwt", 12 * n),
                        ("rmi", None)):
         if size is None:
             size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little") if flags & 1 else 0
@@ -190,6 +187,7 @@ STRUCTURE_DAMAGE = {
     "error_over_n": "maximum errors",
     "keys_unsorted": "keys out of order",
     "first_key_raised": "first key",
+    "kmer_too_wide": "wider than",
     "trailing_bytes": "trailing bytes",
     "alpha_nan": "alpha_leaf",
 }
@@ -209,6 +207,8 @@ def damage_index(path, how: str) -> None:
     * ``alpha_nan``: the header's alpha_leaf is NaN;
     * ``sa_out_of_range``, ``sa_duplicate``: one flipped suffix-array byte
       makes a value out of [0, n) or equal to another row's;
+    * ``sa_rows_swapped``: suffix-array rows 0 and 1 trade places, so the
+      array is still a permutation but row 0 is not the sentinel's;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
     * ``slopes_negated``: every slope changes sign (some are > 0);
     * ``slope_inf``, ``intercept_nan``: leaf 0's slope is +inf, its
@@ -218,7 +218,9 @@ def damage_index(path, how: str) -> None:
       which loads but fails the audit;
     * ``keys_unsorted``: the IP-BWT rows n // 2 and n // 2 + 1 trade places;
     * ``first_key_raised``: IP-BWT row 0 takes row 1's key, so the keys
-      still never decrease but start above (0, 0).
+      still never decrease but start above (0, 0);
+    * ``kmer_too_wide``: the last row's k-mer gains bit 2K, so the keys stay
+      in order but the first base read from that row is no base.
 
     ``trailing_bytes`` appends four bytes after the last checksum.
     """
@@ -245,26 +247,33 @@ def damage_index(path, how: str) -> None:
                 data[6:8] = (MAX_K + 1).to_bytes(2, "little")
             else:
                 data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")
-        elif how in ("sa_out_of_range", "sa_duplicate"):
+        elif how.startswith("sa_"):
             section = "sa"
             sa_start = sections["sa"][0]
             if how == "sa_out_of_range":
                 data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
+            elif how == "sa_rows_swapped":
+                sa = np.frombuffer(data, "<u4", 2, sa_start)
+                sa[[0, 1]] = sa[[1, 0]]
             else:
                 sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
                 i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
                 data[sa_start + 4 * i] ^= 0x01
-        elif how in ("keys_unsorted", "first_key_raised"):
+        elif how in ("keys_unsorted", "first_key_raised", "kmer_too_wide"):
             section = "ipbwt"
             start, end = sections["ipbwt"]
             n = (end - start) // 12
-            for col in (np.frombuffer(data, "<u8", n, start),
-                        np.frombuffer(data, "<u4", n, start + 8 * n)):
-                if how == "keys_unsorted":
-                    i = n // 2
-                    col[[i, i + 1]] = col[[i + 1, i]]
-                else:
-                    col[0] = col[1]
+            if how == "kmer_too_wide":
+                k = _HEADER.unpack_from(data, 4)[1]
+                np.frombuffer(data, "<u8", n, start)[-1] |= np.uint64(1 << 2 * k)
+            else:
+                for col in (np.frombuffer(data, "<u8", n, start),
+                            np.frombuffer(data, "<u4", n, start + 8 * n)):
+                    if how == "keys_unsorted":
+                        i = n // 2
+                        col[[i, i + 1]] = col[[i + 1, i]]
+                    else:
+                        col[0] = col[1]
         else:
             leaf = leaf_arrays(data)
             if how == "starts_swapped":

@@ -228,7 +228,7 @@ def test_criterion_8_persistence_round_trip(capsys, tmp_path, medium_engine, med
     t0 = time.perf_counter()
     engine, ref = medium_engine
     path = str(tmp_path / "medium.idx")
-    save_index(path, engine, ref_name=ref.name)
+    save_index(path, engine)
     loaded, _, _ = load_index(path)
 
     def result_file(eng, dest):

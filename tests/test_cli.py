@@ -59,7 +59,8 @@ class TestBuild:
             line.split("=", 1) for line in out.strip().splitlines() if "=" in line
         )
         assert int(report["n"]) == 801
-        for key in ("sa_bytes", "bwt_occ_bytes", "ipbwt_bytes", "rmi_bytes",
+        assert "bwt_occ_bytes" not in report  # the file stores no BWT
+        for key in ("sa_bytes", "ipbwt_bytes", "rmi_bytes",
                     "total_bytes", "ipbwt_expected_bytes", "ipbwt_ratio_vs_expected"):
             assert key in report
         # model shape: leaf count and the worst leaf prediction error
@@ -255,9 +256,9 @@ class TestQuery:
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "header_k", "k_out_of_range",
-                                     "sa_out_of_range", "sa_duplicate", "flip_sa",
-                                     "flip_bwt_occ", "flip_ipbwt", "flip_rmi",
+                                     "version_5", "version_6", "header_k", "k_out_of_range",
+                                     "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
+                                     "flip_sa", "flip_ipbwt", "flip_rmi",
                                      *STRUCTURE_DAMAGE])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index

@@ -56,7 +56,7 @@ class TestOcc:
         rng = np.random.default_rng(7)
         ref = random_reference(rng, 300)  # spans several checkpoint blocks
         fm = build_fm_index(ref)
-        bwt = fm.bwt
+        bwt = build_bwt(ref, fm.sa)
         for rank in range(5):
             running = 0
             for i in range(ref.n):
@@ -79,8 +79,9 @@ class TestOcc:
         ref = random_reference(rng, 90)
         fm = build_fm_index(ref)
         sa = fm.sa
+        bwt = build_bwt(ref, sa)
         for i in range(ref.n):
-            j = fm.fm_step(int(fm.bwt[i]), i + 1) - 1
+            j = fm.fm_step(int(bwt[i]), i + 1) - 1
             assert (sa[j] + 1) % ref.n == sa[i]
 
 

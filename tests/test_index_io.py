@@ -15,6 +15,7 @@ from conftest import (
     index_sections,
     make_reference,
     random_reference,
+    repetitive_reference,
 )
 
 
@@ -29,12 +30,13 @@ class TestRoundTrip:
     def test_structures_identical(self, engine_and_ref, tmp_path):
         engine, ref = engine_and_ref
         path = str(tmp_path / "a.idx")
-        sizes = save_index(path, engine, ref_name=ref.name)
+        sizes = save_index(path, engine)
         assert sizes["total"] == (tmp_path / "a.idx").stat().st_size
         loaded, ref2, meta = load_index(path)
-        assert ref2.name == "reference" or ref2.name  # name not persisted per-record
-        assert np.array_equal(loaded.fm.sa, engine.fm.sa)
-        assert np.array_equal(loaded.fm.bwt, engine.fm.bwt)
+        # the FM tables are rebuilt from the text that sa and the keys give back
+        for name in ("sa", "d", "checkpoints", "occ_bits"):
+            a, b = getattr(loaded.fm, name), getattr(engine.fm, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(loaded.ipbwt.key_hi, engine.ipbwt.key_hi)
         assert np.array_equal(loaded.ipbwt.key_lo, engine.ipbwt.key_lo)
         assert np.array_equal(ref2.ranks, ref.ranks)
@@ -51,7 +53,7 @@ class TestRoundTrip:
     def test_results_identical_after_reload(self, engine_and_ref, tmp_path):
         engine, ref = engine_and_ref
         path = str(tmp_path / "b.idx")
-        save_index(path, engine, ref_name=ref.name)
+        save_index(path, engine)
         loaded, _, _ = load_index(path)
         rng = np.random.default_rng(3)
         qm = rng.integers(1, 5, size=(200, 9)).astype(np.uint8)
@@ -70,6 +72,21 @@ class TestRoundTrip:
         assert rows.size == 3
         assert np.array_equal(loaded.ipbwt.key_hi[rows], engine.ipbwt.key_hi[rows])
         assert np.array_equal(loaded.ipbwt.key_lo[rows], engine.ipbwt.key_lo[rows])
+
+    def test_text_derived_from_first_column(self, tmp_path):
+        # rows whose k-mer is cut at the sentinel must still give their first base
+        rng = np.random.default_rng(77)
+        refs = [repetitive_reference(rng) for _ in range(12)]
+        refs += [random_reference(rng, int(rng.integers(1, 60))) for _ in range(6)]
+        for i, ref in enumerate(refs):
+            for k in sorted({1, min(2, ref.n - 1), min(32, ref.n - 1)}):
+                engine = build_engine(ref, k=k)
+                path = str(tmp_path / f"t{i}-{k}.idx")
+                save_index(path, engine)
+                loaded, ref2, _ = load_index(path)
+                assert np.array_equal(ref2.ranks, ref.ranks), (ref.bases(), k)
+                assert np.array_equal(loaded.fm.checkpoints, engine.fm.checkpoints)
+                assert np.array_equal(loaded.fm.occ_bits, engine.fm.occ_bits)
 
     def test_no_rmi_round_trip(self, tmp_path):
         engine = build_engine(make_reference("ATACGACATT"), k=3, with_rmi=False)
@@ -112,9 +129,10 @@ class TestCorruption:
     # version 1 keys have another meaning, version 2 models predict from
     # absolute keys, version 3 stores no maximum errors, version 4 stores
     # a layer count, upper layers and boundary keys, and version 5 stores
-    # two 64-bit words per key and no header checksum: each would misread
+    # two 64-bit words per key and no header checksum, and version 6 stores
+    # the BWT and a checkpoint stride: each would misread
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5"])
+                                     "version_5", "version_6"])
     def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
         path = tmp_path / "old.idx"
@@ -163,8 +181,10 @@ class TestCorruption:
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 
-@pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate"])
+@pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate", "sa_rows_swapped"])
 def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
+    # a permutation whose row 0 is not the sentinel's would derive a text
+    # that does not end with the sentinel
     engine, _ = engine_and_ref
     path = tmp_path / "sa.idx"
     save_index(str(path), engine)
@@ -172,7 +192,8 @@ def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
     assert exc.value.section == "sa"
-    assert "permutation" in str(exc.value)  # the checksum was rewritten to match
+    words = "sentinel" if how == "sa_rows_swapped" else "permutation"
+    assert words in str(exc.value)  # the checksum was rewritten to match
 
 
 @pytest.mark.parametrize("how", list(STRUCTURE_DAMAGE))
@@ -185,6 +206,7 @@ def test_structure_damage_refused(engine_and_ref, tmp_path, how):
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    sections = {"keys_unsorted": "ipbwt", "first_key_raised": "ipbwt", "alpha_nan": "header"}
+    sections = {"keys_unsorted": "ipbwt", "first_key_raised": "ipbwt", "kmer_too_wide": "ipbwt",
+                "alpha_nan": "header"}
     assert exc.value.section == sections.get(how, "rmi")
     assert STRUCTURE_DAMAGE[how] in str(exc.value)
