@@ -3,6 +3,9 @@
 ``query`` parses the query file into one rank array (:func:`parse_queries`)
 and searches it with one :func:`batch_search` call in every mode: ``fm``
 takes lines of any lengths, ``rmi`` and ``binary`` one length per file.
+With ``--locate``, one :func:`dnasearch.fmindex.locate` call gives every
+line's positions. The TSV is written by numpy alone, a block of fields at
+a time (:func:`_write_tsv`); no Python code runs per line or per position.
 
 Exit codes: 2 I/O or corrupt index, 3 invalid FASTA, 4 bad parameters,
 5 mixed-length batch in a batched mode.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from dnasearch import index_io
 from dnasearch.fmindex import locate as fm_locate
@@ -59,6 +64,9 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
 
 
 def cmd_build(args) -> int:
+    if args.k < 1:
+        print("error: --k must be >= 1", file=sys.stderr)
+        return EXIT_PARAMS
     try:
         with open(args.fasta, "rb") as fh:
             ref = load_fasta(fh)
@@ -83,17 +91,96 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _format_results(engine, low, high, valid, with_locate: bool) -> list[str]:
-    lines = []
-    for qid, (lo, hi, ok) in enumerate(zip(low.tolist(), high.tolist(), valid.tolist())):
-        if not ok:
-            lines.append(f"{qid}\tINVALID")
-            continue
-        row = f"{qid}\t{lo}\t{hi}\t{hi - lo}"
-        if with_locate:
-            row += "\t" + ",".join(map(str, fm_locate(engine.fm, lo, hi).tolist()))
-        lines.append(row)
-    return lines
+# the bytes after a field's digits, indexed by the field's suffix code
+_SUFFIXES = (b"\t", b",", b"\n", b"\t\n", b"\tINVALID\n")
+_TAB, _COMMA, _NEWLINE, _TAB_NEWLINE, _INVALID = range(len(_SUFFIXES))
+_SUFFIX_LEN = np.array([len(s) for s in _SUFFIXES], dtype=np.int64)
+_SUFFIX_BYTES = np.array([list(s.ljust(_SUFFIX_LEN.max(), b"\0")) for s in _SUFFIXES],
+                         dtype=np.uint8)
+_POW10 = [10**i for i in range(20)]  # a uint64 has at most 20 decimal digits
+_PAD = len(_POW10)  # bytes before the first field, room for its leading-zero writes
+# fields per encoded block: the bytes and their temporaries stay small (and
+# in cache) however long the query file or one line's list of positions
+_BLOCK = 1 << 14
+
+
+def _fields(low, high, valid, positions=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every TSV field in output order, as (values, suffix codes).
+
+    A valid line is its qid, low, high and count, then with ``positions``
+    (the valid lines' located positions, in line order) its hits; an
+    invalid line is its qid alone.
+    """
+    count = np.where(valid, high - low, 0)
+    nfield = np.where(valid, 4, 1)
+    if positions is not None:
+        nfield += count
+    first = np.cumsum(nfield) - nfield
+    values = np.empty(int(nfield.sum()), dtype=np.int64)
+    codes = np.full(values.size, _COMMA, dtype=np.uint8)
+    values[first] = np.arange(low.size)
+    codes[first[~valid]] = _INVALID
+    head = first[valid, None] + np.arange(4)  # each valid line's qid, low, high, count
+    values[head[:, 1:]] = np.stack([low, high, count], axis=1)[valid]
+    codes[head[:, :3]] = _TAB
+    if positions is None:
+        codes[head[:, 3]] = _NEWLINE
+        return values, codes
+    hits = count[valid] > 0
+    codes[head[:, 3]] = np.where(hits, _TAB, _TAB_NEWLINE)
+    is_pos = np.ones(values.size, dtype=bool)
+    is_pos[first] = False
+    is_pos[head[:, 1:]] = False
+    values[is_pos] = positions
+    codes[head[hits, 3] + count[valid][hits]] = _NEWLINE  # each line's last position
+    return values, codes
+
+
+def _encode(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The decimal digits of each value (>= 0), then its suffix, as uint8 bytes.
+
+    Values below 2^32 are divided as uint32, larger ones as uint64, so none
+    wraps. One pass per decimal place, the highest first, writes every
+    value's digit at that place. A value with fewer digits writes a 0 left
+    of its field there: on bytes that a later pass or the suffixes
+    overwrite, or in the pad before the first field.
+    """
+    vmax = int(values.max())
+    uint = np.uint32 if vmax <= 0xFFFFFFFF else np.uint64
+    v = values.astype(uint)
+    places = len(str(vmax))
+    ndig = np.ones(v.size, dtype=np.int64)
+    for p in _POW10[1:places]:
+        ndig += v >= uint(p)
+    slen = _SUFFIX_LEN[codes]
+    end = np.cumsum(ndig + slen)
+    sfx = end - slen  # each suffix's first byte, one past the field's last digit
+    buf = np.empty(_PAD + int(end[-1]), dtype=np.uint8)
+    above = np.zeros_like(v)
+    for d in range(places - 1, -1, -1):
+        q = v // uint(_POW10[d])
+        buf[_PAD - 1 - d :][sfx] = (q - above * uint(10)).astype(np.uint8) + np.uint8(48)
+        above = q
+    out = buf[_PAD:]
+    out[sfx] = _SUFFIX_BYTES[codes, 0]
+    longer = np.flatnonzero(slen > 1)
+    for j in range(1, int(slen.max())):
+        longer = longer[slen[longer] > j]
+        out[sfx[longer] + j] = _SUFFIX_BYTES[codes[longer], j]
+    return out
+
+
+def _write_tsv(write, low, high, valid, positions=None) -> None:
+    """Pass the TSV of the search results to ``write`` as uint8 arrays, a block at a time.
+
+    A valid line's fields are its qid, low, high and high - low, and with
+    ``positions`` its positions joined by commas (empty without hits); an
+    invalid line's are its qid and ``INVALID``. Fields are tab-separated and
+    every line ends with a newline.
+    """
+    values, codes = _fields(low, high, valid, positions)
+    for b in range(0, values.size, _BLOCK):
+        write(_encode(values[b : b + _BLOCK], codes[b : b + _BLOCK]))
 
 
 def cmd_query(args) -> int:
@@ -114,17 +201,17 @@ def cmd_query(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 
-    lines = _format_results(engine, low, high, valid, args.locate)
-    text = "\n".join(lines) + ("\n" if lines else "")
+    positions = fm_locate(engine.fm, low[valid], high[valid]) if args.locate else None
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                _write_tsv(fh.write, low, high, valid, positions)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        _write_tsv(lambda buf: sys.stdout.write(buf.tobytes().decode("ascii")),
+                   low, high, valid, positions)
     return 0
 
 
@@ -154,9 +241,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    if getattr(args, "k", None) is not None and args.command == "build" and args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_PARAMS
     return args.func(args)
 
 

@@ -6,6 +6,9 @@ equals sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
 once to pack the occurrence tables (64-row checkpoints plus per-rank
 bitmaps), whose layout only this module knows. The index file stores
 neither, and load rebuilds them with :func:`build_fm_index`.
+
+:func:`locate` turns row intervals into reference positions, one interval
+or a whole batch of them with one gather and one sort.
 """
 
 from __future__ import annotations
@@ -169,6 +172,20 @@ def backward_search_batch(fm: FmIndex, qmatrix: np.ndarray) -> tuple[np.ndarray,
     return low, high
 
 
-def locate(fm: FmIndex, low: int, high: int) -> np.ndarray:
-    """Reference positions of the rows [low, high), ascending."""
-    return np.sort(fm.sa[low:high])
+def locate(fm: FmIndex, low, high) -> np.ndarray:
+    """Reference positions of the rows [low, high), ascending.
+
+    ``low`` and ``high`` may be arrays of intervals: the positions of each,
+    ascending, come back concatenated in interval order. Every row is
+    gathered with one ``sa`` lookup and sorted once, as the uint64 key
+    (interval << 32) | position.
+    """
+    low = np.atleast_1d(np.asarray(low, dtype=np.int64))
+    counts = np.atleast_1d(np.asarray(high, dtype=np.int64)) - low
+    ends = np.cumsum(counts)
+    # hit i of an interval is row low + i; ends - counts is where its hits start
+    rows = np.arange(ends[-1] if ends.size else 0) + np.repeat(low - (ends - counts), counts)
+    keys = np.repeat(np.arange(counts.size, dtype=np.uint64) << np.uint64(32), counts)
+    keys |= fm.sa[rows]
+    keys.sort()
+    return keys.astype(np.uint32)  # the low 32 bits: the positions

@@ -31,7 +31,8 @@ refused. ``load_index`` checks every checksum, then the structure the
 checksums cannot vouch for: K lies in [1, min(MAX_K, n - 1)], alpha_leaf
 is finite and > 0 when the RMI is present, the suffix array is a
 permutation of [0, n) whose row 0 is the sentinel's position n - 1, the
-keys never decrease from (0, 0) and their k-mers fit in 2K bits, leaf
+keys never decrease from (0, 0) and their k-mers fit in 2K bits, the loc
+fields are the ones the suffix array gives (:func:`dnasearch.ipbwt.loc_column`), leaf
 starts rise strictly from 0 below n, slopes are finite and >= 0,
 intercepts finite, maximum errors in [0, n], and no bytes follow the last
 section. Any failure raises :class:`CorruptIndexError` naming the section.
@@ -48,7 +49,7 @@ from typing import BinaryIO
 import numpy as np
 
 from dnasearch.fmindex import build_fm_index
-from dnasearch.ipbwt import MAX_K, IpBwt
+from dnasearch.ipbwt import MAX_K, IpBwt, IpBwtError, loc_column
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
@@ -184,8 +185,10 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         sec = _SectionReader(fh, "sa", file_size)
         sa = sec.array("<u4", n)
         sec.close()
-        _require(int(sa.max()) < n and np.all(np.bincount(sa, minlength=n) == 1),
-                 "sa", "not a permutation of the rows")
+        try:
+            loc = loc_column(sa, k)
+        except IpBwtError as exc:
+            raise CorruptIndexError("sa", str(exc)) from None
         _require(sa[0] == n - 1, "sa", f"row 0 is position {sa[0]}, not the sentinel's {n - 1}")
 
         sec = _SectionReader(fh, "ipbwt", file_size)
@@ -198,6 +201,8 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         # the sentinel row's key (0, 0) is the least key, so no key lies below the first leaf
         _require(key_hi[0] == 0 and key_lo[0] == 0, "ipbwt", "first key is not (0, 0)")
         _require(int(key_hi[-1]) >> 2 * k == 0, "ipbwt", f"k-mer codes wider than {2 * k} bits")
+        # two swapped rows of sa keep it a permutation but change the loc fields it gives
+        _require(np.array_equal(key_lo, loc), "sa", "rows disagree with the IP-BWT loc fields")
 
         sec = _SectionReader(fh, "rmi", file_size)
         if flags & 1:

@@ -29,6 +29,7 @@ import numpy as np
 from dnasearch.seqcore import Reference
 
 LOC_BITS = 32
+_NO_ROW = (1 << LOC_BITS) - 1  # above every row, as n < 2^LOC_BITS
 MAX_K = 32  # 2K bits of k-mer code fill one uint64
 _U64 = np.uint64
 # 2-bit code per rank; the sentinel shares code 0 with A
@@ -73,12 +74,29 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     for i in range(k):
         bits <<= _U64(2)
         bits[: n - i] |= code[i:]
-    isa = np.empty(n, dtype=np.uint32)
-    isa[sa] = np.arange(n, dtype=np.uint32)
+    key_lo = loc_column(sa, k)  # first, so that its temporaries are freed before the gather
+    return IpBwt(k=k, n=n, key_hi=bits[sa], key_lo=key_lo)
+
+
+def loc_column(sa: np.ndarray, k: int) -> np.ndarray:
+    """The loc field of every row of suffix array ``sa``, in row order.
+
+    The row whose rotation starts at text position p has loc field
+    ISA[p + k] + k, or j = n-1-p when the sentinel lies j < k characters on.
+    Raises :class:`IpBwtError` unless ``sa`` is a permutation of [0, n):
+    the inverse suffix array starts filled with a value no row has, which
+    stays wherever no row of ``sa`` names the position.
+    """
+    n = sa.size
+    isa = np.full(n, _NO_ROW, dtype=np.uint32)
+    if int(sa.max()) < n:
+        isa[sa] = np.arange(n, dtype=np.uint32)
+    if isa.max() == _NO_ROW:
+        raise IpBwtError("the suffix array is not a permutation of the rows")
     loc = np.empty(n, dtype=np.uint32)
     loc[: n - k] = isa[k:] + np.uint32(k)
     loc[n - k :] = np.arange(k - 1, -1, -1, dtype=np.uint32)  # j, the distance to the sentinel
-    return IpBwt(k=k, n=n, key_hi=bits[sa], key_lo=loc[sa])
+    return loc[sa]
 
 
 def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:

@@ -209,6 +209,9 @@ def damage_index(path, how: str) -> None:
       makes a value out of [0, n) or equal to another row's;
     * ``sa_rows_swapped``: suffix-array rows 0 and 1 trade places, so the
       array is still a permutation but row 0 is not the sentinel's;
+    * ``sa_rows_permuted``: suffix-array rows 1 and n - 1 trade places, so
+      the array is still a permutation with the sentinel's row 0, but not
+      the one the IP-BWT loc fields give;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
     * ``slopes_negated``: every slope changes sign (some are > 0);
     * ``slope_inf``, ``intercept_nan``: leaf 0's slope is +inf, its
@@ -252,9 +255,10 @@ def damage_index(path, how: str) -> None:
             sa_start = sections["sa"][0]
             if how == "sa_out_of_range":
                 data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
-            elif how == "sa_rows_swapped":
-                sa = np.frombuffer(data, "<u4", 2, sa_start)
-                sa[[0, 1]] = sa[[1, 0]]
+            elif how in ("sa_rows_swapped", "sa_rows_permuted"):
+                sa = np.frombuffer(data, "<u4", (sections["sa"][1] - sa_start) // 4, sa_start)
+                rows = [0, 1] if how == "sa_rows_swapped" else [1, sa.size - 1]
+                sa[rows] = sa[rows[::-1]]
             else:
                 sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
                 i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row

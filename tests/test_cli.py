@@ -1,3 +1,7 @@
+import contextlib
+import io
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from dnasearch.cli import (
     EXIT_PARAMS,
     main,
 )
+from dnasearch.fmindex import locate
 from dnasearch.search import MODES
 
 from conftest import STRUCTURE_DAMAGE, damage_index
@@ -258,7 +263,7 @@ class TestQuery:
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
                                      "version_5", "version_6", "header_k", "k_out_of_range",
                                      "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
-                                     "flip_sa", "flip_ipbwt", "flip_rmi",
+                                     "sa_rows_permuted", "flip_sa", "flip_ipbwt", "flip_rmi",
                                      *STRUCTURE_DAMAGE])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index
@@ -279,3 +284,135 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(index), str(qfile), "--mode", "rmi"]) == EXIT_PARAMS
         assert main(["query", str(index), str(qfile), "--mode", "binary"]) == 0
+
+    def test_out_file_and_stdout_same_bytes(self, built_index, tmp_path, capsys):
+        # stdout gets text through sys.stdout.write, also when it has no .buffer
+        index, bases = built_index
+        fixed = [bases[i : i + 9] for i in range(0, 900, 60)] + absent_queries(bases, 9, 3)
+        fixed.append("ACGTNACGT")
+        mixed = fixed + ["ACGTA", "A", bases[:40]]
+        qfile, out_path = tmp_path / "q.txt", tmp_path / "res.tsv"
+        for mode, queries, extra in (("rmi", fixed, ["--locate"]), ("fm", mixed, ["--locate"]),
+                                     ("fm", mixed, [])):
+            qfile.write_text("\n".join(queries) + "\n")
+            argv = ["query", str(index), str(qfile), "--mode", mode, *extra]
+            assert main(argv + ["--out", str(out_path)]) == 0
+            written = out_path.read_bytes()
+            assert written.count(b"\n") == len(queries)
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == written
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(argv) == 0
+            assert buffer.getvalue().encode() == written, (mode, extra)
+
+
+def reference_tsv(sa, low, high, valid, with_locate: bool) -> str:
+    """The per-line formatting loop that the TSV writer replaced, kept as its reference."""
+    lines = []
+    for qid, (lo, hi, ok) in enumerate(zip(low.tolist(), high.tolist(), valid.tolist())):
+        if not ok:
+            lines.append(f"{qid}\tINVALID")
+            continue
+        row = f"{qid}\t{lo}\t{hi}\t{hi - lo}"
+        if with_locate:
+            row += "\t" + ",".join(map(str, np.sort(sa[lo:hi]).tolist()))
+        lines.append(row)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def written_tsv(sa, low, high, valid, with_locate: bool) -> str:
+    """What cli._write_tsv writes, with the positions as the query command locates them."""
+    positions = locate(SimpleNamespace(sa=sa), low[valid], high[valid]) if with_locate else None
+    blocks = []
+    cli._write_tsv(lambda buf: blocks.append(buf.tobytes()), low, high, valid, positions)
+    return b"".join(blocks).decode("ascii")
+
+
+# 0, 1, 9, 10, 99, 100, ... 10^9 and the largest uint32
+DIGIT_EDGES = sorted({0, 2**32 - 1} | {10**e + d for e in range(10) for d in (-1, 0)})
+
+
+def random_results(rng, sa_size: int, lines: int):
+    """(low, high, valid) of ``lines`` lines over a table of ``sa_size`` rows.
+
+    Intervals are empty or short, some lines repeat the whole table, and
+    about a fifth are invalid, whose intervals the output must ignore.
+    """
+    low = rng.integers(0, sa_size + 1, size=lines)
+    high = np.minimum(low + rng.integers(0, 6, size=lines) * (rng.random(lines) < 0.8), sa_size)
+    full = rng.random(lines) < 0.05
+    low[full], high[full] = 0, sa_size
+    return low, high, rng.random(lines) >= 0.2
+
+
+class TestTsvWriter:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, cli._BLOCK])
+    @pytest.mark.parametrize("with_locate", [False, True])
+    def test_equals_per_line_loop(self, monkeypatch, block, with_locate):
+        # lines and single positions straddle every block cut at the small sizes
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(4):
+            sa = np.concatenate([DIGIT_EDGES, rng.integers(0, 2**32, size=60)]).astype(np.uint32)
+            rng.shuffle(sa)
+            low, high, valid = random_results(rng, sa.size, int(rng.integers(1, 80)))
+            expected = reference_tsv(sa, low, high, valid, with_locate)
+            assert written_tsv(sa, low, high, valid, with_locate) == expected
+
+    def test_digit_edges_in_every_field(self):
+        # low, high and count take every edge value; so do the positions
+        edges = np.array(DIGIT_EDGES, dtype=np.int64)
+        low = np.concatenate([np.zeros_like(edges), edges, [0, 3]])
+        high = np.concatenate([edges, np.full_like(edges, 2**32 - 1), [0, 0]])
+        high[-2:] = len(DIGIT_EDGES)
+        valid = np.ones(low.size, dtype=bool)
+        expected = reference_tsv(None, low, high, valid, False)
+        assert written_tsv(None, low, high, valid, False) == expected
+        sa = np.array(DIGIT_EDGES, dtype=np.uint32)[::-1].copy()
+        low, high, valid = low[-2:], high[-2:], valid[-2:]
+        expected = reference_tsv(sa, low, high, valid, True)
+        assert written_tsv(sa, low, high, valid, True) == expected
+        assert expected.startswith("0\t0\t21\t21\t0,1,9,10,99,100,") and "4294967295\n" in expected
+
+    def test_values_above_uint32_not_wrapped(self):
+        low = np.array([0, 2**32 - 1, 2**32, 5, 10**18, 2**62], dtype=np.int64)
+        high = np.array([2**32, 2**32, 2**33 + 7, 10**19 // 2, 10**18, 2**63 - 1], dtype=np.int64)
+        valid = np.ones(low.size, dtype=bool)
+        out = written_tsv(None, low, high, valid, False)
+        assert out == reference_tsv(None, low, high, valid, False)
+        assert "\t4294967296\t" in out and "\t9223372036854775807\t" in out
+
+    @pytest.mark.parametrize("with_locate", [False, True])
+    def test_empty_and_all_invalid(self, with_locate):
+        sa = np.arange(10, dtype=np.uint32)
+        none = np.zeros(0, dtype=np.int64)
+        assert written_tsv(sa, none, none, none.astype(bool), with_locate) == ""
+        low = np.array([0, 3, 0, 9], dtype=np.int64)
+        high = np.array([0, 7, 10, 9], dtype=np.int64)
+        invalid = np.zeros(4, dtype=bool)
+        assert written_tsv(sa, low, high, invalid, with_locate) == "0\tINVALID\n1\tINVALID\n" \
+            "2\tINVALID\n3\tINVALID\n"
+
+    def test_zero_hit_lines(self):
+        sa = np.arange(20, dtype=np.uint32)[::-1].copy()
+        low = np.array([4, 0, 20, 6], dtype=np.int64)
+        high = np.array([4, 0, 20, 8], dtype=np.int64)
+        valid = np.ones(4, dtype=bool)
+        assert written_tsv(sa, low, high, valid, False) == \
+            "0\t4\t4\t0\n1\t0\t0\t0\n2\t20\t20\t0\n3\t6\t8\t2\n"
+        assert written_tsv(sa, low, high, valid, True) == \
+            "0\t4\t4\t0\t\n1\t0\t0\t0\t\n2\t20\t20\t0\t\n3\t6\t8\t2\t12,13\n"
+
+    def test_line_with_more_hits_than_a_block(self):
+        rng = np.random.default_rng(9)
+        sa = rng.permutation(cli._BLOCK + 2_000).astype(np.uint32)
+        low = np.array([0, 5, 0, 100, 0], dtype=np.int64)
+        high = np.array([3, 5, sa.size, 103, sa.size], dtype=np.int64)
+        valid = np.array([True, True, True, False, True])
+        blocks = []
+        positions = locate(SimpleNamespace(sa=sa), low[valid], high[valid])
+        cli._write_tsv(lambda buf: blocks.append(buf.size), low, high, valid, positions)
+        assert len(blocks) > 2  # the long lines are cut across blocks
+        assert written_tsv(sa, low, high, valid, True) == reference_tsv(sa, low, high, valid, True)

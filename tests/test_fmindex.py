@@ -134,3 +134,34 @@ class TestBackwardSearch:
                 assert got[0] >= got[1]
             else:
                 assert got == (iv.low, iv.high)
+
+
+class TestLocateBatch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_sorted_rows_per_interval(self, seed):
+        # repeated intervals, empty ones (at 0, inside and at n) and the whole table
+        rng = np.random.default_rng(seed)
+        ref = random_reference(rng, int(rng.integers(1, 300)))
+        fm = build_fm_index(ref)
+        m = int(rng.integers(0, 60))
+        low = rng.integers(0, ref.n + 1, size=m)
+        high = np.minimum(low + rng.integers(0, 12, size=m) * (rng.random(m) < 0.7), ref.n)
+        if m:
+            low[::7], high[::7] = low[0], high[0]
+            low[1::9], high[1::9] = ref.n, ref.n
+        low, high = np.append(low, 0), np.append(high, ref.n)
+        got = locate(fm, low, high)
+        expected = [np.sort(fm.sa[lo:hi]) for lo, hi in zip(low.tolist(), high.tolist())]
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, np.concatenate(expected))
+
+    def test_no_intervals(self):
+        fm = build_fm_index(make_reference("ACGTA"))
+        got = locate(fm, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert got.dtype == np.uint32 and got.size == 0
+
+    def test_scalar_interval_is_the_sorted_slice(self):
+        fm = build_fm_index(random_reference(np.random.default_rng(4), 90))
+        for lo, hi in ((0, 0), (5, 5), (3, 40), (0, 91), (90, 91)):
+            got, expected = locate(fm, lo, hi), np.sort(fm.sa[lo:hi])
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)

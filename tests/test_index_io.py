@@ -181,10 +181,12 @@ class TestCorruption:
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 
-@pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate", "sa_rows_swapped"])
+@pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
+                                 "sa_rows_permuted"])
 def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     # a permutation whose row 0 is not the sentinel's would derive a text
-    # that does not end with the sentinel
+    # that does not end with the sentinel; one with two other rows swapped
+    # would derive a wrong text, and fm would return wrong rows
     engine, _ = engine_and_ref
     path = tmp_path / "sa.idx"
     save_index(str(path), engine)
@@ -192,8 +194,8 @@ def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
     assert exc.value.section == "sa"
-    words = "sentinel" if how == "sa_rows_swapped" else "permutation"
-    assert words in str(exc.value)  # the checksum was rewritten to match
+    words = {"sa_rows_swapped": "sentinel", "sa_rows_permuted": "loc fields"}
+    assert words.get(how, "permutation") in str(exc.value)  # the checksum was rewritten to match
 
 
 @pytest.mark.parametrize("how", list(STRUCTURE_DAMAGE))
