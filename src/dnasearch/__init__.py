@@ -12,13 +12,12 @@ from dnasearch.seqcore import (
     parse_queries,
     generate_query_matrix,
 )
-from dnasearch.fmindex import FmIndex, SaInterval, build_fm_index, backward_search
+from dnasearch.fmindex import FmIndex, build_fm_index
 from dnasearch.ipbwt import IpBwt, build_ipbwt
 from dnasearch.rmi import Rmi, build_rmi
 from dnasearch.search import (
     SearchEngine,
     build_engine,
-    exact_search,
     batch_search,
     batch_search_matrix,
 )
@@ -29,16 +28,13 @@ __all__ = [
     "parse_queries",
     "generate_query_matrix",
     "FmIndex",
-    "SaInterval",
     "build_fm_index",
-    "backward_search",
     "IpBwt",
     "build_ipbwt",
     "Rmi",
     "build_rmi",
     "SearchEngine",
     "build_engine",
-    "exact_search",
     "batch_search",
     "batch_search_matrix",
 ]

@@ -54,12 +54,11 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
         f"total_expected_bytes={total_expected:.0f}",
         f"total_per_n={sizes['total'] / n:.2f}",
     ]
-    model = engine.rmi
-    if model is not None:
-        lines += [
-            f"rmi_leaf_models={len(model.leaf)}",
-            f"rmi_leaf_err_max={int(model.leaf.max_errors.max())}",
-        ]
+    if engine.rmi is not None:
+        eps = engine.rmi.leaf.max_errors  # each leaf's maximum error bounds its search window
+        p50, p99 = np.percentile(eps, [50, 99], method="inverted_cdf").astype(int)
+        lines += [f"rmi_leaf_models={eps.size}", f"rmi_leaf_err_p50={p50}",
+                  f"rmi_leaf_err_p99={p99}", f"rmi_leaf_err_max={int(eps.max())}"]
     return lines
 
 

@@ -7,8 +7,9 @@ once to pack the occurrence tables (64-row checkpoints plus per-rank
 bitmaps), whose layout only this module knows. The index file stores
 neither, and load rebuilds them with :func:`build_fm_index`.
 
-:func:`locate` turns row intervals into reference positions, one interval
-or a whole batch of them with one gather and one sort.
+:func:`backward_search_batch` is the ``fm`` engine. :func:`locate` turns
+row intervals into reference positions, one interval or a whole batch of
+them with one gather and one sort.
 """
 
 from __future__ import annotations
@@ -21,25 +22,6 @@ from dnasearch.seqcore import Reference
 
 OCC_STRIDE = 64  # checkpoint spacing; one 64-bit occurrence bitmap word per block
 NUM_RANKS = 5  # sentinel + ACGT
-
-
-@dataclass(frozen=True)
-class SaInterval:
-    """Half-open BW-matrix row range [low, high); empty when low == high."""
-
-    low: int
-    high: int
-
-    def __post_init__(self):
-        if not 0 <= self.low <= self.high:
-            raise ValueError(f"malformed interval [{self.low}, {self.high})")
-
-    @property
-    def empty(self) -> bool:
-        return self.low == self.high
-
-    def __len__(self) -> int:
-        return self.high - self.low
 
 
 def build_suffix_array(ref: Reference) -> np.ndarray:
@@ -105,25 +87,8 @@ class FmIndex:
     checkpoints: np.ndarray  # uint32[nblocks, NUM_RANKS]
     occ_bits: np.ndarray  # uint64[NUM_RANKS, nblocks]
 
-    def occ(self, rank: int, i: int) -> int:
-        """Occurrences of ``rank`` in bwt[0..i]; i == -1 returns 0."""
-        if i == -1:
-            return 0
-        if not -1 <= i < self.n:
-            raise IndexError(f"occ position {i} out of range for n={self.n}")
-        block, off = divmod(i, OCC_STRIDE)
-        mask = np.uint64((1 << (off + 1)) - 1) if off < 63 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        inblock = int(np.bitwise_count(self.occ_bits[rank, block] & mask))
-        return int(self.checkpoints[block, rank]) + inblock
-
-    def fm_step(self, rank: int, i: int) -> int:
-        """Lower-bound row of prepending character ``rank`` at row i."""
-        if not 0 <= i <= self.n:
-            raise IndexError(f"row {i} out of range for n={self.n}")
-        return int(self.d[rank]) + self.occ(rank, i - 1)
-
     def occ_many(self, ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Vectorized occ(ranks[j], rows[j]); rows may be -1."""
+        """Occurrences of ranks[j] in bwt[0..rows[j]], for every j; row -1 counts 0."""
         rows = rows.astype(np.int64)
         safe = np.maximum(rows, 0)
         block = safe >> 6
@@ -147,21 +112,11 @@ def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     return FmIndex(n=ref.n, sa=sa, d=d, checkpoints=checkpoints, occ_bits=bits)
 
 
-def backward_search(fm: FmIndex, ranks: np.ndarray) -> SaInterval:
-    """Classic one-character-at-a-time FM-index search of one query's ranks.
-
-    An empty interval keeps stepping, so an absent query ends at its insertion
-    point. The scalar reference that :func:`backward_search_batch` must equal.
-    """
-    low, high = 0, fm.n
-    for c in ranks[::-1]:
-        low = fm.fm_step(int(c), low)
-        high = fm.fm_step(int(c), high)
-    return SaInterval(low, high)
-
-
 def backward_search_batch(fm: FmIndex, qmatrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized backward search over fixed-length queries (rows of ranks)."""
+    """FM search of rows of base ranks, one character per step, right to left.
+
+    An empty interval keeps stepping, so an absent query ends at its insertion point.
+    """
     m, qlen = qmatrix.shape
     low = np.zeros(m, dtype=np.int64)
     high = np.full(m, fm.n, dtype=np.int64)

@@ -3,7 +3,8 @@
 A batch is a matrix of base ranks, one query per row
 (:func:`batch_search_matrix`), or queries of any lengths laid back to back
 in one rank array (:func:`batch_search`, which searches one matrix per
-length); a single query is a one-row batch.
+length). One query is a one-row batch; ``fm`` mode searches a matrix with
+:func:`dnasearch.fmindex.backward_search_batch`.
 
 A query is processed right-to-left in chunks of K characters; each chunk
 costs one lower-bound evaluation per interval bound, exact with no
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.fmindex import FmIndex, SaInterval, backward_search_batch
+from dnasearch.fmindex import FmIndex, backward_search_batch
 from dnasearch.ipbwt import IpBwt, lower_bound_batch
 from dnasearch.rmi import Rmi
 
@@ -66,12 +67,6 @@ def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0, with_rmi: bool = Tru
     ix = build_ipbwt(ref, fm.sa, k)
     rmi = build_rmi(ix, alpha_leaf) if with_rmi else None
     return SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
-
-
-def exact_search(engine: SearchEngine, ranks: np.ndarray, mode: str = "rmi") -> SaInterval:
-    """Search one query of base ranks (1..4), as a one-row batch."""
-    low, high = batch_search_matrix(engine, np.asarray(ranks, dtype=np.uint8)[None, :], mode)
-    return SaInterval(int(low[0]), int(high[0]))
 
 
 # queries per block: a round's temporaries stay small, so a large batch

@@ -1,4 +1,4 @@
-"""DNA alphabet handling, FASTA/query ingestion, query generation.
+"""DNA alphabet handling, FASTA and query-file reading, query generation.
 
 Two code conventions coexist:
 
@@ -19,7 +19,6 @@ import numpy as np
 
 SENTINEL_RANK = 0
 ALPHABET = "ACGT"
-RANK_TO_CHAR = "$ACGT"
 
 # byte-value -> rank lookup, either case; 255 marks invalid bytes
 _BYTE_TO_RANK = np.full(256, 255, dtype=np.uint8)
@@ -70,10 +69,6 @@ class Reference:
     def n(self) -> int:
         return int(self.ranks.size)
 
-    def bases(self) -> str:
-        """Sequence without the sentinel, as text."""
-        return "".join(RANK_TO_CHAR[r] for r in self.ranks[:-1])
-
 
 def encode_ranks(seq: str | bytes, line: int | None = None) -> np.ndarray:
     """Encode a base string to a rank array, rejecting anything outside ACGT."""
@@ -121,14 +116,6 @@ def load_fasta(source: bytes | BinaryIO) -> Reference:
     ranks[:-1] = body
     ranks[-1] = SENTINEL_RANK
     return Reference(name=name, ranks=ranks)
-
-
-def write_fasta(ref: Reference, width: int = 70) -> bytes:
-    """Inverse of load_fasta (modulo line wrapping and case)."""
-    seq = ref.bases()
-    lines = [f">{ref.name}"]
-    lines.extend(seq[i : i + width] for i in range(0, len(seq), width))
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def parse_queries(source: bytes | BinaryIO) -> tuple[np.ndarray, np.ndarray]:

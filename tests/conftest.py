@@ -9,6 +9,7 @@ import pytest
 
 from dnasearch.index_io import _HEADER
 from dnasearch.ipbwt import MAX_K
+from dnasearch.rmi import audit_errors, key_errors
 from dnasearch.seqcore import Reference, encode_ranks
 from dnasearch.search import build_engine
 
@@ -144,6 +145,25 @@ def sample_queries(rng, entries, k, n, count):
             keys.append(packed(chunk + [1] * (k - short), short))
             expected.append(brute_lower_bound(entries, chunk + [0] + [1] * (k - short - 1), 0))
     return keys, expected
+
+
+def audit_leaves(engine) -> dict[str, np.ndarray]:
+    """Criterion 4's audit of an engine's leaf models, recomputed from its keys.
+
+    ``mean``: each leaf's mean error, which ``alpha_leaf`` bounds; ``max``:
+    each leaf's maximum error; ``wrong_max``: the leaves whose stored maximum
+    error, which sizes their search windows, is not ``max``; ``negative``:
+    the leaves whose slope is below 0.
+    """
+    rmi, ix = engine.rmi, engine.ipbwt
+    leaf = rmi.leaf
+    max_errors = np.maximum.reduceat(key_errors(leaf, ix.key_hi, ix.key_lo), leaf.starts)
+    return {
+        "mean": np.array([err for _, _, err in audit_errors(rmi, ix)]),
+        "max": max_errors,
+        "wrong_max": np.flatnonzero(leaf.max_errors != max_errors),
+        "negative": np.flatnonzero(leaf.slopes < 0),
+    }
 
 
 SECTIONS = ("sa", "ipbwt", "rmi")

@@ -14,12 +14,13 @@ from dnasearch.cli import (
     main,
 )
 from dnasearch.fmindex import locate
+from dnasearch.index_io import load_index
 from dnasearch.search import MODES
 
 from conftest import STRUCTURE_DAMAGE, damage_index
 
 
-def write_fasta_file(path, bases, name="ref"):
+def write_reference(path, bases, name="ref"):
     with open(path, "w") as fh:
         fh.write(f">{name}\n")
         for i in range(0, len(bases), 70):
@@ -47,7 +48,7 @@ def built_index(tmp_path_factory):
     fasta = root / "ref.fa"
     rng = np.random.default_rng(31)
     bases = random_bases(rng, 3000)
-    write_fasta_file(fasta, bases)
+    write_reference(fasta, bases)
     index = root / "ref.idx"
     assert main(["build", str(fasta), "--k", "6", "--out", str(index)]) == 0
     return index, bases
@@ -56,8 +57,10 @@ def built_index(tmp_path_factory):
 class TestBuild:
     def test_space_report(self, tmp_path, capsys):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, random_bases(np.random.default_rng(1), 800))
-        rc = main(["build", str(fasta), "--k", "5", "--out", str(tmp_path / "r.idx")])
+        write_reference(fasta, random_bases(np.random.default_rng(1), 800))
+        # a small alpha_leaf, so that the 800 bases take many leaves
+        rc = main(["build", str(fasta), "--k", "5", "--alpha-leaf", "0.5",
+                   "--out", str(tmp_path / "r.idx")])
         out = capsys.readouterr().out
         assert rc == 0
         report = dict(
@@ -71,13 +74,22 @@ class TestBuild:
         # model shape: leaf count and the worst leaf prediction error
         assert 1 <= int(report["rmi_leaf_models"]) <= 801
         assert 0 <= int(report["rmi_leaf_err_max"]) < 801
+        # the saved leaves' maximum errors: p50 and p99 are each the smallest
+        # value that at least that share of leaves stay at or below
+        eps = np.sort(load_index(str(tmp_path / "r.idx"))[0].rmi.leaf.max_errors)
+        m = eps.size
+        assert int(report["rmi_leaf_models"]) == m > 100
+        assert [int(report[f"rmi_leaf_err_{p}"]) for p in ("p50", "p99", "max")] == [
+            eps[-(-m // 2) - 1], eps[-(-99 * m // 100) - 1], eps[-1]]
 
     def test_space_report_without_rmi(self, tmp_path, capsys):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, random_bases(np.random.default_rng(1), 200))
+        write_reference(fasta, random_bases(np.random.default_rng(1), 200))
         rc = main(["build", str(fasta), "--k", "5", "--no-rmi", "--out", str(tmp_path / "r.idx")])
         assert rc == 0
-        assert "rmi_leaf_models" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for key in ("rmi_leaf_models", "rmi_leaf_err_p50", "rmi_leaf_err_p99", "rmi_leaf_err_max"):
+            assert key not in out
 
     def test_missing_fasta_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.fa"), "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -89,24 +101,24 @@ class TestBuild:
 
     def test_k_zero_exits_4(self, tmp_path):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, "ACGTACGT")
+        write_reference(fasta, "ACGTACGT")
         assert main(["build", str(fasta), "--k", "0", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
     def test_k_too_large_exits_4(self, tmp_path):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, "ACGT")
+        write_reference(fasta, "ACGT")
         assert main(["build", str(fasta), "--k", "10", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
     def test_alpha_leaf_not_finite_positive_exits_4(self, tmp_path, alpha):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, random_bases(np.random.default_rng(4), 35))
+        write_reference(fasta, random_bases(np.random.default_rng(4), 35))
         rc = main(["build", str(fasta), "--alpha-leaf", alpha, "--out", str(tmp_path / "o")])
         assert rc == EXIT_PARAMS
 
     def test_k_up_to_32(self, tmp_path, capsys):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, random_bases(np.random.default_rng(3), 300))
+        write_reference(fasta, random_bases(np.random.default_rng(3), 300))
         assert main(["build", str(fasta), "--k", "32", "--out", str(tmp_path / "o")]) == 0
         assert main(["build", str(fasta), "--k", "33", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
 
@@ -129,7 +141,7 @@ GOLDEN_MIXED_TSV = ("0\t5\t7\t2\t2,39\n1\t52\t54\t2\t14,37\n2\t31\t37\t6\t4,19,2
 def golden_index(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     fasta = root / "ref.fa"
-    write_fasta_file(fasta, GOLDEN_REFERENCE)
+    write_reference(fasta, GOLDEN_REFERENCE)
     index = root / "ref.idx"
     assert main(["build", str(fasta), "--k", "3", "--out", str(index)]) == 0
     return index
@@ -173,7 +185,7 @@ class TestQuery:
 
     def test_locate_golden(self, tmp_path, capsys):
         fasta = tmp_path / "g.fa"
-        write_fasta_file(fasta, "ATACGAC")
+        write_reference(fasta, "ATACGAC")
         index = tmp_path / "g.idx"
         assert main(["build", str(fasta), "--k", "2", "--out", str(index)]) == 0
         capsys.readouterr()
@@ -276,7 +288,7 @@ class TestQuery:
 
     def test_rmi_mode_unavailable_exit_4(self, tmp_path):
         fasta = tmp_path / "r.fa"
-        write_fasta_file(fasta, random_bases(np.random.default_rng(2), 300))
+        write_reference(fasta, random_bases(np.random.default_rng(2), 300))
         index = tmp_path / "r.idx"
         assert main(["build", str(fasta), "--k", "4", "--no-rmi",
                      "--out", str(index)]) == 0

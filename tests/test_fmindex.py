@@ -4,9 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import (
-    FmIndex,
-    SaInterval,
-    backward_search,
     backward_search_batch,
     build_bwt,
     build_fm_index,
@@ -16,16 +13,6 @@ from dnasearch.fmindex import (
 from dnasearch.seqcore import encode_ranks
 
 from conftest import make_reference, naive_interval, naive_positions, random_reference, rotation_rows
-
-
-class TestSaInterval:
-    def test_empty_and_len(self):
-        assert SaInterval(3, 3).empty
-        assert len(SaInterval(2, 5)) == 3
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            SaInterval(4, 2)
 
 
 class TestSuffixArray:
@@ -51,89 +38,102 @@ class TestSuffixArray:
         assert sa.tolist() == rotation_rows(ref.ranks)
 
 
+def prefix_counts(ref, fm):
+    """counts[i + 1, r] = occurrences of rank r in bwt[0..i], from np.cumsum; row 0 is i = -1."""
+    bwt = build_bwt(ref, fm.sa)
+    counts = np.zeros((ref.n + 1, 5), dtype=np.int64)
+    np.cumsum(bwt[:, None] == np.arange(5), axis=0, out=counts[1:])
+    return counts
+
+
+def search_one(fm, ranks):
+    """One query as a one-row batch; returns its (low, high)."""
+    low, high = backward_search_batch(fm, np.asarray(ranks, dtype=np.uint8)[None, :])
+    return int(low[0]), int(high[0])
+
+
 class TestOcc:
     def test_occ_matches_prefix_counts(self):
+        # every rank at every row from -1 to n - 1, at sizes around the 64-row checkpoints
         rng = np.random.default_rng(7)
-        ref = random_reference(rng, 300)  # spans several checkpoint blocks
-        fm = build_fm_index(ref)
-        bwt = build_bwt(ref, fm.sa)
-        for rank in range(5):
-            running = 0
-            for i in range(ref.n):
-                assert fm.occ(rank, i) == running + (bwt[i] == rank)
-                running += bwt[i] == rank
+        for n_bases in (1, 62, 63, 64, 127, 128, 300):
+            ref = random_reference(rng, n_bases)
+            fm = build_fm_index(ref)
+            counts = prefix_counts(ref, fm)
+            rows = np.arange(-1, ref.n)  # -1, 63, 64 (once n > 64) and n - 1 among them
+            for rank in range(5):
+                got = fm.occ_many(np.full(rows.size, rank), rows)
+                assert np.array_equal(got, counts[rows + 1, rank]), (n_bases, rank)
 
     def test_occ_many_matches_scalar(self):
+        # mixed ranks and rows in one call, each against its own prefix count
         rng = np.random.default_rng(8)
         ref = random_reference(rng, 257)
         fm = build_fm_index(ref)
-        rows = rng.integers(0, ref.n, size=100)
-        ranks = rng.integers(0, 5, size=100)
+        counts = prefix_counts(ref, fm)
+        rows = np.concatenate([rng.integers(-1, ref.n, size=100), [-1, 63, 64, ref.n - 1]])
+        ranks = rng.integers(0, 5, size=rows.size)
         got = fm.occ_many(ranks, rows)
-        expected = [fm.occ(int(r), int(i)) for r, i in zip(ranks, rows)]
-        assert got.tolist() == expected
+        assert got.tolist() == [int(counts[i + 1, r]) for r, i in zip(ranks, rows)]
 
-    def test_fm_step_chains_to_lf_mapping(self):
-        # advancing from row i by bwt[i] must land on the predecessor rotation
+    def test_occ_many_gives_lf_mapping(self):
+        # d[c] + occ(c, i) - 1, c = bwt[i], must land on the predecessor rotation of row i
         rng = np.random.default_rng(9)
         ref = random_reference(rng, 90)
         fm = build_fm_index(ref)
-        sa = fm.sa
-        bwt = build_bwt(ref, sa)
-        for i in range(ref.n):
-            j = fm.fm_step(int(bwt[i]), i + 1) - 1
-            assert (sa[j] + 1) % ref.n == sa[i]
+        sa = fm.sa.astype(np.int64)
+        c = build_bwt(ref, fm.sa).astype(np.int64)
+        rows = np.arange(ref.n)
+        j = fm.d[c] + fm.occ_many(c, rows) - 1
+        assert np.array_equal((sa[j] + 1) % ref.n, sa)
 
 
 class TestBackwardSearch:
     def test_golden_ac(self):
         ref = make_reference("ATACGAC")
         fm = build_fm_index(ref)
-        iv = backward_search(fm, encode_ranks("AC"))
-        assert (iv.low, iv.high) == (1, 3)
-        assert locate(fm, iv.low, iv.high).tolist() == [2, 5]
+        low, high = search_one(fm, encode_ranks("AC"))
+        assert (low, high) == (1, 3)
+        assert locate(fm, low, high).tolist() == [2, 5]
 
     def test_golden_absent(self):
         ref = make_reference("ATACGAC")
         fm = build_fm_index(ref)
-        assert backward_search(fm, encode_ranks("TT")).empty
+        low, high = search_one(fm, encode_ranks("TT"))
+        assert low == high
+        assert (low, high) == naive_interval(ref.ranks, encode_ranks("TT"))
 
     def test_empty_query_full_range(self):
         ref = make_reference("ACGT")
         fm = build_fm_index(ref)
-        iv = backward_search(fm, np.array([], dtype=np.uint8))
-        assert (iv.low, iv.high) == (0, ref.n)
+        assert search_one(fm, []) == (0, ref.n)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_interval_matches_brute_force(self, seed):
+        # exact intervals, absent queries included: they end at their insertion point
         rng = np.random.default_rng(seed)
         ref = random_reference(rng, int(rng.integers(2, 80)))
         fm = build_fm_index(ref)
         for _ in range(8):
             q = rng.integers(1, 5, size=int(rng.integers(1, 7))).astype(np.uint8)
-            iv = backward_search(fm, q)
-            expected = naive_interval(ref.ranks, q)
-            if expected[0] == expected[1]:
-                # empty results short-circuit, so only emptiness is defined
-                assert iv.empty
-            else:
-                assert (iv.low, iv.high) == expected
-            assert locate(fm, iv.low, iv.high).tolist() == sorted(naive_positions(ref.ranks, q))
+            low, high = search_one(fm, q)
+            assert (low, high) == naive_interval(ref.ranks, q)
+            assert locate(fm, low, high).tolist() == sorted(naive_positions(ref.ranks, q))
 
     def test_batch_matches_scalar(self):
+        # a 64-row batch, most rows absent, against each row's brute-force interval
         rng = np.random.default_rng(10)
         ref = random_reference(rng, 200)
         fm = build_fm_index(ref)
         qm = rng.integers(1, 5, size=(64, 9)).astype(np.uint8)
+        qm[:8] = ref.ranks[rng.integers(0, ref.n - 9, size=8)[:, None] + np.arange(9)]
         low, high = backward_search_batch(fm, qm)
-        for i in range(64):
-            iv = backward_search(fm, qm[i])
-            got = (int(low[i]), int(high[i]))
-            if iv.empty:
-                assert got[0] >= got[1]
-            else:
-                assert got == (iv.low, iv.high)
+        expected = [naive_interval(ref.ranks, q) for q in qm]
+        assert list(zip(low.tolist(), high.tolist())) == expected
+        assert np.count_nonzero(low < high) >= 8 and np.count_nonzero(low == high) >= 8
+        positions = [sorted(naive_positions(ref.ranks, q)) for q in qm]
+        assert locate(fm, low, high).tolist() == [p for hits in positions for p in hits]
 
 
 class TestLocateBatch:

@@ -84,7 +84,7 @@ class TestRoundTrip:
                 path = str(tmp_path / f"t{i}-{k}.idx")
                 save_index(path, engine)
                 loaded, ref2, _ = load_index(path)
-                assert np.array_equal(ref2.ranks, ref.ranks), (ref.bases(), k)
+                assert np.array_equal(ref2.ranks, ref.ranks), (i, k)
                 assert np.array_equal(loaded.fm.checkpoints, engine.fm.checkpoints)
                 assert np.array_equal(loaded.fm.occ_bits, engine.fm.occ_bits)
 

@@ -1,8 +1,6 @@
 import bisect
-import importlib.util
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
-from dnasearch.index_io import save_index
+from dnasearch.index_io import load_index, save_index
 from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch
 from dnasearch.rmi import (
     audit_errors,
@@ -24,6 +22,7 @@ from dnasearch import search
 from dnasearch.search import build_engine
 
 from conftest import (
+    audit_leaves,
     brute_entries,
     damage_index,
     make_reference,
@@ -325,32 +324,26 @@ class TestQueryTimeBound:
         assert np.array_equal(leaf.max_errors, recomputed)
 
 
-def load_audit_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "audit_rmi.py"
-    spec = importlib.util.spec_from_file_location("audit_rmi", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+class TestSavedIndexAudit:
+    """Criterion 4's audit (``conftest.audit_leaves``) of an index read back from its file."""
 
-
-class TestAuditScript:
     @pytest.fixture()
     def index_path(self, tmp_path):
-        engine = build_engine(random_reference(np.random.default_rng(6), 2000), k=6)
+        # alpha_leaf 1 takes 98 leaves over these 2,000 bases
+        engine = build_engine(random_reference(np.random.default_rng(6), 2000), k=6, alpha_leaf=1.0)
         path = tmp_path / "a.idx"
         save_index(str(path), engine)
         return path, len(engine.rmi.leaf)
 
-    def test_clean_index_passes(self, index_path, capsys):
+    def test_clean_index_passes(self, index_path):
         path, leaves = index_path
-        assert load_audit_script().main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"{leaves} leaf models" in out and "violations=0" in out
+        audit = audit_leaves(load_index(str(path))[0])
+        assert audit["mean"].size == leaves > 1 and np.all(audit["mean"] <= 1.0)
+        assert audit["wrong_max"].size == audit["negative"].size == 0
 
-    def test_raised_max_error_named(self, index_path, capsys):
+    def test_raised_max_error_named(self, index_path):
         path, leaves = index_path
         damage_index(path, "error_raised")  # loads: the checksum is rewritten
-        assert load_audit_script().main([str(path)]) == 1
-        out = capsys.readouterr().out
-        assert f"VIOLATION leaf={leaves // 2} stored max error" in out
-        assert out.count("VIOLATION") == 1
+        audit = audit_leaves(load_index(str(path))[0])
+        assert audit["wrong_max"].tolist() == [leaves // 2]
+        assert audit["negative"].size == 0

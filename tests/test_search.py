@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnasearch.fmindex import backward_search, locate
+from dnasearch.fmindex import locate
 from dnasearch.search import (
     MODES,
     MixedLengthBatchError,
@@ -12,7 +12,6 @@ from dnasearch.search import (
     batch_search,
     batch_search_matrix,
     build_engine,
-    exact_search,
 )
 from dnasearch.seqcore import encode_ranks, parse_queries
 
@@ -23,6 +22,12 @@ from conftest import (
     random_reference,
     repetitive_reference,
 )
+
+
+def search_one(engine, ranks, mode="rmi"):
+    """One query as a one-row batch; returns its (low, high)."""
+    low, high = batch_search_matrix(engine, np.asarray(ranks, dtype=np.uint8)[None, :], mode)
+    return int(low[0]), int(high[0])
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +41,7 @@ class TestChunking:
     @staticmethod
     def assert_interval(engine, bases, expected):
         for mode in MODES:
-            iv = exact_search(engine, encode_ranks(bases), mode=mode)
-            assert (iv.low, iv.high) == expected, (bases, mode)
+            assert search_one(engine, encode_ranks(bases), mode) == expected, (bases, mode)
 
     def test_split_exact_multiple(self, small_engine):
         self.assert_interval(small_engine, "ATTATT", (4, 5))
@@ -55,30 +59,33 @@ class TestChunking:
         self.assert_interval(small_engine, "AG", (2, 3))
         self.assert_interval(small_engine, "TT", (10, 12))
         for mode in MODES:
-            assert exact_search(small_engine, encode_ranks("CC"), mode=mode).empty
+            low, high = search_one(small_engine, encode_ranks("CC"), mode)
+            assert low == high
 
 
 class TestExactSearch:
     def test_known_interval(self, small_engine):
-        iv = exact_search(small_engine, encode_ranks("ATTA"))
-        assert (iv.low, iv.high) == (3, 5)
+        assert search_one(small_engine, encode_ranks("ATTA")) == (3, 5)
 
     def test_known_interval_all_modes(self, small_engine):
         for mode in MODES:
-            iv = exact_search(small_engine, encode_ranks("ATTA"), mode=mode)
-            assert (iv.low, iv.high) == (3, 5)
+            assert search_one(small_engine, encode_ranks("ATTA"), mode) == (3, 5)
 
     def test_located_positions(self):
         engine = build_engine(make_reference("ATACGAC"), k=2)
-        iv = exact_search(engine, encode_ranks("AC"))
-        assert locate(engine.fm, iv.low, iv.high).tolist() == [2, 5]
+        low, high = search_one(engine, encode_ranks("AC"))
+        assert locate(engine.fm, low, high).tolist() == [2, 5]
 
     def test_empty_query_full_range(self, small_engine):
-        iv = exact_search(small_engine, np.array([], dtype=np.uint8))
-        assert (iv.low, iv.high) == (0, 12)
+        for mode in MODES:
+            assert search_one(small_engine, [], mode) == (0, 12)
 
     def test_absent_query_empty(self, small_engine):
-        assert exact_search(small_engine, encode_ranks("GGG")).empty
+        ref = make_reference("CATTATTAGGA")
+        for mode in MODES:
+            low, high = search_one(small_engine, encode_ranks("GGG"), mode)
+            assert low == high
+            assert (low, high) == naive_interval(ref.ranks, encode_ranks("GGG"))
 
 
 class TestBatchSearch:
@@ -88,14 +95,10 @@ class TestBatchSearch:
         engine = build_engine(ref, k=5)
         for qlen in (1, 4, 5, 7, 12):
             qm = rng.integers(1, 5, size=(50, qlen)).astype(np.uint8)
-            reference = [backward_search(engine.fm, qm[i]) for i in range(50)]
+            reference = [naive_interval(ref.ranks, q) for q in qm]
             for mode in MODES:
                 low, high = batch_search_matrix(engine, qm, mode=mode)
-                for i, iv in enumerate(reference):
-                    if iv.empty:
-                        assert low[i] >= high[i]
-                    else:
-                        assert (int(low[i]), int(high[i])) == (iv.low, iv.high)
+                assert list(zip(low.tolist(), high.tolist())) == reference, (qlen, mode)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -109,11 +112,7 @@ class TestBatchSearch:
         for mode in MODES:
             low, high = batch_search_matrix(engine, qm, mode=mode)
             for i in range(12):
-                expected = naive_interval(ref.ranks, qm[i])
-                if expected[0] == expected[1]:
-                    assert low[i] >= high[i]
-                else:
-                    assert (int(low[i]), int(high[i])) == expected
+                assert (int(low[i]), int(high[i])) == naive_interval(ref.ranks, qm[i])
 
     def test_match_sets_against_substring_scan(self):
         rng = np.random.default_rng(13)
@@ -152,8 +151,7 @@ class TestBatchSearch:
             low, high, valid = batch_search(small_engine, ranks, lengths, mode=mode)
             assert valid.tolist() == [True, False, True, False]
             for i, line in ((0, "ATTA"), (2, "TAGG")):
-                iv = exact_search(small_engine, encode_ranks(line), mode=mode)
-                assert (int(low[i]), int(high[i])) == (iv.low, iv.high)
+                assert (int(low[i]), int(high[i])) == search_one(small_engine, encode_ranks(line), mode)
             assert low[[1, 3]].tolist() == high[[1, 3]].tolist() == [0, 0]
 
     def test_empty_batch(self, small_engine):
@@ -163,8 +161,8 @@ class TestBatchSearch:
             assert low.size == high.size == valid.size == 0
 
     def test_out_of_range_ranks_rejected(self, small_engine):
-        # base codes 0..3 in place of ranks 1..4, a rank above T, and one
-        # query not shaped as a batch: every mode refuses all three
+        # base codes 0..3 in place of ranks 1..4, a rank above T, one query
+        # not shaped as a batch, and the sentinel's rank 0: every mode refuses all four
         codes = np.random.default_rng(8).integers(0, 4, size=(8, 7)).astype(np.uint8)
         codes[0, :2] = 0, 3
         for mode in MODES:
@@ -172,25 +170,24 @@ class TestBatchSearch:
                 with pytest.raises(SearchError):
                     batch_search_matrix(small_engine, batch, mode=mode)
             with pytest.raises(SearchError):
-                exact_search(small_engine, np.array([1, 0, 2], dtype=np.uint8), mode=mode)
+                search_one(small_engine, [1, 0, 2], mode)
 
     def test_mode_unavailable_without_rmi(self):
         engine = build_engine(make_reference("ATACGAC"), k=2, with_rmi=False)
         with pytest.raises(ModeUnavailableError):
-            exact_search(engine, encode_ranks("AC"), mode="rmi")
-        iv = exact_search(engine, encode_ranks("AC"), mode="binary")
-        assert (iv.low, iv.high) == (1, 3)
+            search_one(engine, encode_ranks("AC"), "rmi")
+        assert search_one(engine, encode_ranks("AC"), "binary") == (1, 3)
 
     def test_unknown_mode_rejected(self, small_engine):
         with pytest.raises(SearchError):
-            exact_search(small_engine, encode_ranks("AC"), mode="turbo")
+            search_one(small_engine, encode_ranks("AC"), "turbo")
 
 
 class TestAbsentQueries:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_full_rows_agree_across_modes(self, seed):
-        # every mode, single-query and batched, gives an absent query the
+        # every mode, one-row and many-row batches, gives an absent query the
         # empty interval at its insertion point among the sorted rotations
         rng = np.random.default_rng(seed)
         size = int(rng.integers(3, 80))
@@ -203,8 +200,7 @@ class TestAbsentQueries:
             for mode in MODES:
                 low, high = batch_search_matrix(engine, qm, mode=mode)
                 assert list(zip(low.tolist(), high.tolist())) == expected, mode
-                single = [exact_search(engine, q, mode=mode) for q in qm]
-                assert [(iv.low, iv.high) for iv in single] == expected, mode
+                assert [search_one(engine, q, mode) for q in qm] == expected, mode
 
 
 class TestQueryLengthSweep:
@@ -246,9 +242,6 @@ class TestRepetitiveText:
                 low, high = batch_search_matrix(engine, qm, mode=mode)
                 for i in range(qm.shape[0]):
                     expected = naive_interval(ref.ranks, qm[i])
-                    if expected[0] == expected[1]:
-                        assert low[i] == high[i], (mode, qm[i])
-                        continue
                     assert (int(low[i]), int(high[i])) == expected, (mode, qm[i])
                     rows = engine.fm.sa[low[i] : high[i]]
                     assert set(rows.tolist()) == naive_positions(ref.ranks, qm[i])
