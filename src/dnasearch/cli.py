@@ -1,14 +1,13 @@
 """Command-line front end: build indexes and run query batches.
 
 ``query`` parses the query file into one rank array (:func:`parse_queries`)
-and searches it with one :func:`batch_search` call in every mode: ``fm``
-takes lines of any lengths, ``rmi`` and ``binary`` one length per file.
-With ``--locate``, one :func:`dnasearch.fmindex.locate` call gives every
-line's positions. The TSV is written by numpy alone, a block of fields at
-a time (:func:`_write_tsv`); no Python code runs per line or per position.
+and searches it with one :func:`batch_search` call. Every mode takes lines
+of any lengths from any index and prints the same rows. With ``--locate``,
+one :func:`dnasearch.fmindex.locate` call gives every line's positions.
+The TSV is written by numpy alone, a block of fields at a time
+(:func:`_write_tsv`); no Python code runs per line or per position.
 
-Exit codes: 2 I/O or corrupt index, 3 invalid FASTA, 4 bad parameters,
-5 mixed-length batch in a batched mode.
+Exit codes: 2 I/O or corrupt index, 3 invalid FASTA, 4 bad parameters.
 """
 
 from __future__ import annotations
@@ -20,21 +19,12 @@ import numpy as np
 
 from dnasearch import index_io
 from dnasearch.fmindex import locate as fm_locate
-from dnasearch.ipbwt import IpBwtError
-from dnasearch.search import (
-    MODES,
-    MixedLengthBatchError,
-    ModeUnavailableError,
-    SearchEngine,
-    batch_search,
-    build_engine,
-)
+from dnasearch.search import MODES, SearchEngine, batch_search, build_engine
 from dnasearch.seqcore import SequenceError, load_fasta, parse_queries
 
 EXIT_IO = 2
 EXIT_FASTA = 3
 EXIT_PARAMS = 4
-EXIT_MIXED = 5
 
 
 def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
@@ -54,18 +44,13 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
         f"total_expected_bytes={total_expected:.0f}",
         f"total_per_n={sizes['total'] / n:.2f}",
     ]
-    if engine.rmi is not None:
-        eps = engine.rmi.leaf.max_errors  # each leaf's maximum error bounds its search window
-        p50, p99 = np.percentile(eps, [50, 99], method="inverted_cdf").astype(int)
-        lines += [f"rmi_leaf_models={eps.size}", f"rmi_leaf_err_p50={p50}",
-                  f"rmi_leaf_err_p99={p99}", f"rmi_leaf_err_max={int(eps.max())}"]
-    return lines
+    eps = engine.rmi.leaf.max_errors  # each leaf's maximum error bounds its search window
+    p50, p99 = np.percentile(eps, [50, 99], method="inverted_cdf").astype(int)
+    return lines + [f"rmi_leaf_models={eps.size}", f"rmi_leaf_err_p50={p50}",
+                    f"rmi_leaf_err_p99={p99}", f"rmi_leaf_err_max={int(eps.max())}"]
 
 
 def cmd_build(args) -> int:
-    if args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_PARAMS
     try:
         with open(args.fasta, "rb") as fh:
             ref = load_fasta(fh)
@@ -76,8 +61,8 @@ def cmd_build(args) -> int:
         print(f"error: invalid FASTA: {exc}", file=sys.stderr)
         return EXIT_FASTA
     try:
-        engine = build_engine(ref, k=args.k, alpha_leaf=args.alpha_leaf, with_rmi=not args.no_rmi)
-    except (IpBwtError, ValueError) as exc:
+        engine = build_engine(ref, k=args.k, alpha_leaf=args.alpha_leaf)
+    except ValueError as exc:  # a K or alpha_leaf out of range, checked before the suffix sort
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     try:
@@ -191,15 +176,7 @@ def cmd_query(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    try:
-        low, high, valid = batch_search(engine, ranks, lengths, mode=args.mode)
-    except MixedLengthBatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MIXED
-    except ModeUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-
+    low, high, valid = batch_search(engine, ranks, lengths, mode=args.mode)
     positions = fm_locate(engine.fm, low[valid], high[valid]) if args.locate else None
     if args.out:
         try:
@@ -224,7 +201,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="output index path")
     b.add_argument("--k", type=int, default=21, help="chunk length (default 21)")
     b.add_argument("--alpha-leaf", type=float, default=6.0)
-    b.add_argument("--no-rmi", action="store_true", help="skip the learned index")
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="search a query file against an index")

@@ -22,6 +22,8 @@ from dnasearch.seqcore import Reference
 
 OCC_STRIDE = 64  # checkpoint spacing; one 64-bit occurrence bitmap word per block
 NUM_RANKS = 5  # sentinel + ACGT
+# _IN_BLOCK[i]: the bitmap bits of a block's rows 0..i
+_IN_BLOCK = np.cumsum(np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64), dtype=np.uint64)
 
 
 def build_suffix_array(ref: Reference) -> np.ndarray:
@@ -92,13 +94,8 @@ class FmIndex:
         rows = rows.astype(np.int64)
         safe = np.maximum(rows, 0)
         block = safe >> 6
-        off = (safe & 63).astype(np.uint64)
-        mask = np.where(
-            off < 63,
-            (np.uint64(1) << (off + np.uint64(1))) - np.uint64(1),
-            np.uint64(0xFFFFFFFFFFFFFFFF),
-        )
-        inblock = np.bitwise_count(self.occ_bits[ranks, block] & mask).astype(np.int64)
+        inblock = np.bitwise_count(self.occ_bits[ranks, block] & _IN_BLOCK[safe & 63])
+        inblock = inblock.astype(np.int64)
         out = self.checkpoints[block, ranks].astype(np.int64) + inblock
         return np.where(rows < 0, 0, out)
 

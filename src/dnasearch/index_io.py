@@ -2,12 +2,11 @@
 
 Layout (all little-endian):
 
-* magic ``LSA1``; header: version u16, K u16, n u64, flags u32 (bit 0 =
-  RMI present), alpha_leaf f64; then the ``zlib.crc32`` of the magic and
-  header (u32).
+* magic ``LSA1``; header: version u16, K u16, n u64, alpha_leaf f64;
+  then the ``zlib.crc32`` of the magic and header (u32).
 * three sections, each followed by the ``zlib.crc32`` of its bytes (u32):
   suffix array (u32[n]); IP-BWT keys (u64[n] k-mer codes, then u32[n] loc
-  fields); leaf models (empty without an RMI). The file ends there.
+  fields); leaf models. The file ends there.
 
 No BWT or occurrence table is stored. The first BW-matrix column is each
 row's first k-mer base (row 0, the sentinel row, excepted); scattered
@@ -21,21 +20,17 @@ Storing starts makes load(save(x)) bit-identical without refitting; each
 leaf's boundary key is the IP-BWT key at its start, read back from the
 keys. Search reads the maximum errors as its window bounds.
 
-Version 7 stores no BWT; version 6 stores the keys as a k-mer column and
-a loc column and checks the header; version 5 stores one layer of leaf
-models and no boundary keys; version 4 added the maximum errors; version 3
-models predict from keys relative to their partition's first key (see
-``dnasearch.rmi``) and added the checksums; version 2 changed the meaning
-of the keys (see ``dnasearch.ipbwt``). Files of other versions are
-refused. ``load_index`` checks every checksum, then the structure the
-checksums cannot vouch for: K lies in [1, min(MAX_K, n - 1)], alpha_leaf
-is finite and > 0 when the RMI is present, the suffix array is a
-permutation of [0, n) whose row 0 is the sentinel's position n - 1, the
-keys never decrease from (0, 0) and their k-mers fit in 2K bits, the loc
-fields are the ones the suffix array gives (:func:`dnasearch.ipbwt.loc_column`), leaf
-starts rise strictly from 0 below n, slopes are finite and >= 0,
-intercepts finite, maximum errors in [0, n], and no bytes follow the last
-section. Any failure raises :class:`CorruptIndexError` naming the section.
+Every index holds the leaf models, so it serves every search mode. Files
+of any version but :data:`VERSION` are refused. ``load_index`` checks
+every checksum, then the structure the checksums cannot vouch for: K lies
+in [1, min(MAX_K, n - 1)], alpha_leaf is finite and > 0, the suffix array
+is a permutation of [0, n) whose row 0 is the sentinel's position n - 1,
+the keys never decrease from (0, 0) and their k-mers fit in 2K bits, the
+loc fields are the ones the suffix array gives
+(:func:`dnasearch.ipbwt.loc_column`), leaf starts rise strictly from 0
+below n, slopes are finite and >= 0, intercepts finite, maximum errors in
+[0, n], and no bytes follow the last section. Any failure raises
+:class:`CorruptIndexError` naming the section.
 """
 
 from __future__ import annotations
@@ -55,8 +50,8 @@ from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 7
-_HEADER = struct.Struct("<HHQId")
+VERSION = 8
+_HEADER = struct.Struct("<HHQd")
 
 
 class CorruptIndexError(ValueError):
@@ -72,7 +67,6 @@ class CorruptIndexError(ValueError):
 class IndexMeta:
     k: int
     n: int
-    has_rmi: bool
     alpha_leaf: float
 
 
@@ -139,10 +133,8 @@ def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     n = fm.n
     sizes: dict[str, int] = {}
     with open(path, "wb") as fh:
-        flags = 1 if rmi is not None else 0
-        alpha_leaf = rmi.alpha_leaf if rmi is not None else 0.0
         out = _SectionWriter(fh)
-        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, flags, alpha_leaf))
+        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, rmi.alpha_leaf))
         sizes["header"] = out.close()
 
         out = _SectionWriter(fh)
@@ -157,13 +149,12 @@ def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
         sizes["ipbwt"] = out.close()
 
         out = _SectionWriter(fh)
-        if rmi is not None:
-            leaf = rmi.leaf
-            out.write(struct.pack("<Q", len(leaf)))
-            out.array(leaf.slopes, "<f8")
-            out.array(leaf.intercepts, "<f8")
-            out.array(leaf.max_errors, "<u8")
-            out.array(leaf.starts, "<u8")
+        leaf = rmi.leaf
+        out.write(struct.pack("<Q", len(leaf)))
+        out.array(leaf.slopes, "<f8")
+        out.array(leaf.intercepts, "<f8")
+        out.array(leaf.max_errors, "<u8")
+        out.array(leaf.starts, "<u8")
         sizes["rmi"] = out.close()
         sizes["total"] = fh.tell()
     return sizes
@@ -175,11 +166,11 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         sec = _SectionReader(fh, "header", file_size)
         magic = bytes(sec.read(4))
         _require(magic == MAGIC, "header", f"bad magic {magic!r}")
-        version, k, n, flags, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
+        version, k, n, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
         _require(version == VERSION, "header", f"unsupported version {version}")
         sec.close()
         _require(1 <= k <= min(MAX_K, n - 1), "header", f"K={k} outside [1, min({MAX_K}, n - 1)]")
-        _require(not flags & 1 or (np.isfinite(alpha_leaf) and alpha_leaf > 0), "header",
+        _require(np.isfinite(alpha_leaf) and alpha_leaf > 0, "header",
                  f"alpha_leaf={alpha_leaf} is not finite and > 0")
 
         sec = _SectionReader(fh, "sa", file_size)
@@ -205,27 +196,22 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         _require(np.array_equal(key_lo, loc), "sa", "rows disagree with the IP-BWT loc fields")
 
         sec = _SectionReader(fh, "rmi", file_size)
-        if flags & 1:
-            (count,) = struct.unpack("<Q", sec.read(8))
-            slopes = sec.array("<f8", count)
-            intercepts = sec.array("<f8", count)
-            max_errors = sec.array("<u8", count).astype(np.int64)
-            starts = sec.array("<u8", count).astype(np.int64)
+        (count,) = struct.unpack("<Q", sec.read(8))
+        slopes = sec.array("<f8", count)
+        intercepts = sec.array("<f8", count)
+        max_errors = sec.array("<u8", count).astype(np.int64)
+        starts = sec.array("<u8", count).astype(np.int64)
         sec.close()
         _require(fh.tell() == file_size, "rmi", f"{file_size - fh.tell()} trailing bytes")
 
-    rmi = None
-    if flags & 1:
-        _require(count and starts[0] == 0 and np.all(starts[:-1] < starts[1:]) and starts[-1] < n,
-                 "rmi", "leaf starts do not rise from 0 below n")
-        _require(np.all(np.isfinite(slopes) & (slopes >= 0)) and np.all(np.isfinite(intercepts)),
-                 "rmi", "slopes must be finite and >= 0, intercepts finite")
-        _require(np.all((max_errors >= 0) & (max_errors <= n)), "rmi",
-                 "maximum errors outside [0, n]")
-        leaf = RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts,
-                        max_errors=max_errors, boundary_hi=key_hi[starts],
-                        boundary_lo=key_lo[starts], target_size=n)
-        rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
+    _require(count and starts[0] == 0 and np.all(starts[:-1] < starts[1:]) and starts[-1] < n,
+             "rmi", "leaf starts do not rise from 0 below n")
+    _require(np.all(np.isfinite(slopes) & (slopes >= 0)) and np.all(np.isfinite(intercepts)),
+             "rmi", "slopes must be finite and >= 0, intercepts finite")
+    _require(np.all((max_errors >= 0) & (max_errors <= n)), "rmi", "maximum errors outside [0, n]")
+    leaf = RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts, max_errors=max_errors,
+                    boundary_hi=key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
+    rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
 
     # the first BW-matrix column, scattered back through sa, is the text;
     # row 0 is the sentinel, every other row starts with its k-mer's first base
@@ -237,5 +223,4 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
 
     ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
     engine = SearchEngine(fm=build_fm_index(ref, sa), ipbwt=ix, rmi=rmi, k=k)
-    meta = IndexMeta(k=k, n=n, has_rmi=rmi is not None, alpha_leaf=alpha_leaf)
-    return engine, ref, meta
+    return engine, ref, IndexMeta(k=k, n=n, alpha_leaf=alpha_leaf)

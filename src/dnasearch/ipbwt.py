@@ -50,6 +50,16 @@ class IpBwt:
     key_lo: np.ndarray  # uint32[n]: the loc fields
 
 
+def check_k(n: int, k: int) -> None:
+    """Raise :class:`IpBwtError` unless 1 <= k <= min(MAX_K, n - 1) and n + k < 2^32."""
+    if not 1 <= k <= n - 1:
+        raise IpBwtError(f"k={k} out of range [1, {n - 1}]")
+    if k > MAX_K:
+        raise IpBwtError(f"k={k} exceeds the supported maximum {MAX_K}")
+    if n + k >= (1 << LOC_BITS):
+        raise IpBwtError(f"reference too long: n + k = {n + k} must be < 2^{LOC_BITS}")
+
+
 def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     """Construct the index-paired BWT for chunk length k.
 
@@ -60,12 +70,7 @@ def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
     in suffix-array order.
     """
     n = ref.n
-    if not 1 <= k <= n - 1:
-        raise IpBwtError(f"k={k} out of range [1, {n - 1}]")
-    if k > MAX_K:
-        raise IpBwtError(f"k={k} exceeds the supported maximum {MAX_K}")
-    if n + k >= (1 << LOC_BITS):
-        raise IpBwtError(f"reference too long: n + k = {n + k} must be < 2^{LOC_BITS}")
+    check_k(n, k)
 
     # the k-mer at each text position; reading stops at the sentinel
     # (position n-1), whose code 0 fills the rest

@@ -183,14 +183,19 @@ def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.nda
     return slopes, intercepts, means, np.maximum.reduceat(pred, offsets)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the error bound ``alpha`` is finite and > 0."""
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     """Halve the sorted keys (hi, lo) until each partition fits ``alpha``.
 
     A partition stops at size <= 2 or mean absolute error <= alpha; on an
     odd size the left half takes the extra element.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    check_alpha(alpha)
     starts = np.zeros(1, dtype=np.int64)
     sizes = np.array([hi.size], dtype=np.int64)
     done_starts, done_slopes, done_intercepts, done_max = [], [], [], []

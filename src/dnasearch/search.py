@@ -15,6 +15,9 @@ round per chunk. Every lower bound is one branchless bisection
 ``binary`` mode; in ``rmi`` mode over a window around the prediction of the
 key's leaf model (found by :meth:`dnasearch.rmi.Rmi.locate`), as wide as
 the leaf's maximum error allows. No step depends on the order of the keys.
+
+The three modes are interchangeable: every engine serves each of them, on
+queries of any lengths, and all three give identical rows.
 """
 
 from __future__ import annotations
@@ -34,39 +37,32 @@ class SearchError(ValueError):
     pass
 
 
-class MixedLengthBatchError(SearchError):
-    """Batched modes require one query length per call; group by length."""
-
-
-class ModeUnavailableError(SearchError):
-    pass
-
-
 @dataclass
 class SearchEngine:
     """All index structures built from one reference with one chunk length."""
 
     fm: FmIndex
     ipbwt: IpBwt
-    rmi: Rmi | None
+    rmi: Rmi
     k: int
 
-    def require_mode(self, mode: str) -> None:
-        if mode not in MODES:
-            raise SearchError(f"unknown mode {mode!r} (expected one of {MODES})")
-        if mode == "rmi" and self.rmi is None:
-            raise ModeUnavailableError("index was built/loaded without an RMI")
+
+def _require_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise SearchError(f"unknown mode {mode!r} (expected one of {MODES})")
 
 
-def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0, with_rmi: bool = True) -> SearchEngine:
+def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0) -> SearchEngine:
+    """Build every engine's structures; K and ``alpha_leaf`` are checked before the suffix sort."""
     from dnasearch.fmindex import build_fm_index
-    from dnasearch.ipbwt import build_ipbwt
-    from dnasearch.rmi import build_rmi
+    from dnasearch.ipbwt import build_ipbwt, check_k
+    from dnasearch.rmi import build_rmi, check_alpha
 
+    check_k(ref.n, k)
+    check_alpha(alpha_leaf)
     fm = build_fm_index(ref)
     ix = build_ipbwt(ref, fm.sa, k)
-    rmi = build_rmi(ix, alpha_leaf) if with_rmi else None
-    return SearchEngine(fm=fm, ipbwt=ix, rmi=rmi, k=k)
+    return SearchEngine(fm=fm, ipbwt=ix, rmi=build_rmi(ix, alpha_leaf), k=k)
 
 
 # queries per block: a round's temporaries stay small, so a large batch
@@ -148,7 +144,7 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     An absent query gets the empty interval at its insertion point, as in FM search.
     Raises :class:`SearchError` for any other shape or value, such as base codes 0..3.
     """
-    engine.require_mode(mode)
+    _require_mode(mode)
     if qmatrix.ndim != 2 or qmatrix.size and (qmatrix.min() < 1 or qmatrix.max() > 4):
         raise SearchError("a batch must be a 2-D array of base ranks 1..4")
     n = engine.ipbwt.n
@@ -177,19 +173,15 @@ def batch_search(engine: SearchEngine, ranks: np.ndarray, lengths: np.ndarray,
 
     A query is valid when it holds no rank 255 (a byte outside ACGT, see
     :func:`dnasearch.seqcore.parse_queries`); an invalid one gets [0, 0).
-    Valid queries are searched one matrix per length, which ``rmi`` and
-    ``binary`` require to be one length.
+    Valid queries are searched one matrix per length, in every mode.
     """
-    engine.require_mode(mode)
+    _require_mode(mode)
     ends = np.cumsum(lengths)
     valid = np.ones(lengths.size, dtype=bool)
     valid[np.searchsorted(ends, np.flatnonzero(ranks == 255), side="right")] = False
-    qlens = np.unique(lengths[valid])
-    if mode != "fm" and qlens.size > 1:
-        raise MixedLengthBatchError(f"batch mixes query lengths {qlens.tolist()}")
     low = np.zeros(lengths.size, dtype=np.int64)
     high = np.zeros(lengths.size, dtype=np.int64)
-    for qlen in qlens.tolist():
+    for qlen in np.unique(lengths[valid]).tolist():
         rows = np.flatnonzero(valid & (lengths == qlen))
         # each row is a window of the rank array: gathered as (m, qlen) bytes
         qmatrix = np.lib.stride_tricks.sliding_window_view(ranks, qlen)[ends[rows] - qlen]

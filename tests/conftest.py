@@ -176,13 +176,13 @@ def index_sections(data) -> dict[str, tuple[int, int]]:
     from its leaf count, so bytes appended after the last checksum belong
     to no section.
     """
-    _, _, n, flags, _ = _HEADER.unpack_from(data, 4)
+    _, _, n, _ = _HEADER.unpack_from(data, 4)
     pos = 0
     out = {}
     for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("ipbwt", 12 * n),
                        ("rmi", None)):
         if size is None:
-            size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little") if flags & 1 else 0
+            size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little")
         out[name] = (pos, pos + size)
         pos += size + 4
     return out

@@ -5,14 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dnasearch import cli
-from dnasearch.cli import (
-    EXIT_FASTA,
-    EXIT_IO,
-    EXIT_MIXED,
-    EXIT_PARAMS,
-    main,
-)
+from dnasearch import cli, fmindex
+from dnasearch.cli import EXIT_FASTA, EXIT_IO, EXIT_PARAMS, main
 from dnasearch.fmindex import locate
 from dnasearch.index_io import load_index
 from dnasearch.search import MODES
@@ -82,15 +76,6 @@ class TestBuild:
         assert [int(report[f"rmi_leaf_err_{p}"]) for p in ("p50", "p99", "max")] == [
             eps[-(-m // 2) - 1], eps[-(-99 * m // 100) - 1], eps[-1]]
 
-    def test_space_report_without_rmi(self, tmp_path, capsys):
-        fasta = tmp_path / "r.fa"
-        write_reference(fasta, random_bases(np.random.default_rng(1), 200))
-        rc = main(["build", str(fasta), "--k", "5", "--no-rmi", "--out", str(tmp_path / "r.idx")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for key in ("rmi_leaf_models", "rmi_leaf_err_p50", "rmi_leaf_err_p99", "rmi_leaf_err_max"):
-            assert key not in out
-
     def test_missing_fasta_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.fa"), "--out", str(tmp_path / "o")]) == EXIT_IO
 
@@ -121,6 +106,20 @@ class TestBuild:
         write_reference(fasta, random_bases(np.random.default_rng(3), 300))
         assert main(["build", str(fasta), "--k", "32", "--out", str(tmp_path / "o")]) == 0
         assert main(["build", str(fasta), "--k", "33", "--out", str(tmp_path / "o")]) == EXIT_PARAMS
+
+    @pytest.mark.parametrize("arg", ["--k=0", "--k=21", "--k=22", "--k=33", "--alpha-leaf=0",
+                                     "--alpha-leaf=nan", "--alpha-leaf=-inf"])
+    def test_bad_parameters_refused_before_suffix_sort(self, tmp_path, monkeypatch, capsys, arg):
+        # 20 bases make n = 21: K = 20 is the largest that fits, 21 does not
+        fasta = tmp_path / "r.fa"
+        write_reference(fasta, random_bases(np.random.default_rng(5), 20))
+        sorted_calls = []
+        monkeypatch.setattr(fmindex, "build_suffix_array",
+                            lambda ref: sorted_calls.append(ref) or np.zeros(0))
+        rc = main(["build", str(fasta), arg, "--out", str(tmp_path / "o")])
+        assert (rc, sorted_calls) == (EXIT_PARAMS, [])
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 GOLDEN_REFERENCE = "ATACGACGTTAGCATTACGGATCCATGACTAGGACATTTACGACCGTAGATTACA"
@@ -160,11 +159,9 @@ class TestQuery:
         qfile = tmp_path / "q.txt"
         qfile.write_bytes(GOLDEN_MIXED_QUERIES)
         capsys.readouterr()
-        assert main(["query", str(golden_index), str(qfile), "--mode", "fm", "--locate"]) == 0
-        assert capsys.readouterr().out == GOLDEN_MIXED_TSV
-        for mode in ("rmi", "binary"):
-            assert main(["query", str(golden_index), str(qfile), "--mode", mode]) == EXIT_MIXED
-        assert capsys.readouterr().out == ""
+        for mode in MODES:
+            assert main(["query", str(golden_index), str(qfile), "--mode", mode, "--locate"]) == 0
+            assert capsys.readouterr().out == GOLDEN_MIXED_TSV, mode
 
     def test_one_parse_and_one_search_call(self, golden_index, tmp_path, monkeypatch, capsys):
         # the benchmark's traced run times a query command by wrapping
@@ -221,7 +218,7 @@ class TestQuery:
 
     def test_absent_rows_agree_across_file_shapes(self, built_index, tmp_path, capsys):
         # an absent query prints the same empty interval in every mode, whether
-        # the file holds one query length or several (fm, one matrix per length)
+        # the file holds one query length or several (one matrix per length)
         index, bases = built_index
         queries = absent_queries(bases, 29, 3) + [bases[100:129]]
         one = tmp_path / "one.txt"
@@ -230,7 +227,9 @@ class TestQuery:
         mixed.write_text("\n".join(queries + [bases[7:19], "ACGTACGTACGTACGTACGT"]) + "\n")
         rows = self.run_modes(index, one, tmp_path)
         assert rows["rmi"] == rows["binary"] == rows["fm"]
-        mixed_rows = self.run_modes(index, mixed, tmp_path, modes=("fm",))["fm"]
+        mixed_modes = self.run_modes(index, mixed, tmp_path)
+        assert mixed_modes["rmi"] == mixed_modes["binary"] == mixed_modes["fm"]
+        mixed_rows = mixed_modes["fm"]
         assert mixed_rows[:4] == rows["fm"]
         assert all(row[1] == row[2] and row[3] == "0" for row in rows["fm"][:3])
         assert int(rows["fm"][3][3]) >= 1 and int(mixed_rows[4][3]) >= 1
@@ -251,11 +250,15 @@ class TestQuery:
         assert main(["query", str(index), str(qfile)]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_mixed_lengths_exit_5(self, built_index, tmp_path):
-        index, _ = built_index
+    def test_mixed_lengths_fm_rows_every_mode(self, built_index, tmp_path):
+        # lengths below, at and across K = 6, one invalid line and an absent one
+        index, bases = built_index
         qfile = tmp_path / "q.txt"
-        qfile.write_text("ACGT\nACGTA\n")
-        assert main(["query", str(index), str(qfile), "--mode", "rmi"]) == EXIT_MIXED
+        qfile.write_text("\n".join(["ACGT", "ACGTA", bases[50:56], "ACNGT", bases[9:30], "A",
+                                    *absent_queries(bases, 13, 1), bases[200:213]]) + "\n")
+        rows = self.run_modes(index, qfile, tmp_path)
+        assert rows["rmi"] == rows["binary"] == rows["fm"]
+        assert len(rows["fm"]) == 8 and rows["fm"][3] == ["3", "INVALID"]
 
     def test_mixed_lengths_allowed_in_fm_mode(self, built_index, tmp_path, capsys):
         index, _ = built_index
@@ -273,7 +276,8 @@ class TestQuery:
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "header_k", "k_out_of_range",
+                                     "version_5", "version_6", "version_7", "header_k",
+                                     "k_out_of_range",
                                      "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
                                      "sa_rows_permuted", "flip_sa", "flip_ipbwt", "flip_rmi",
                                      *STRUCTURE_DAMAGE])
@@ -285,17 +289,6 @@ class TestQuery:
         qfile = tmp_path / "q.txt"
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
-
-    def test_rmi_mode_unavailable_exit_4(self, tmp_path):
-        fasta = tmp_path / "r.fa"
-        write_reference(fasta, random_bases(np.random.default_rng(2), 300))
-        index = tmp_path / "r.idx"
-        assert main(["build", str(fasta), "--k", "4", "--no-rmi",
-                     "--out", str(index)]) == 0
-        qfile = tmp_path / "q.txt"
-        qfile.write_text("ACGT\n")
-        assert main(["query", str(index), str(qfile), "--mode", "rmi"]) == EXIT_PARAMS
-        assert main(["query", str(index), str(qfile), "--mode", "binary"]) == 0
 
     def test_out_file_and_stdout_same_bytes(self, built_index, tmp_path, capsys):
         # stdout gets text through sys.stdout.write, also when it has no .buffer

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from dnasearch.index_io import CorruptIndexError, load_index, save_index
-from dnasearch.search import (
-    ModeUnavailableError,
-    batch_search_matrix,
-    build_engine,
-)
+from dnasearch.search import batch_search_matrix, build_engine
 
 from conftest import (
     SECTIONS,
@@ -88,16 +84,6 @@ class TestRoundTrip:
                 assert np.array_equal(loaded.fm.checkpoints, engine.fm.checkpoints)
                 assert np.array_equal(loaded.fm.occ_bits, engine.fm.occ_bits)
 
-    def test_no_rmi_round_trip(self, tmp_path):
-        engine = build_engine(make_reference("ATACGACATT"), k=3, with_rmi=False)
-        path = str(tmp_path / "d.idx")
-        save_index(path, engine)
-        loaded, _, meta = load_index(path)
-        assert loaded.rmi is None
-        with pytest.raises(ModeUnavailableError):
-            loaded.require_mode("rmi")
-        loaded.require_mode("binary")
-
 
 class TestCorruption:
     def test_truncated_file(self, engine_and_ref, tmp_path):
@@ -126,13 +112,10 @@ class TestCorruption:
         with pytest.raises(CorruptIndexError):
             load_index(str(path))
 
-    # version 1 keys have another meaning, version 2 models predict from
-    # absolute keys, version 3 stores no maximum errors, version 4 stores
-    # a layer count, upper layers and boundary keys, and version 5 stores
-    # two 64-bit words per key and no header checksum, and version 6 stores
-    # the BWT and a checkpoint stride: each would misread
+    # every older version lays its header or sections out otherwise (version 7's
+    # header holds a flags word before alpha_leaf): each would misread
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6"])
+                                     "version_5", "version_6", "version_7"])
     def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
         path = tmp_path / "old.idx"

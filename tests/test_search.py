@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from dnasearch.fmindex import locate
 from dnasearch.search import (
     MODES,
-    MixedLengthBatchError,
-    ModeUnavailableError,
     SearchError,
     batch_search,
     batch_search_matrix,
@@ -126,24 +124,18 @@ class TestBatchSearch:
                 got = set(int(p) for p in engine.fm.sa[low[i] : high[i]])
             assert got == naive_positions(ref.ranks, qm[i])
 
-    def test_mixed_lengths_rejected(self, small_engine):
-        mixed = parse_queries(b"ATTA\nATT\n")
-        one_valid_length = parse_queries(b"ATTA\nANT\nTAGG\n")  # an invalid line's does not count
-        for mode in ("rmi", "binary"):
-            with pytest.raises(MixedLengthBatchError):
-                batch_search(small_engine, *mixed, mode=mode)
-            low, high, valid = batch_search(small_engine, *one_valid_length, mode=mode)
-            assert valid.tolist() == [True, False, True]
-
     def test_fm_groups_lengths(self, small_engine):
+        # every mode searches one matrix per length: lengths below, at and
+        # across K = 3, absent lines and an invalid one in one batch
         lines = [b"ATTA", b"ATT", b"GGA", b"AXA", b"CATTATT", b"TT", b"CC", b"ATT"]
         ranks, lengths = parse_queries(b"\n".join(lines))
-        low, high, valid = batch_search(small_engine, ranks, lengths, mode="fm")
-        assert valid.tolist() == [line != b"AXA" for line in lines]
         ref = make_reference("CATTATTAGGA")
-        for i, line in enumerate(lines):
-            expected = naive_interval(ref.ranks, encode_ranks(line)) if valid[i] else (0, 0)
-            assert (int(low[i]), int(high[i])) == expected, line
+        for mode in MODES:
+            low, high, valid = batch_search(small_engine, ranks, lengths, mode=mode)
+            assert valid.tolist() == [line != b"AXA" for line in lines]
+            for i, line in enumerate(lines):
+                expected = naive_interval(ref.ranks, encode_ranks(line)) if valid[i] else (0, 0)
+                assert (int(low[i]), int(high[i])) == expected, (mode, line)
 
     def test_invalid_queries_marked(self, small_engine):
         ranks, lengths = parse_queries(b"ATTA\nAT\xffA\nTAGG\nNNNN\n")
@@ -171,12 +163,6 @@ class TestBatchSearch:
                     batch_search_matrix(small_engine, batch, mode=mode)
             with pytest.raises(SearchError):
                 search_one(small_engine, [1, 0, 2], mode)
-
-    def test_mode_unavailable_without_rmi(self):
-        engine = build_engine(make_reference("ATACGAC"), k=2, with_rmi=False)
-        with pytest.raises(ModeUnavailableError):
-            search_one(engine, encode_ranks("AC"), "rmi")
-        assert search_one(engine, encode_ranks("AC"), "binary") == (1, 3)
 
     def test_unknown_mode_rejected(self, small_engine):
         with pytest.raises(SearchError):
