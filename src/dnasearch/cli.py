@@ -88,35 +88,41 @@ _PAD = len(_POW10)  # bytes before the first field, room for its leading-zero wr
 _BLOCK = 1 << 14
 
 
-def _fields(low, high, valid, positions=None) -> tuple[np.ndarray, np.ndarray]:
-    """Every TSV field in output order, as (values, suffix codes).
+def _block_fields(f0: int, f1: int, first, hit_start, low, high, valid, count,
+                  positions) -> tuple[np.ndarray, np.ndarray]:
+    """TSV fields f0..f1 - 1 of the whole output, as (values, suffix codes).
 
-    A valid line is its qid, low, high and count, then with ``positions``
-    (the valid lines' located positions, in line order) its hits; an
-    invalid line is its qid alone.
+    A valid line is its qid, low, high and count (its head), then, unless
+    ``positions`` is None, its hits; an invalid line is its qid alone.
+    ``first`` holds each line's first field, ``hit_start`` the index of its
+    first hit in ``positions`` (the valid lines' positions, in line order).
+    Only the lines that reach into the block are read, from the line that
+    holds field f0 on.
     """
-    count = np.where(valid, high - low, 0)
-    nfield = np.where(valid, 4, 1)
-    if positions is not None:
-        nfield += count
-    first = np.cumsum(nfield) - nfield
-    values = np.empty(int(nfield.sum()), dtype=np.int64)
-    codes = np.full(values.size, _COMMA, dtype=np.uint8)
-    values[first] = np.arange(low.size)
-    codes[first[~valid]] = _INVALID
-    head = first[valid, None] + np.arange(4)  # each valid line's qid, low, high, count
-    values[head[:, 1:]] = np.stack([low, high, count], axis=1)[valid]
-    codes[head[:, :3]] = _TAB
+    l0 = int(np.searchsorted(first, f0, side="right")) - 1  # the line holding field f0
+    l1 = int(np.searchsorted(first, f1))  # the lines that start before f1
+    size = f1 - f0
+    values = np.empty(size, dtype=np.int64)
+    codes = np.full(size, _COMMA, dtype=np.uint8)
+    v, hits = valid[l0:l1], count[l0:l1]
+    head = (first[l0:l1] - f0)[:, None] + np.arange(4)  # block offsets of each line's head
+    head_values = np.stack([np.arange(l0, l1), low[l0:l1], high[l0:l1], hits], axis=1)
+    head_codes = np.full(head.shape, _TAB, dtype=np.uint8)
+    head_codes[~v, 0] = _INVALID
+    head_codes[:, 3] = _NEWLINE if positions is None else np.where(hits > 0, _TAB, _TAB_NEWLINE)
+    keep = (head >= 0) & (head < size) & (v[:, None] | (np.arange(4) == 0))
+    at = head[keep]
+    values[at] = head_values[keep]
+    codes[at] = head_codes[keep]
     if positions is None:
-        codes[head[:, 3]] = _NEWLINE
         return values, codes
-    hits = count[valid] > 0
-    codes[head[:, 3]] = np.where(hits, _TAB, _TAB_NEWLINE)
-    is_pos = np.ones(values.size, dtype=bool)
-    is_pos[first] = False
-    is_pos[head[:, 1:]] = False
-    values[is_pos] = positions
-    codes[head[hits, 3] + count[valid][hits]] = _NEWLINE  # each line's last position
+    # the other fields are consecutive positions, from line l0's first hit at or after f0
+    is_hit = np.ones(size, dtype=bool)
+    is_hit[at] = False
+    p0 = int(hit_start[l0]) + max(0, f0 - int(first[l0]) - 4)
+    values[is_hit] = positions[p0 : p0 + size - at.size]
+    last = head[:, 3] + hits  # each line's last position
+    codes[last[(hits > 0) & (last >= 0) & (last < size)]] = _NEWLINE
     return values, codes
 
 
@@ -162,9 +168,17 @@ def _write_tsv(write, low, high, valid, positions=None) -> None:
     invalid line's are its qid and ``INVALID``. Fields are tab-separated and
     every line ends with a newline.
     """
-    values, codes = _fields(low, high, valid, positions)
-    for b in range(0, values.size, _BLOCK):
-        write(_encode(values[b : b + _BLOCK], codes[b : b + _BLOCK]))
+    count = np.where(valid, high - low, 0)
+    nfield = np.where(valid, 4, 1)
+    if positions is not None:
+        nfield += count
+    ends = np.cumsum(nfield)
+    first, hit_start = ends - nfield, np.cumsum(count) - count
+    total = int(ends[-1]) if ends.size else 0
+    for f0 in range(0, total, _BLOCK):
+        fields = _block_fields(f0, min(f0 + _BLOCK, total), first, hit_start, low, high, valid,
+                               count, positions)
+        write(_encode(*fields))
 
 
 def cmd_query(args) -> int:

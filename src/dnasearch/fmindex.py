@@ -1,15 +1,20 @@
-"""Suffix array and FM-index baseline with checkpointed occurrence counts.
+"""Suffix array and FM-index baseline with one occurrence line per 64 rows.
 
 The suffix array is built by prefix doubling over numpy ranks. Because the
 text ends with a unique sentinel that sorts below every base, suffix order
 equals sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
-once to pack the occurrence tables (64-row checkpoints plus per-rank
-bitmaps), whose layout only this module knows. The index file stores
-neither, and load rebuilds them with :func:`build_fm_index`.
+once to pack the occurrence table, whose layout only this module knows. As
+in BWA's interleaved occurrence array, one 64-byte line serves a 64-row
+block: five ``uint64`` bitmap words (bit i of word r: row 64·block + i holds
+rank r), then five ``uint32`` counts, d[r] plus the occurrences of r before
+the block, where d[r] counts the text's ranks below r. The n // 64 + 1 lines
+take about 1.0n bytes. The index file stores no table, and load rebuilds it
+with :func:`build_fm_index`.
 
-:func:`backward_search_batch` is the ``fm`` engine. :func:`locate` turns
-row intervals into reference positions, one interval or a whole batch of
-them with one gather and one sort.
+:func:`backward_search_batch` is the ``fm`` engine; each step is one
+:func:`lf_rank` over both bounds of every query. :func:`locate` turns row
+intervals into reference positions, one interval or a whole batch of them
+with one gather and one sort.
 """
 
 from __future__ import annotations
@@ -20,10 +25,14 @@ import numpy as np
 
 from dnasearch.seqcore import Reference
 
-OCC_STRIDE = 64  # checkpoint spacing; one 64-bit occurrence bitmap word per block
+OCC_STRIDE = 64  # rows per occurrence line; one 64-bit bitmap word per rank
 NUM_RANKS = 5  # sentinel + ACGT
-# _IN_BLOCK[i]: the bitmap bits of a block's rows 0..i
-_IN_BLOCK = np.cumsum(np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64), dtype=np.uint64)
+# A line is 8 uint64 words (64 bytes): the block's 5 rank bitmaps, then as
+# uint32 its 5 counts (index _COUNTS + r) and 4 bytes of padding.
+_LINE_WORDS = 8
+_COUNTS = 2 * NUM_RANKS
+# _BELOW[i]: the bitmap bits of a block's rows 0..i - 1
+_BELOW = (np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64)) - np.uint64(1)
 
 
 def build_suffix_array(ref: Reference) -> np.ndarray:
@@ -67,61 +76,76 @@ def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:
     return np.roll(ref.ranks, 1)[sa]  # the character before each row's suffix
 
 
-def _pack_occ(bwt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checkpoint counts at block starts plus per-rank occurrence bitmaps."""
+def _pack_occ(bwt: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One 64-byte line per 64-row block, row n's block included.
+
+    A line holds the block's rank bitmaps (bit i: row 64·block + i), then
+    d[r] plus the occurrences of r in the rows before the block. Those
+    counts stay <= n < 2^32.
+    """
     n = bwt.size
-    nblocks = (n + OCC_STRIDE - 1) // OCC_STRIDE
+    nblocks = n // OCC_STRIDE + 1
     padded = np.full(nblocks * OCC_STRIDE, 255, dtype=np.uint8)  # 255: no rank
     padded[:n] = bwt
     grid = padded.reshape(nblocks, OCC_STRIDE)
-    bits = np.stack([np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
-                     for r in range(NUM_RANKS)])
-    checkpoints = np.zeros((nblocks, NUM_RANKS), dtype=np.uint32)
-    np.cumsum(np.bitwise_count(bits[:, :-1]).T, axis=0, dtype=np.uint32, out=checkpoints[1:])
-    return checkpoints, bits
+    occ = np.zeros((nblocks, _LINE_WORDS), dtype=np.uint64)
+    for r in range(NUM_RANKS):
+        occ[:, r] = np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
+    counts = occ.view(np.uint32)[:, _COUNTS : _COUNTS + NUM_RANKS]
+    counts[0] = d
+    np.cumsum(np.bitwise_count(occ[:-1, :NUM_RANKS]), axis=0, dtype=np.uint32, out=counts[1:])
+    counts[1:] += counts[0]
+    return occ.ravel()
 
 
 @dataclass(frozen=True)
 class FmIndex:
     n: int
     sa: np.ndarray  # uint32, length n
-    d: np.ndarray  # int64[NUM_RANKS]: count of ranks smaller than r
-    checkpoints: np.ndarray  # uint32[nblocks, NUM_RANKS]
-    occ_bits: np.ndarray  # uint64[NUM_RANKS, nblocks]
-
-    def occ_many(self, ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Occurrences of ranks[j] in bwt[0..rows[j]], for every j; row -1 counts 0."""
-        rows = rows.astype(np.int64)
-        safe = np.maximum(rows, 0)
-        block = safe >> 6
-        inblock = np.bitwise_count(self.occ_bits[ranks, block] & _IN_BLOCK[safe & 63])
-        inblock = inblock.astype(np.int64)
-        out = self.checkpoints[block, ranks].astype(np.int64) + inblock
-        return np.where(rows < 0, 0, out)
+    occ: np.ndarray  # uint64[(n // 64 + 1) * 8]: the occurrence lines (:func:`_pack_occ`)
 
 
 def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     if sa is None:
         sa = build_suffix_array(ref)
-    counts = np.bincount(ref.ranks, minlength=NUM_RANKS).astype(np.int64)
-    d = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    checkpoints, bits = _pack_occ(build_bwt(ref, sa))
-    return FmIndex(n=ref.n, sa=sa, d=d, checkpoints=checkpoints, occ_bits=bits)
+    counts = np.bincount(ref.ranks, minlength=NUM_RANKS)
+    d = np.concatenate(([0], np.cumsum(counts)[:-1]))  # count of ranks smaller than r
+    return FmIndex(n=ref.n, sa=sa, occ=_pack_occ(build_bwt(ref, sa), d))
+
+
+def lf_rank(fm: FmIndex, ranks, rows) -> np.ndarray:
+    """d[c] plus the occurrences of c in bwt[0, b), for each c, b of ``ranks``, ``rows`` (0..n).
+
+    The arguments broadcast, and the result is int64. Per element this is
+    two flat gathers from row b's line, a popcount and an add: the LF step.
+    The gathers clip instead of checking bounds, so a row outside 0..n
+    gives a wrong count, not an error; the step's results stay in 0..n.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    below = np.take(_BELOW, rows & (OCC_STRIDE - 1), mode="clip")
+    word = rows >> 6
+    word *= _LINE_WORDS
+    word += ranks  # the rank's bitmap word in the row's line
+    below &= np.take(fm.occ, word, mode="clip")
+    word <<= 1
+    word += _COUNTS - ranks  # its count, as uint32 index 16·block + _COUNTS + rank
+    counts = np.take(fm.occ.view(np.uint32), word, mode="clip")
+    return np.add(counts, np.bitwise_count(below), out=word)
 
 
 def backward_search_batch(fm: FmIndex, qmatrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FM search of rows of base ranks, one character per step, right to left.
 
-    An empty interval keeps stepping, so an absent query ends at its insertion point.
+    Every row's low and high bounds step together, as one (2, m) array. An
+    empty interval keeps stepping, so an absent query ends at its insertion point.
     """
     m, qlen = qmatrix.shape
-    low = np.zeros(m, dtype=np.int64)
-    high = np.full(m, fm.n, dtype=np.int64)
+    bounds = np.zeros((2, m), dtype=np.int64)
+    bounds[1] = fm.n
     for t in range(qlen - 1, -1, -1):
-        c = qmatrix[:, t].astype(np.int64)
-        low = fm.d[c] + fm.occ_many(c, low - 1)
-        high = fm.d[c] + fm.occ_many(c, high - 1)
-    return low, high
+        bounds = lf_rank(fm, qmatrix[:, t], bounds)
+    return bounds[0], bounds[1]
 
 
 def locate(fm: FmIndex, low, high) -> np.ndarray:

@@ -22,11 +22,11 @@ keys. Search reads the maximum errors as its window bounds.
 
 Every index holds the leaf models, so it serves every search mode. Files
 of any version but :data:`VERSION` are refused. ``load_index`` checks
-every checksum, then the structure the checksums cannot vouch for: K lies
-in [1, min(MAX_K, n - 1)], alpha_leaf is finite and > 0, the suffix array
-is a permutation of [0, n) whose row 0 is the sentinel's position n - 1,
-the keys never decrease from (0, 0) and their k-mers fit in 2K bits, the
-loc fields are the ones the suffix array gives
+every checksum, then the structure the checksums cannot vouch for: K and
+n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is finite
+and > 0, the suffix array is a permutation of [0, n) whose row 0 is the
+sentinel's position n - 1, the keys never decrease from (0, 0) and their
+k-mers fit in 2K bits, the loc fields are the ones the suffix array gives
 (:func:`dnasearch.ipbwt.loc_column`), leaf starts rise strictly from 0
 below n, slopes are finite and >= 0, intercepts finite, maximum errors in
 [0, n], and no bytes follow the last section. Any failure raises
@@ -44,7 +44,7 @@ from typing import BinaryIO
 import numpy as np
 
 from dnasearch.fmindex import build_fm_index
-from dnasearch.ipbwt import MAX_K, IpBwt, IpBwtError, loc_column
+from dnasearch.ipbwt import IpBwt, IpBwtError, check_k, loc_column
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
@@ -169,7 +169,10 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         version, k, n, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
         _require(version == VERSION, "header", f"unsupported version {version}")
         sec.close()
-        _require(1 <= k <= min(MAX_K, n - 1), "header", f"K={k} outside [1, min({MAX_K}, n - 1)]")
+        try:
+            check_k(n, k)  # the build's rule: 1 <= K <= min(MAX_K, n - 1) and n + K < 2^32
+        except IpBwtError as exc:
+            raise CorruptIndexError("header", str(exc)) from None
         _require(np.isfinite(alpha_leaf) and alpha_leaf > 0, "header",
                  f"alpha_leaf={alpha_leaf} is not finite and > 0")
 

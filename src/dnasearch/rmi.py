@@ -124,7 +124,7 @@ class Rmi:
     @property
     def layers(self) -> list[RmiLayer]:
         # read only by the benchmark's traced counts (perfbench/worker.py);
-        # goes when the benchmark is next revised (ROADMAP item 6)
+        # goes when the benchmark is next revised (ROADMAP item 3)
         return [self.leaf]
 
     def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 A batch is a matrix of base ranks, one query per row
 (:func:`batch_search_matrix`), or queries of any lengths laid back to back
 in one rank array (:func:`batch_search`, which searches one matrix per
-length). One query is a one-row batch; ``fm`` mode searches a matrix with
-:func:`dnasearch.fmindex.backward_search_batch`.
+length). One query is a one-row batch. Every mode runs a batch in blocks
+of :data:`_BLOCK` queries, so its temporaries stay bounded; ``fm`` mode
+searches each block with :func:`dnasearch.fmindex.backward_search_batch`.
 
 A query is processed right-to-left in chunks of K characters; each chunk
 costs one lower-bound evaluation per interval bound, exact with no
@@ -152,15 +153,18 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
     if qlen == 0 or nq == 0:
         return np.zeros(nq, dtype=np.int64), np.full(nq, n, dtype=np.int64)
 
+    low = np.empty(nq, dtype=np.int64)
+    high = np.empty(nq, dtype=np.int64)
     if mode == "fm":
-        return backward_search_batch(engine.fm, qmatrix)
+        for b in range(0, nq, _BLOCK):
+            low[b : b + _BLOCK], high[b : b + _BLOCK] = backward_search_batch(
+                engine.fm, qmatrix[b : b + _BLOCK])
+        return low, high
 
     # sort once by the first round's chunk (packed a block at a time), then run blocks of that order
     tail = qmatrix[:, (-(-qlen // engine.k) - 1) * engine.k :]
     first_bits = np.concatenate([_pack_codes(tail[b : b + _BLOCK]) for b in range(0, nq, _BLOCK)])
     order = np.argsort(first_bits)
-    low = np.empty(nq, dtype=np.int64)
-    high = np.empty(nq, dtype=np.int64)
     for b in range(0, nq, _BLOCK):
         rows = order[b : b + _BLOCK]
         low[rows], high[rows] = _search_block(engine, qmatrix, rows, first_bits[rows], mode)

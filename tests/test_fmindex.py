@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnasearch import search
 from dnasearch.fmindex import (
     backward_search_batch,
     build_bwt,
     build_fm_index,
     build_suffix_array,
+    lf_rank,
     locate,
 )
 from dnasearch.seqcore import encode_ranks
@@ -39,11 +41,16 @@ class TestSuffixArray:
 
 
 def prefix_counts(ref, fm):
-    """counts[i + 1, r] = occurrences of rank r in bwt[0..i], from np.cumsum; row 0 is i = -1."""
+    """counts[b, r] = occurrences of rank r in bwt[0, b), from np.cumsum; b runs 0..n."""
     bwt = build_bwt(ref, fm.sa)
     counts = np.zeros((ref.n + 1, 5), dtype=np.int64)
     np.cumsum(bwt[:, None] == np.arange(5), axis=0, out=counts[1:])
     return counts
+
+
+def smaller_ranks(ref):
+    """d[r] = the text's ranks below r."""
+    return np.concatenate([[0], np.cumsum(np.bincount(ref.ranks, minlength=5))[:-1]])
 
 
 def search_one(fm, ranks):
@@ -54,38 +61,55 @@ def search_one(fm, ranks):
 
 class TestOcc:
     def test_occ_matches_prefix_counts(self):
-        # every rank at every row from -1 to n - 1, at sizes around the 64-row checkpoints
+        # every rank at every row from 0 to n, at sizes around the 64-row lines
         rng = np.random.default_rng(7)
-        for n_bases in (1, 62, 63, 64, 127, 128, 300):
+        for n_bases in (1, 62, 63, 64, 65, 127, 128, 300):
             ref = random_reference(rng, n_bases)
             fm = build_fm_index(ref)
-            counts = prefix_counts(ref, fm)
-            rows = np.arange(-1, ref.n)  # -1, 63, 64 (once n > 64) and n - 1 among them
+            expected = prefix_counts(ref, fm) + smaller_ranks(ref)
+            rows = np.arange(ref.n + 1)  # 63, 64 and 65 (once n > 64) and n among them
             for rank in range(5):
-                got = fm.occ_many(np.full(rows.size, rank), rows)
-                assert np.array_equal(got, counts[rows + 1, rank]), (n_bases, rank)
+                got = lf_rank(fm, np.full(rows.size, rank), rows)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected[:, rank]), (n_bases, rank)
 
-    def test_occ_many_matches_scalar(self):
-        # mixed ranks and rows in one call, each against its own prefix count
+    def test_rank_mixed_and_broadcast(self):
+        # mixed ranks and rows in one call, and one rank row over a (2, m) array of rows
         rng = np.random.default_rng(8)
         ref = random_reference(rng, 257)
         fm = build_fm_index(ref)
-        counts = prefix_counts(ref, fm)
-        rows = np.concatenate([rng.integers(-1, ref.n, size=100), [-1, 63, 64, ref.n - 1]])
+        expected = prefix_counts(ref, fm) + smaller_ranks(ref)
+        rows = np.concatenate([rng.integers(0, ref.n + 1, size=100), [0, 63, 64, ref.n]])
         ranks = rng.integers(0, 5, size=rows.size)
-        got = fm.occ_many(ranks, rows)
-        assert got.tolist() == [int(counts[i + 1, r]) for r, i in zip(ranks, rows)]
+        assert lf_rank(fm, ranks, rows).tolist() == expected[rows, ranks].tolist()
+        pair = np.stack([rows, rows[::-1]])
+        assert np.array_equal(lf_rank(fm, ranks, pair), expected[pair, ranks])
+        assert np.array_equal(pair[0], rows)  # the rows are not overwritten
 
-    def test_occ_many_gives_lf_mapping(self):
-        # d[c] + occ(c, i) - 1, c = bwt[i], must land on the predecessor rotation of row i
+    def test_rank_gives_lf_mapping(self):
+        # d[c] + occ(c, [0, i)), c = bwt[i], must land on the predecessor rotation of row i
         rng = np.random.default_rng(9)
         ref = random_reference(rng, 90)
         fm = build_fm_index(ref)
         sa = fm.sa.astype(np.int64)
-        c = build_bwt(ref, fm.sa).astype(np.int64)
-        rows = np.arange(ref.n)
-        j = fm.d[c] + fm.occ_many(c, rows) - 1
+        c = build_bwt(ref, fm.sa)
+        j = lf_rank(fm, c, np.arange(ref.n))
         assert np.array_equal((sa[j] + 1) % ref.n, sa)
+
+    def test_fm_batch_across_blocks(self):
+        # more rows than two blocks, every 4-mer among them, against the brute-force interval
+        rng = np.random.default_rng(11)
+        ref = random_reference(rng, 150)
+        engine = search.build_engine(ref, k=3)
+        qm = rng.integers(1, 5, size=(2 * search._BLOCK + 5, 4)).astype(np.uint8)
+        qm[:256] = (np.arange(256)[:, None] >> np.arange(6, -1, -2)) % 4 + 1
+        low, high = search.batch_search_matrix(engine, qm, mode="fm")
+        kmers, inverse = np.unique(qm, axis=0, return_inverse=True)
+        expected = np.array([naive_interval(ref.ranks, q) for q in kmers])
+        assert kmers.shape[0] == 256
+        assert np.array_equal(low, expected[inverse.ravel(), 0])
+        assert np.array_equal(high, expected[inverse.ravel(), 1])
+        assert np.count_nonzero(low == high) > 0 and np.count_nonzero(low < high) > 0
 
 
 class TestBackwardSearch:
