@@ -14,22 +14,25 @@ through the suffix array it gives back the text, from which load rebuilds
 the FM tables with :func:`dnasearch.fmindex.build_fm_index`, as the build
 does.
 
-The model section is a leaf count u64, then per leaf its slope and
-intercept (f64 each), maximum error (u64) and partition start (u64).
-Storing starts makes load(save(x)) bit-identical without refitting; each
-leaf's boundary key is the IP-BWT key at its start, read back from the
-keys. Search reads the maximum errors as its window bounds.
+The model section is a leaf count u64, then four arrays of that length:
+slopes and intercepts (f64), maximum errors and partition starts (u64);
+its checksum covers the count too. Storing starts makes load(save(x))
+bit-identical without refitting; each leaf's boundary key is the IP-BWT
+key at its start, read back from the keys. Search reads the maximum
+errors as its window bounds.
 
 Every index holds the leaf models, so it serves every search mode. Files
-of any version but :data:`VERSION` are refused. ``load_index`` checks
-every checksum, then the structure the checksums cannot vouch for: K and
-n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is finite
-and > 0, the suffix array is a permutation of [0, n) whose row 0 is the
-sentinel's position n - 1, the keys never decrease from (0, 0) and their
-k-mers fit in 2K bits, the loc fields are the ones the suffix array gives
-(:func:`dnasearch.ipbwt.loc_column`), leaf starts rise strictly from 0
-below n, slopes are finite and >= 0, intercepts finite, maximum errors in
-[0, n], and no bytes follow the last section. Any failure raises
+of any version but :data:`VERSION` are refused, before the header's
+checksum is read (an older header has another size). ``load_index`` reads
+each array into a buffer of its own, so every array starts aligned, and
+checks every checksum, then the structure the checksums cannot vouch for:
+K and n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is
+finite and > 0, the suffix array is a permutation of [0, n) whose row 0 is
+the sentinel's position n - 1, the keys never decrease from (0, 0) and
+their k-mers fit in 2K bits, the loc fields are the ones the suffix array
+gives (:func:`dnasearch.ipbwt.loc_column`), leaf starts rise strictly from
+0 below n, slopes are finite and >= 0, intercepts finite, maximum errors
+in [0, n], and no bytes follow the last section. Any failure raises
 :class:`CorruptIndexError` naming the section.
 """
 
@@ -39,7 +42,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -75,87 +77,27 @@ def _require(ok, section: str, detail: str) -> None:
         raise CorruptIndexError(section, detail)
 
 
-class _SectionWriter:
-    """Writes one section's arrays and then the CRC-32 of their bytes."""
-
-    def __init__(self, fh: BinaryIO):
-        self.fh = fh
-        self.start = fh.tell()
-        self.crc = 0
-
-    def write(self, data: bytes) -> None:
-        self.fh.write(data)
-        self.crc = zlib.crc32(data, self.crc)
-
-    def array(self, arr: np.ndarray, dtype) -> None:
-        self.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-    def close(self) -> int:
-        """Write the checksum; returns the section's size in bytes."""
-        self.fh.write(struct.pack("<I", self.crc))
-        return self.fh.tell() - self.start
-
-
-class _SectionReader:
-    """Reads one section's arrays, then checks the CRC-32 that follows them."""
-
-    def __init__(self, fh: BinaryIO, section: str, file_size: int):
-        self.fh = fh
-        self.section = section
-        self.file_size = file_size
-        self.crc = 0
-
-    def read(self, size: int) -> bytearray:
-        # a damaged count must not allocate more than the file holds
-        if size > self.file_size - self.fh.tell():
-            raise CorruptIndexError(self.section, "truncated")
-        buf = bytearray(size)
-        if self.fh.readinto(buf) != size:
-            raise CorruptIndexError(self.section, "truncated")
-        self.crc = zlib.crc32(buf, self.crc)
-        return buf
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.read(dtype.itemsize * count), dtype=dtype)
-
-    def close(self) -> None:
-        raw = self.fh.read(4)
-        if len(raw) != 4:
-            raise CorruptIndexError(self.section, "truncated")
-        if struct.unpack("<I", raw)[0] != self.crc:
-            raise CorruptIndexError(self.section, "checksum mismatch")
-
-
 def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     """Write the engine to ``path``; returns per-section byte sizes."""
-    fm, ix, rmi = engine.fm, engine.ipbwt, engine.rmi
-    n = fm.n
-    sizes: dict[str, int] = {}
+    fm, ix, leaf = engine.fm, engine.ipbwt, engine.rmi.leaf
+    flat = np.ascontiguousarray  # fh.write and crc32 read arrays through the buffer protocol
+    sections = (
+        ("header", [MAGIC + _HEADER.pack(VERSION, engine.k, fm.n, engine.rmi.alpha_leaf)]),
+        ("sa", [flat(fm.sa, "<u4")]),
+        ("ipbwt", [flat(ix.key_hi, "<u8"), flat(ix.key_lo, "<u4")]),
+        ("rmi", [struct.pack("<Q", len(leaf)), flat(leaf.slopes, "<f8"),
+                 flat(leaf.intercepts, "<f8"), flat(leaf.max_errors, "<u8"),
+                 flat(leaf.starts, "<u8")]),
+    )
+    sizes = {"bwt_occ": 0}  # no such section; perfbench/run.py still reads the key
     with open(path, "wb") as fh:
-        out = _SectionWriter(fh)
-        out.write(MAGIC + _HEADER.pack(VERSION, engine.k, n, rmi.alpha_leaf))
-        sizes["header"] = out.close()
-
-        out = _SectionWriter(fh)
-        out.array(fm.sa, "<u4")
-        sizes["sa"] = out.close()
-
-        sizes["bwt_occ"] = 0  # no such section; perfbench/run.py still reads the key
-
-        out = _SectionWriter(fh)
-        out.array(ix.key_hi, "<u8")
-        out.array(ix.key_lo, "<u4")
-        sizes["ipbwt"] = out.close()
-
-        out = _SectionWriter(fh)
-        leaf = rmi.leaf
-        out.write(struct.pack("<Q", len(leaf)))
-        out.array(leaf.slopes, "<f8")
-        out.array(leaf.intercepts, "<f8")
-        out.array(leaf.max_errors, "<u8")
-        out.array(leaf.starts, "<u8")
-        sizes["rmi"] = out.close()
+        for name, parts in sections:
+            start, crc = fh.tell(), 0
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
+            sizes[name] = fh.tell() - start  # the checksum included
         sizes["total"] = fh.tell()
     return sizes
 
@@ -163,12 +105,33 @@ def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
 def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        sec = _SectionReader(fh, "header", file_size)
-        magic = bytes(sec.read(4))
+
+        def take(name: str, size: int) -> bytes:
+            raw = fh.read(size)
+            _require(len(raw) == size, name, "truncated")
+            return raw
+
+        def section(name: str, count: int, *dtypes, head: bytes = b"") -> list[np.ndarray]:
+            """One ``count``-item array per dtype, checked by the CRC-32 that follows."""
+            sizes = [count * np.dtype(dtype).itemsize for dtype in dtypes]
+            # a damaged count must not allocate more than the file holds
+            _require(sum(sizes) + 4 <= file_size - fh.tell(), name, "truncated")
+            arrays, crc = [], zlib.crc32(head)
+            for size, dtype in zip(sizes, dtypes):
+                buf = bytearray(size)  # a buffer per array keeps every array aligned
+                _require(fh.readinto(buf) == size, name, "truncated")
+                crc = zlib.crc32(buf, crc)
+                arrays.append(np.frombuffer(buf, dtype))
+            _require(int.from_bytes(take(name, 4), "little") == crc, name, "checksum mismatch")
+            return arrays
+
+        magic = take("header", 4)
         _require(magic == MAGIC, "header", f"bad magic {magic!r}")
-        version, k, n, alpha_leaf = _HEADER.unpack(sec.read(_HEADER.size))
+        fields = take("header", _HEADER.size)
+        version, k, n, alpha_leaf = _HEADER.unpack(fields)
+        # before the checksum: an older header has another size, so its checksum lies elsewhere
         _require(version == VERSION, "header", f"unsupported version {version}")
-        sec.close()
+        section("header", 0, head=magic + fields)
         try:
             check_k(n, k)  # the build's rule: 1 <= K <= min(MAX_K, n - 1) and n + K < 2^32
         except IpBwtError as exc:
@@ -176,19 +139,14 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         _require(np.isfinite(alpha_leaf) and alpha_leaf > 0, "header",
                  f"alpha_leaf={alpha_leaf} is not finite and > 0")
 
-        sec = _SectionReader(fh, "sa", file_size)
-        sa = sec.array("<u4", n)
-        sec.close()
+        (sa,) = section("sa", n, "<u4")
         try:
             loc = loc_column(sa, k)
         except IpBwtError as exc:
             raise CorruptIndexError("sa", str(exc)) from None
         _require(sa[0] == n - 1, "sa", f"row 0 is position {sa[0]}, not the sentinel's {n - 1}")
 
-        sec = _SectionReader(fh, "ipbwt", file_size)
-        key_hi = sec.array("<u8", n)
-        key_lo = sec.array("<u4", n)
-        sec.close()
+        key_hi, key_lo = section("ipbwt", n, "<u8", "<u4")
         hi_a, hi_b = key_hi[:-1], key_hi[1:]
         _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
                  "ipbwt", "keys out of order")
@@ -198,13 +156,11 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         # two swapped rows of sa keep it a permutation but change the loc fields it gives
         _require(np.array_equal(key_lo, loc), "sa", "rows disagree with the IP-BWT loc fields")
 
-        sec = _SectionReader(fh, "rmi", file_size)
-        (count,) = struct.unpack("<Q", sec.read(8))
-        slopes = sec.array("<f8", count)
-        intercepts = sec.array("<f8", count)
-        max_errors = sec.array("<u8", count).astype(np.int64)
-        starts = sec.array("<u8", count).astype(np.int64)
-        sec.close()
+        head = take("rmi", 8)
+        count = int.from_bytes(head, "little")
+        slopes, intercepts, max_errors, starts = section("rmi", count, "<f8", "<f8", "<u8", "<u8",
+                                                         head=head)
+        max_errors, starts = max_errors.astype(np.int64), starts.astype(np.int64)
         _require(fh.tell() == file_size, "rmi", f"{file_size - fh.tell()} trailing bytes")
 
     _require(count and starts[0] == 0 and np.all(starts[:-1] < starts[1:]) and starts[-1] < n,

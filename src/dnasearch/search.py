@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, backward_search_batch
-from dnasearch.ipbwt import IpBwt, lower_bound_batch
-from dnasearch.rmi import Rmi
+from dnasearch.ipbwt import IpBwt, check_k, lower_bound_batch
+from dnasearch.rmi import Rmi, check_alpha
 
 MODES = ("rmi", "binary", "fm")
 
@@ -55,9 +55,10 @@ def _require_mode(mode: str) -> None:
 
 def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0) -> SearchEngine:
     """Build every engine's structures; K and ``alpha_leaf`` are checked before the suffix sort."""
+    # looked up at each call: perfbench's traced mode wraps these module attributes
     from dnasearch.fmindex import build_fm_index
-    from dnasearch.ipbwt import build_ipbwt, check_k
-    from dnasearch.rmi import build_rmi, check_alpha
+    from dnasearch.ipbwt import build_ipbwt
+    from dnasearch.rmi import build_rmi
 
     check_k(ref.n, k)
     check_alpha(alpha_leaf)

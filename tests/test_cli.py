@@ -275,6 +275,13 @@ class TestQuery:
         qfile.write_text("ACGT\n")
         assert main(["query", str(broken), str(qfile)]) == EXIT_IO
 
+    def test_fasta_as_index_exit_2(self, built_index, tmp_path, capsys):
+        index, _ = built_index
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("ACGT\n")
+        assert main(["query", str(index.parent / "ref.fa"), str(qfile)]) == EXIT_IO
+        assert "bad header section (bad magic b'>ref')" in capsys.readouterr().err
+
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
                                      "version_5", "version_6", "version_7", "header_k",
                                      "k_out_of_range",

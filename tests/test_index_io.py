@@ -1,7 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from dnasearch.index_io import CorruptIndexError, load_index, save_index
+from dnasearch.index_io import MAGIC, CorruptIndexError, load_index, save_index
 from dnasearch.search import batch_search_matrix, build_engine
 
 from conftest import (
@@ -84,6 +87,23 @@ class TestRoundTrip:
                 assert np.array_equal(loaded.fm.occ, engine.fm.occ)
 
 
+@pytest.mark.parametrize("n_bases", [500, 501])
+def test_loaded_arrays_aligned(tmp_path, n_bases):
+    # n = n_bases + 1: for an odd n, a whole-file buffer would put key_hi at an
+    # offset of 4 mod 8, and every 64-bit read of it would be misaligned
+    engine = build_engine(random_reference(np.random.default_rng(n_bases), n_bases), k=4)
+    path = str(tmp_path / "al.idx")
+    save_index(path, engine)
+    loaded, _, meta = load_index(path)
+    assert meta.n == n_bases + 1
+    leaf = loaded.rmi.leaf
+    for name, arr in (("sa", loaded.fm.sa), ("key_hi", loaded.ipbwt.key_hi),
+                      ("key_lo", loaded.ipbwt.key_lo), ("occ", loaded.fm.occ),
+                      ("slopes", leaf.slopes), ("intercepts", leaf.intercepts),
+                      ("max_errors", leaf.max_errors), ("starts", leaf.starts)):
+        assert arr.flags.aligned and arr.flags.c_contiguous, name
+
+
 class TestCorruption:
     def test_truncated_file(self, engine_and_ref, tmp_path):
         engine, ref = engine_and_ref
@@ -102,8 +122,10 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptIndexError):
+        with pytest.raises(CorruptIndexError) as exc:
             load_index(str(path))
+        assert exc.value.section == "header"
+        assert "bad magic b'XXXX'" in str(exc.value)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.idx"
@@ -124,6 +146,60 @@ class TestCorruption:
             load_index(str(path))
         assert exc.value.section == "header"
         assert "unsupported version" in str(exc.value)
+
+    def test_genuine_version_7_refused(self, engine_and_ref, tmp_path):
+        # version 7's header held a flags word, so it is 4 bytes longer and its
+        # checksum lies 4 bytes later: the version must be read before the checksum
+        engine, ref = engine_and_ref
+        path = tmp_path / "v7.idx"
+        save_index(str(path), engine)
+        head = MAGIC + struct.pack("<HHQId", 7, engine.k, ref.n, 1, engine.rmi.alpha_leaf)
+        assert len(head) == 28
+        path.write_bytes(head + zlib.crc32(head).to_bytes(4, "little") + path.read_bytes()[28:])
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "header"
+        assert "unsupported version 7" in str(exc.value)
+
+    @pytest.mark.parametrize("where", ["magic", "header_fields", "header_crc", "after_header",
+                                       "after_sa", "after_ipbwt", "leaf_count",
+                                       "before_last_crc", "inside_last_crc"])
+    def test_truncation_names_its_section(self, engine_and_ref, tmp_path, where):
+        engine, ref = engine_and_ref
+        path = tmp_path / "cut.idx"
+        save_index(str(path), engine)
+        data = path.read_bytes()
+        sections = index_sections(data)
+        rmi_start, rmi_end = sections["rmi"]
+        cut, section = {
+            "magic": (2, "header"),
+            "header_fields": (10, "header"),
+            "header_crc": (sections["header"][1] + 2, "header"),
+            "after_header": (sections["header"][1] + 4, "sa"),
+            "after_sa": (sections["sa"][1] + 4, "ipbwt"),
+            "after_ipbwt": (sections["ipbwt"][1] + 4, "rmi"),
+            "leaf_count": (rmi_start + 3, "rmi"),
+            "before_last_crc": (rmi_end - 1, "rmi"),
+            "inside_last_crc": (len(data) - 1, "rmi"),
+        }[where]
+        path.write_bytes(data[:cut])
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == section
+        assert "truncated" in str(exc.value)
+
+    def test_huge_leaf_count_is_truncated_not_allocated(self, engine_and_ref, tmp_path):
+        engine, ref = engine_and_ref
+        path = tmp_path / "count.idx"
+        save_index(str(path), engine)
+        data = bytearray(path.read_bytes())
+        start, _ = index_sections(data)["rmi"]
+        data[start : start + 8] = (1 << 62).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndexError) as exc:
+            load_index(str(path))
+        assert exc.value.section == "rmi"
+        assert "truncated" in str(exc.value)
 
     @pytest.mark.parametrize("how, words", [("header_k", "checksum"),
                                             ("k_out_of_range", "exceeds")])

@@ -33,6 +33,20 @@ def small_engine():
     return build_engine(make_reference("CATTATTAGGA"), k=3)
 
 
+def test_build_engine_calls_the_module_builders(monkeypatch):
+    # perfbench's traced mode times the build by wrapping these module attributes
+    from dnasearch import fmindex, ipbwt, rmi
+
+    called = []
+    for module, name in ((fmindex, "build_fm_index"), (ipbwt, "build_ipbwt"), (rmi, "build_rmi")):
+        def wrapped(*args, _orig=getattr(module, name), _name=name, **kw):
+            called.append(_name)
+            return _orig(*args, **kw)
+        monkeypatch.setattr(module, name, wrapped)
+    build_engine(make_reference("ACGTACGTTGCA"), k=4)
+    assert called == ["build_fm_index", "build_ipbwt", "build_rmi"]
+
+
 class TestChunking:
     """Query lengths at, across and below the chunk length K=3 of ``small_engine``."""
 
