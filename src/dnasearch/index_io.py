@@ -5,34 +5,29 @@ Layout (all little-endian):
 * magic ``LSA1``; header: version u16, K u16, n u64, alpha_leaf f64;
   then the ``zlib.crc32`` of the magic and header (u32).
 * three sections, each followed by the ``zlib.crc32`` of its bytes (u32):
-  suffix array (u32[n]); IP-BWT keys (u64[n] k-mer codes, then u32[n] loc
-  fields); leaf models. The file ends there.
+  suffix array (u32[n]); IP-BWT k-mer codes (u64[n]); leaf models: a leaf
+  count u64, then slopes and intercepts (f64), maximum errors and
+  partition starts (u64), each of that length. The file ends there.
 
-No BWT or occurrence table is stored. The first BW-matrix column is each
-row's first k-mer base (row 0, the sentinel row, excepted); scattered
-through the suffix array it gives back the text, from which load rebuilds
-the FM tables with :func:`dnasearch.fmindex.build_fm_index`, as the build
-does.
+Nothing load can derive is stored: the IP-BWT loc fields come from the
+suffix array (:func:`dnasearch.ipbwt.loc_column`), each leaf's boundary
+key is the key at its start, and the k-mers, put into text order by the
+suffix array, start with the text's bases, from which load rebuilds the
+FM tables as the build does.
 
-The model section is a leaf count u64, then four arrays of that length:
-slopes and intercepts (f64), maximum errors and partition starts (u64);
-its checksum covers the count too. Storing starts makes load(save(x))
-bit-identical without refitting; each leaf's boundary key is the IP-BWT
-key at its start, read back from the keys. Search reads the maximum
-errors as its window bounds.
-
-Every index holds the leaf models, so it serves every search mode. Files
-of any version but :data:`VERSION` are refused, before the header's
+Files of any version but :data:`VERSION` are refused, before the header's
 checksum is read (an older header has another size). ``load_index`` reads
 each array into a buffer of its own, so every array starts aligned, and
 checks every checksum, then the structure the checksums cannot vouch for:
 K and n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is
 finite and > 0, the suffix array is a permutation of [0, n) whose row 0 is
-the sentinel's position n - 1, the keys never decrease from (0, 0) and
-their k-mers fit in 2K bits, the loc fields are the ones the suffix array
-gives (:func:`dnasearch.ipbwt.loc_column`), leaf starts rise strictly from
-0 below n, slopes are finite and >= 0, intercepts finite, maximum errors
-in [0, n], and no bytes follow the last section. Any failure raises
+the sentinel's position n - 1, the k-mers fit in 2K bits and, in text
+order, each one's last K - 1 bases are the next one's first K - 1 with the
+sentinel's k-mer 0 (so they are one text's k-mers), the keys never
+decrease (so the suffix array is that text's, by induction on the loc
+fields from the text's end), leaf starts rise strictly from 0 below n,
+slopes are finite and >= 0, intercepts finite, maximum errors in [0, n],
+and no bytes follow the last section. Any failure raises
 :class:`CorruptIndexError` naming the section.
 """
 
@@ -52,7 +47,7 @@ from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 8
+VERSION = 9
 _HEADER = struct.Struct("<HHQd")
 
 
@@ -84,7 +79,7 @@ def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     sections = (
         ("header", [MAGIC + _HEADER.pack(VERSION, engine.k, fm.n, engine.rmi.alpha_leaf)]),
         ("sa", [flat(fm.sa, "<u4")]),
-        ("ipbwt", [flat(ix.key_hi, "<u8"), flat(ix.key_lo, "<u4")]),
+        ("ipbwt", [flat(ix.key_hi, "<u8")]),
         ("rmi", [struct.pack("<Q", len(leaf)), flat(leaf.slopes, "<f8"),
                  flat(leaf.intercepts, "<f8"), flat(leaf.max_errors, "<u8"),
                  flat(leaf.starts, "<u8")]),
@@ -141,20 +136,26 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
 
         (sa,) = section("sa", n, "<u4")
         try:
-            loc = loc_column(sa, k)
+            key_lo = loc_column(sa, k)
         except IpBwtError as exc:
             raise CorruptIndexError("sa", str(exc)) from None
         _require(sa[0] == n - 1, "sa", f"row 0 is position {sa[0]}, not the sentinel's {n - 1}")
 
-        key_hi, key_lo = section("ipbwt", n, "<u8", "<u4")
+        (key_hi,) = section("ipbwt", n, "<u8")
+        _require(int(key_hi[-1]) >> 2 * k == 0, "ipbwt", f"k-mer codes wider than {2 * k} bits")
+        # in text order, the sentinel's k-mer is 0 and each k-mer continues into the next
+        kmers = np.empty_like(key_hi)
+        kmers[sa] = key_hi
+        _require(kmers[-1] == 0, "ipbwt", "the sentinel's k-mer is not 0")
+        for i in range(0, n - 1, 1 << 16):  # in blocks: load holds no second n-row temporary
+            step = kmers[i : min(i + (1 << 16), n - 1)] & np.uint64((1 << 2 * (k - 1)) - 1)
+            step <<= np.uint64(2)
+            step ^= kmers[i + 1 : i + 1 + step.size]  # below 4 where the next k-mer continues
+            _require(step.max() < 4, "ipbwt", "k-mers do not continue into the next position's")
+        # with the text's k-mers, sorted keys make sa that text's suffix array
         hi_a, hi_b = key_hi[:-1], key_hi[1:]
         _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
                  "ipbwt", "keys out of order")
-        # the sentinel row's key (0, 0) is the least key, so no key lies below the first leaf
-        _require(key_hi[0] == 0 and key_lo[0] == 0, "ipbwt", "first key is not (0, 0)")
-        _require(int(key_hi[-1]) >> 2 * k == 0, "ipbwt", f"k-mer codes wider than {2 * k} bits")
-        # two swapped rows of sa keep it a permutation but change the loc fields it gives
-        _require(np.array_equal(key_lo, loc), "sa", "rows disagree with the IP-BWT loc fields")
 
         head = take("rmi", 8)
         count = int.from_bytes(head, "little")
@@ -172,12 +173,11 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
                     boundary_hi=key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
     rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
 
-    # the first BW-matrix column, scattered back through sa, is the text;
-    # row 0 is the sentinel, every other row starts with its k-mer's first base
-    first_col = (key_hi >> np.uint64(2 * (k - 1))).astype(np.uint8) + np.uint8(1)
-    first_col[0] = 0
-    ranks = np.empty(n, dtype=np.uint8)
-    ranks[sa] = first_col
+    # the text: each position's k-mer starts with its base, and the sentinel ends it
+    kmers >>= np.uint64(2 * (k - 1))
+    ranks = kmers.astype(np.uint8) + np.uint8(1)
+    del kmers
+    ranks[-1] = 0
     ref = Reference(name="reference", ranks=ranks)
 
     ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)

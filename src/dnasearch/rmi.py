@@ -192,8 +192,9 @@ def check_alpha(alpha: float) -> None:
 def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     """Halve the sorted keys (hi, lo) until each partition fits ``alpha``.
 
-    A partition stops at size <= 2 or mean absolute error <= alpha; on an
-    odd size the left half takes the extra element.
+    A partition stops at mean absolute error <= alpha, which a fit of one
+    or two keys always meets; on an odd size the left half takes the extra
+    element.
     """
     check_alpha(alpha)
     starts = np.zeros(1, dtype=np.int64)
@@ -201,7 +202,7 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     done_starts, done_slopes, done_intercepts, done_max = [], [], [], []
     while starts.size:
         slopes, intercepts, errors, max_errors = _fit_level(hi, lo, starts, sizes)
-        done = (sizes <= 2) | (errors <= alpha)
+        done = errors <= alpha
         done_starts.append(starts[done])
         done_slopes.append(slopes[done])
         done_intercepts.append(intercepts[done])

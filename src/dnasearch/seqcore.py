@@ -11,7 +11,6 @@ The reference (``Reference.ranks``) and parsed query files use ranks.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -83,18 +82,13 @@ def encode_ranks(seq: str | bytes, line: int | None = None) -> np.ndarray:
     return ranks
 
 
-def _as_stream(source: bytes | BinaryIO) -> BinaryIO:
-    return io.BytesIO(source) if isinstance(source, bytes) else source
-
-
-def load_fasta(source: bytes | BinaryIO) -> Reference:
+def load_fasta(stream: BinaryIO) -> Reference:
     """Parse FASTA into a Reference.
 
     Multi-record inputs are concatenated in file order into one text; the
     name is taken from the first header. Characters outside ACGT (including
     N) are a hard error.
     """
-    stream = _as_stream(source)
     name = None
     chunks: list[np.ndarray] = []
     for lineno, raw in enumerate(stream, start=1):
@@ -118,7 +112,7 @@ def load_fasta(source: bytes | BinaryIO) -> Reference:
     return Reference(name=name, ranks=ranks)
 
 
-def parse_queries(source: bytes | BinaryIO) -> tuple[np.ndarray, np.ndarray]:
+def parse_queries(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """One query per line (LF or CRLF), as (ranks, lengths).
 
     Each line is stripped of surrounding whitespace; blank lines are
@@ -126,7 +120,7 @@ def parse_queries(source: bytes | BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     each byte outside ACGT/acgt, so one bad read never aborts the batch;
     ``lengths`` (int64) holds each line's length.
     """
-    raw_lines = _as_stream(source).read().split(b"\n")
+    raw_lines = stream.read().split(b"\n")
     lines = [line for line in map(bytes.strip, raw_lines) if line]
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     return _BYTE_TO_RANK[np.frombuffer(b"".join(lines), dtype=np.uint8)], lengths

@@ -179,13 +179,19 @@ def index_sections(data) -> dict[str, tuple[int, int]]:
     _, _, n, _ = _HEADER.unpack_from(data, 4)
     pos = 0
     out = {}
-    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("ipbwt", 12 * n),
+    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("ipbwt", 8 * n),
                        ("rmi", None)):
         if size is None:
             size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little")
         out[name] = (pos, pos + size)
         pos += size + 4
     return out
+
+
+def rewrite_crc(data: bytearray, section: str) -> None:
+    """Make the checksum after ``section`` of a saved index match its bytes again."""
+    start, end = index_sections(data)[section]
+    data[end : end + 4] = zlib.crc32(data[start:end]).to_bytes(4, "little")
 
 
 def leaf_arrays(data) -> dict[str, np.ndarray]:
@@ -205,8 +211,9 @@ STRUCTURE_DAMAGE = {
     "slope_inf": "slopes",
     "intercept_nan": "intercepts",
     "error_over_n": "maximum errors",
-    "keys_unsorted": "keys out of order",
-    "first_key_raised": "first key",
+    "keys_unsorted": "do not continue",
+    "rows_reordered": "keys out of order",
+    "first_key_raised": "sentinel's k-mer",
     "kmer_too_wide": "wider than",
     "trailing_bytes": "trailing bytes",
     "alpha_nan": "alpha_leaf",
@@ -230,8 +237,8 @@ def damage_index(path, how: str) -> None:
     * ``sa_rows_swapped``: suffix-array rows 0 and 1 trade places, so the
       array is still a permutation but row 0 is not the sentinel's;
     * ``sa_rows_permuted``: suffix-array rows 1 and n - 1 trade places, so
-      the array is still a permutation with the sentinel's row 0, but not
-      the one the IP-BWT loc fields give;
+      the array is still a permutation with the sentinel's row 0, but the
+      k-mers it puts into text order do not continue into each other;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
     * ``slopes_negated``: every slope changes sign (some are > 0);
     * ``slope_inf``, ``intercept_nan``: leaf 0's slope is +inf, its
@@ -239,9 +246,13 @@ def damage_index(path, how: str) -> None:
     * ``error_over_n``: leaf 0's maximum error is n + 1;
     * ``error_raised``: the middle leaf's maximum error is one too large,
       which loads but fails the audit;
-    * ``keys_unsorted``: the IP-BWT rows n // 2 and n // 2 + 1 trade places;
-    * ``first_key_raised``: IP-BWT row 0 takes row 1's key, so the keys
-      still never decrease but start above (0, 0);
+    * ``keys_unsorted``: the k-mers of the first IP-BWT rows i, i + 1 from
+      n // 2 on that differ trade places;
+    * ``rows_reordered``: as ``keys_unsorted``, and suffix-array rows i and
+      i + 1 trade places too (both checksums rewritten), so the k-mers in
+      text order are the text's but the keys decrease;
+    * ``first_key_raised``: the k-mer of IP-BWT row 0, the sentinel's,
+      gains bit 0;
     * ``kmer_too_wide``: the last row's k-mer gains bit 2K, so the keys stay
       in order but the first base read from that row is no base.
 
@@ -253,7 +264,7 @@ def damage_index(path, how: str) -> None:
     if how.startswith("flip_"):
         start, end = sections[how[len("flip_"):]]
         if how == "flip_ipbwt":
-            n = (end - start) // 12
+            n = (end - start) // 8
             data[start + 8 * (n // 2)] ^= 0x01
         else:
             data[(start + end) // 2] ^= 0x10
@@ -283,21 +294,22 @@ def damage_index(path, how: str) -> None:
                 sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
                 i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
                 data[sa_start + 4 * i] ^= 0x01
-        elif how in ("keys_unsorted", "first_key_raised", "kmer_too_wide"):
+        elif how in ("keys_unsorted", "rows_reordered", "first_key_raised", "kmer_too_wide"):
             section = "ipbwt"
             start, end = sections["ipbwt"]
-            n = (end - start) // 12
+            kmers = np.frombuffer(data, "<u8", (end - start) // 8, start)
             if how == "kmer_too_wide":
                 k = _HEADER.unpack_from(data, 4)[1]
-                np.frombuffer(data, "<u8", n, start)[-1] |= np.uint64(1 << 2 * k)
+                kmers[-1] |= np.uint64(1 << 2 * k)
+            elif how in ("keys_unsorted", "rows_reordered"):
+                i = kmers.size // 2 + int(np.flatnonzero(np.diff(kmers[kmers.size // 2 :]))[0])
+                kmers[[i, i + 1]] = kmers[[i + 1, i]]
+                if how == "rows_reordered":
+                    sa = np.frombuffer(data, "<u4", kmers.size, sections["sa"][0])
+                    sa[[i, i + 1]] = sa[[i + 1, i]]
+                    rewrite_crc(data, "sa")
             else:
-                for col in (np.frombuffer(data, "<u8", n, start),
-                            np.frombuffer(data, "<u4", n, start + 8 * n)):
-                    if how == "keys_unsorted":
-                        i = n // 2
-                        col[[i, i + 1]] = col[[i + 1, i]]
-                    else:
-                        col[0] = col[1]
+                kmers[0] |= np.uint64(1)
         else:
             leaf = leaf_arrays(data)
             if how == "starts_swapped":
@@ -315,8 +327,7 @@ def damage_index(path, how: str) -> None:
                 leaf["max_errors"][leaf["max_errors"].size // 2] += 1
             else:
                 raise ValueError(how)
-        start, end = sections[section]
-        data[end : end + 4] = zlib.crc32(data[start:end]).to_bytes(4, "little")
+        rewrite_crc(data, section)
     path.write_bytes(bytes(data))
 
 

@@ -283,7 +283,7 @@ class TestQuery:
         assert "bad header section (bad magic b'>ref')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "version_7", "header_k",
+                                     "version_5", "version_6", "version_7", "version_8", "header_k",
                                      "k_out_of_range",
                                      "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
                                      "sa_rows_permuted", "flip_sa", "flip_ipbwt", "flip_rmi",

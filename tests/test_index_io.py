@@ -1,11 +1,12 @@
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from dnasearch.index_io import MAGIC, CorruptIndexError, load_index, save_index
-from dnasearch.search import batch_search_matrix, build_engine
+from dnasearch.search import MODES, batch_search_matrix, build_engine
 
 from conftest import (
     SECTIONS,
@@ -15,6 +16,8 @@ from conftest import (
     make_reference,
     random_reference,
     repetitive_reference,
+    rewrite_crc,
+    rotation_rows,
 )
 
 
@@ -73,7 +76,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.ipbwt.key_lo[rows], engine.ipbwt.key_lo[rows])
 
     def test_text_derived_from_first_column(self, tmp_path):
-        # rows whose k-mer is cut at the sentinel must still give their first base
+        # k-mers cut at the sentinel must still give their first base
         rng = np.random.default_rng(77)
         refs = [repetitive_reference(rng) for _ in range(12)]
         refs += [random_reference(rng, int(rng.integers(1, 60))) for _ in range(6)]
@@ -102,6 +105,109 @@ def test_loaded_arrays_aligned(tmp_path, n_bases):
                       ("slopes", leaf.slopes), ("intercepts", leaf.intercepts),
                       ("max_errors", leaf.max_errors), ("starts", leaf.starts)):
         assert arr.flags.aligned and arr.flags.c_contiguous, name
+
+
+def test_benchmark_contract(engine_and_ref, tmp_path):
+    # perfbench/run.py reads these section sizes and unpacks three values from load_index
+    engine, _ = engine_and_ref
+    path = str(tmp_path / "bench.idx")
+    sizes = save_index(path, engine)
+    assert {"sa", "bwt_occ", "ipbwt", "rmi", "total"} <= sizes.keys()
+    assert len(load_index(path)) == 3
+
+
+def refused_or_exact(path) -> bool:
+    """False if loading ``path`` raises :class:`CorruptIndexError`; True if it
+    loads and every mode returns the brute-force interval of every substring
+    of the loaded text of lengths K - 1, K and 2K + 1."""
+    try:
+        engine, ref, _ = load_index(str(path))
+    except CorruptIndexError:
+        return False
+    seq = ref.ranks.tolist()
+    n, rows = len(seq), rotation_rows(seq)
+    for m in (engine.k - 1, engine.k, 2 * engine.k + 1):
+        prefixes = [tuple(seq[(start + j) % n] for j in range(m)) for start in rows]
+        qm = np.lib.stride_tricks.sliding_window_view(ref.ranks[:-1], m)
+        expected = [(bisect_left(prefixes, q), bisect_right(prefixes, q))
+                    for q in map(tuple, qm.tolist())]
+        for mode in MODES:
+            low, high = batch_search_matrix(engine, qm, mode=mode)
+            assert list(zip(low.tolist(), high.tolist())) == expected, (mode, m)
+    return True
+
+
+@pytest.mark.parametrize("kind", ["sa_rows_swapped", "kmer_base_changed"])
+def test_single_row_damage_refused_or_exact(engine_and_ref, tmp_path, kind):
+    # with its checksum rewritten, only load's structure checks can see the change
+    engine, _ = engine_and_ref
+    n, k = engine.fm.n, engine.k
+    path = tmp_path / "row.idx"
+    save_index(str(path), engine)
+    clean = path.read_bytes()
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        data = bytearray(clean)
+        section = "sa" if kind == "sa_rows_swapped" else "ipbwt"
+        start, _ = index_sections(data)[section]
+        if kind == "sa_rows_swapped":
+            sa = np.frombuffer(data, "<u4", n, start)
+            rows = rng.choice(n, size=2, replace=False)
+            sa[rows] = sa[rows[::-1]]
+        else:
+            kmers = np.frombuffer(data, "<u8", n, start)
+            row, shift = int(rng.integers(n)), 2 * int(rng.integers(k))
+            kmers[row] ^= np.uint64(int(rng.integers(1, 4)) << shift)  # another code at one base
+        rewrite_crc(data, section)
+        path.write_bytes(bytes(data))
+        refused_or_exact(path)
+
+
+def test_last_kmer_base_lowered_refused(engine_and_ref, tmp_path):
+    # row r's k-mer X..c becomes X..c-1: the keys stay sorted and every first
+    # base, so the text, stays as it was, so fm would still be right while
+    # rmi and binary would put the lower bound of X..c one row late
+    engine, _ = engine_and_ref
+    hi, first = engine.ipbwt.key_hi, np.uint64(2 * engine.k - 2)
+    r = 1 + int(np.flatnonzero((hi[1:] & np.uint64(3) > 0) & (hi[:-1] + np.uint64(1) < hi[1:]))[0])
+    path = tmp_path / "last.idx"
+    save_index(str(path), engine)
+    data = bytearray(path.read_bytes())
+    kmers = np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])
+    kmers[r] -= np.uint64(1)
+    assert np.all(kmers[:-1] <= kmers[1:]) and kmers[r] >> first == hi[r] >> first
+    rewrite_crc(data, "ipbwt")
+    path.write_bytes(bytes(data))
+    assert not refused_or_exact(path)
+
+
+def test_sentinel_kmer_checked_where_keys_stay_sorted(tmp_path):
+    # at K = 1 over a text without A, the sentinel row's k-mer raised to C
+    # keeps the keys sorted and every k-mer continuing into the next
+    engine = build_engine(make_reference("CGTCCGTTC"), k=1)
+    path = tmp_path / "sentinel.idx"
+    save_index(str(path), engine)
+    data = bytearray(path.read_bytes())
+    np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])[0] = 1
+    rewrite_crc(data, "ipbwt")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptIndexError, match="sentinel's k-mer"):
+        load_index(str(path))
+
+
+def test_kmer_check_spans_its_blocks(tmp_path):
+    # the first base of the k-mer at text position 2^16 takes part only in the
+    # check against the k-mer before it, the first one across load's blocks
+    engine = build_engine(random_reference(np.random.default_rng(16), 70_000), k=4)
+    path = tmp_path / "blocks.idx"
+    save_index(str(path), engine)
+    data = bytearray(path.read_bytes())
+    kmers = np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])
+    kmers[np.flatnonzero(engine.fm.sa == 1 << 16)[0]] ^= np.uint64(1 << 2 * engine.k - 2)
+    rewrite_crc(data, "ipbwt")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptIndexError, match="do not continue"):
+        load_index(str(path))
 
 
 class TestCorruption:
@@ -136,7 +242,7 @@ class TestCorruption:
     # every older version lays its header or sections out otherwise (version 7's
     # header holds a flags word before alpha_leaf): each would misread
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "version_7"])
+                                     "version_5", "version_6", "version_7", "version_8"])
     def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
         path = tmp_path / "old.idx"
@@ -235,7 +341,7 @@ class TestCorruption:
             name: sizes[name] for name in ("header", *SECTIONS)
         }
         assert sections["header"][0] == 0
-        assert sections["ipbwt"][1] - sections["ipbwt"][0] == 12 * engine.ipbwt.n
+        assert sections["ipbwt"][1] - sections["ipbwt"][0] == 8 * engine.ipbwt.n
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 
@@ -244,15 +350,15 @@ class TestCorruption:
 def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     # a permutation whose row 0 is not the sentinel's would derive a text
     # that does not end with the sentinel; one with two other rows swapped
-    # would derive a wrong text, and fm would return wrong rows
+    # puts the k-mers into an order in which they spell no text
     engine, _ = engine_and_ref
     path = tmp_path / "sa.idx"
     save_index(str(path), engine)
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    assert exc.value.section == "sa"
-    words = {"sa_rows_swapped": "sentinel", "sa_rows_permuted": "loc fields"}
+    assert exc.value.section == ("ipbwt" if how == "sa_rows_permuted" else "sa")
+    words = {"sa_rows_swapped": "sentinel", "sa_rows_permuted": "do not continue"}
     assert words.get(how, "permutation") in str(exc.value)  # the checksum was rewritten to match
 
 
@@ -266,7 +372,7 @@ def test_structure_damage_refused(engine_and_ref, tmp_path, how):
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    sections = {"keys_unsorted": "ipbwt", "first_key_raised": "ipbwt", "kmer_too_wide": "ipbwt",
-                "alpha_nan": "header"}
+    sections = {"keys_unsorted": "ipbwt", "rows_reordered": "ipbwt", "first_key_raised": "ipbwt",
+                "kmer_too_wide": "ipbwt", "alpha_nan": "header"}
     assert exc.value.section == sections.get(how, "rmi")
     assert STRUCTURE_DAMAGE[how] in str(exc.value)

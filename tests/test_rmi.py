@@ -139,7 +139,7 @@ class TestPartition:
         assert key_errors(layer, hi, lo).max() == 0
 
     def test_alpha_must_be_positive(self):
-        # NaN would split every partition down to two keys, inf fit one leaf
+        # NaN would let no partition stop, inf fit one leaf
         hi, lo = words([1, 2, 3])
         for alpha in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):

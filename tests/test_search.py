@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,7 @@ class TestBatchSearch:
         # every mode searches one matrix per length: lengths below, at and
         # across K = 3, absent lines and an invalid one in one batch
         lines = [b"ATTA", b"ATT", b"GGA", b"AXA", b"CATTATT", b"TT", b"CC", b"ATT"]
-        ranks, lengths = parse_queries(b"\n".join(lines))
+        ranks, lengths = parse_queries(io.BytesIO(b"\n".join(lines)))
         ref = make_reference("CATTATTAGGA")
         for mode in MODES:
             low, high, valid = batch_search(small_engine, ranks, lengths, mode=mode)
@@ -152,7 +154,7 @@ class TestBatchSearch:
                 assert (int(low[i]), int(high[i])) == expected, (mode, line)
 
     def test_invalid_queries_marked(self, small_engine):
-        ranks, lengths = parse_queries(b"ATTA\nAT\xffA\nTAGG\nNNNN\n")
+        ranks, lengths = parse_queries(io.BytesIO(b"ATTA\nAT\xffA\nTAGG\nNNNN\n"))
         for mode in MODES:
             low, high, valid = batch_search(small_engine, ranks, lengths, mode=mode)
             assert valid.tolist() == [True, False, True, False]

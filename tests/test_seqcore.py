@@ -59,26 +59,26 @@ class TestReference:
 
 class TestFasta:
     def test_single_record(self):
-        ref = load_fasta(b">chr1 description\nACGT\nACGT\n")
+        ref = load_fasta(io.BytesIO(b">chr1 description\nACGT\nACGT\n"))
         assert ref.name == "chr1"
         assert np.array_equal(ref.ranks, make_reference("ACGTACGT").ranks)
 
     def test_multi_record_concatenated(self):
-        ref = load_fasta(b">a\nAC\n>b\nGT\n")
+        ref = load_fasta(io.BytesIO(b">a\nAC\n>b\nGT\n"))
         assert ref.name == "a"
         assert np.array_equal(ref.ranks, make_reference("ACGT").ranks)
 
     def test_invalid_base_is_hard_error(self):
         with pytest.raises(InvalidCharacterError):
-            load_fasta(b">a\nACNGT\n")
+            load_fasta(io.BytesIO(b">a\nACNGT\n"))
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            load_fasta(b"")
+            load_fasta(io.BytesIO(b""))
 
     def test_header_only(self):
         with pytest.raises(EmptyInputError):
-            load_fasta(b">a\n")
+            load_fasta(io.BytesIO(b">a\n"))
 
     def test_stream_input(self):
         ref = load_fasta(io.BytesIO(b">s\nGATTACA\n"))
@@ -89,14 +89,14 @@ class TestFasta:
     def test_write_read_round_trip(self, text, width):
         # the text wrapped at any line width reads back as the same ranks
         lines = [">roundtrip"] + [text[i : i + width] for i in range(0, len(text), width)]
-        again = load_fasta(("\n".join(lines) + "\n").encode("ascii"))
+        again = load_fasta(io.BytesIO(("\n".join(lines) + "\n").encode("ascii")))
         assert np.array_equal(again.ranks, make_reference(text).ranks)
         assert again.name == "roundtrip"
 
 
 class TestQueries:
     def test_parse_valid_and_invalid_lines(self):
-        ranks, lengths = parse_queries(b"ACGT\nACNT\n\nTTTT\n")
+        ranks, lengths = parse_queries(io.BytesIO(b"ACGT\nACNT\n\nTTTT\n"))
         assert ranks.dtype == np.uint8 and lengths.dtype == np.int64
         assert lengths.tolist() == [4, 4, 4]
         # the blank line is skipped; N is marked 255 and the line kept
@@ -104,28 +104,25 @@ class TestQueries:
 
     def test_parse_strips_lines_and_marks_other_bytes(self):
         data = b" acGt\r\n\t\r\n  \nAC\xe9\tx\nTT"
-        ranks, lengths = parse_queries(data)
+        ranks, lengths = parse_queries(io.BytesIO(data))
         # surrounding whitespace and CR go, inner bytes stay; no final newline needed
         assert lengths.tolist() == [4, 5, 2]
         assert ranks.tolist() == [1, 2, 3, 4, 1, 2, 255, 255, 255, 4, 4]
-        again, again_lengths = parse_queries(io.BytesIO(data))
-        assert again_lengths.tolist() == lengths.tolist()
-        assert again.tolist() == ranks.tolist()
 
     def test_parse_empty_file(self):
         for data in (b"", b"\n\r\n \t\n"):
-            ranks, lengths = parse_queries(data)
+            ranks, lengths = parse_queries(io.BytesIO(data))
             assert ranks.size == 0 and lengths.size == 0
 
     def test_generate_deterministic(self):
         # the same seed gives the same rows, another seed other rows
-        ref = load_fasta(b">r\n" + b"ACGTTGCAAC" * 50 + b"\n")
+        ref = load_fasta(io.BytesIO(b">r\n" + b"ACGTTGCAAC" * 50 + b"\n"))
         a = generate_query_matrix(ref, length=5, count=20, seed=3)
         assert np.array_equal(a, generate_query_matrix(ref, length=5, count=20, seed=3))
         assert not np.array_equal(a, generate_query_matrix(ref, length=5, count=20, seed=4))
 
     def test_generate_queries_are_substrings(self):
-        ref = load_fasta(b">r\n" + b"ACGTTGCA" * 20 + b"\n")
+        ref = load_fasta(io.BytesIO(b">r\n" + b"ACGTTGCA" * 20 + b"\n"))
         qm = generate_query_matrix(ref, length=6, count=30, seed=1)
         assert qm.shape == (30, 6) and qm.dtype == np.uint8
         text = "ACGTTGCA" * 20
@@ -133,13 +130,13 @@ class TestQueries:
             assert "".join(RANK_TO_CHAR[r] for r in row) in text
 
     def test_seeded_workload_is_deterministic(self):
-        ref = load_fasta(b">r\n" + b"TTGACCAGT" * 40 + b"\n")
+        ref = load_fasta(io.BytesIO(b">r\n" + b"TTGACCAGT" * 40 + b"\n"))
         a = generate_query_matrix(ref, length=9, count=50, seed=5)
         b = generate_query_matrix(ref, length=9, count=50, seed=5)
         assert np.array_equal(a, b)
 
     def test_generate_length_out_of_range(self):
-        ref = load_fasta(b">r\nACGT\n")
+        ref = load_fasta(io.BytesIO(b">r\nACGT\n"))
         with pytest.raises(SequenceError):
             generate_query_matrix(ref, length=5, count=1, seed=0)
         with pytest.raises(SequenceError):
