@@ -3,8 +3,17 @@
 The layer holds one linear model per contiguous key partition (a leaf),
 found by halving the keys until each partition fits the mean absolute
 error bound ``alpha_leaf``. All partitions of one halving level are fit at
-once. A key's leaf is found by search over the leaves' first keys
-(:meth:`Rmi.locate`), and its model predicts the key's IP-BWT row.
+once. A key's leaf is found over the leaves' first keys (:meth:`Rmi.locate`),
+and its model predicts the key's IP-BWT row.
+
+Locate compares the keys' top words (:func:`dnasearch.ipbwt.top_words`).
+A radix table over the top ``RADIX_BITS`` bits of the leaf boundaries'
+words, as in RadixSpline (Kipf et al., 2020), narrows each key to the
+boundaries of its bucket; a fixed number of branchless halvings, the bit
+length of the largest bucket, finds the leaf among them, and full keys
+settle ties on the top word. The table, 2^16 + 1 int32 entries (256 KB),
+is derived from the boundaries at build and at load and is never stored,
+so the index file does not change with it.
 
 A model sees a key as its float64 distance ``d`` from its partition's
 first key (:func:`relative_keys`): the k-mer difference times 2^32 plus
@@ -104,11 +113,19 @@ class RmiLayer:
                        self.intercepts[part], d)
 
 
+# bits of a top word that index the radix table (RadixSpline, Kipf et al., 2020)
+RADIX_BITS = 16
+
+
 @dataclass
 class Rmi:
     """The leaf layer, its error bound ``alpha_leaf`` and the keys' chunk length ``k``.
 
-    ``leaf_top`` holds the leaf boundaries' top words.
+    ``leaf_top`` holds the leaf boundaries' top words. The radix table maps
+    a top word's bucket, its top RADIX_BITS bits (the word shifted right by
+    ``shift``), to the first leaf whose boundary's bucket is at or above
+    it; ``steps`` is the bit length of the largest bucket. All are derived
+    from the boundaries, at build and at load, and never stored.
     """
 
     leaf: RmiLayer
@@ -116,28 +133,54 @@ class Rmi:
     k: int
 
     leaf_top: np.ndarray = field(init=False)  # uint64
+    shift: int = field(init=False)
+    radix: np.ndarray = field(init=False)  # int32[2^RADIX_BITS + 1]
+    steps: int = field(init=False)
+    # leaf_top followed by 2^steps copies of its last word, which a halving
+    # that runs past the last leaf reads; leaf_top is a view of it
+    _top_padded: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        leaf = self.leaf
-        self.leaf_top = top_words(leaf.boundary_hi, leaf.boundary_lo, self.k, leaf.target_size)
+        leaf, k = self.leaf, self.k
+        n = leaf.target_size
+        top = top_words(leaf.boundary_hi, leaf.boundary_lo, k, n)
+        self.shift = max(min(2 * k + (n + k).bit_length(), 64) - RADIX_BITS, 0)
+        # entry b counts the boundaries in buckets below b; built in place,
+        # with no temporary the size of the table
+        self.radix = np.zeros(2**RADIX_BITS + 1, dtype=np.int32)
+        np.add.at(self.radix, (top >> np.uint64(self.shift)) + np.uint64(1), 1)
+        np.cumsum(self.radix, dtype=np.int32, out=self.radix)
+        self.steps = int(np.diff(self.radix).max()).bit_length()
+        self._top_padded = np.concatenate([top, np.repeat(top[-1:], 1 << self.steps)])
+        self.leaf_top = self._top_padded[: top.size]
 
     @property
     def layers(self) -> list[RmiLayer]:
         # read only by the benchmark's traced counts (perfbench/worker.py);
-        # goes when the benchmark is next revised (ROADMAP item 3)
+        # goes when the benchmark is next revised (ROADMAP item 1)
         return [self.leaf]
 
     def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
 
-        One ``searchsorted`` of the keys' top words; where a key's top word
-        ties with its leaf boundary's, the full keys decide, stepping
-        back over tied boundaries that are above the key.
+        The search starts at the last leaf whose boundary lies below the
+        key's bucket (its radix table entry, less one); ``steps`` branchless
+        halvings then count the bucket's boundaries whose top words are <=
+        the key's, the same steps for every key. A
+        key at or above the last boundary can count past it, onto the
+        padding, and is clipped back to the last leaf. Where a key's top word
+        ties with its leaf boundary's, the full keys decide, stepping back
+        over tied boundaries that are above the key. The table (256 KB) is
+        derived at load, so neither the index file nor its version changes.
         """
-        leaf = self.leaf
+        leaf, top_padded = self.leaf, self._top_padded
         top = top_words(hi, lo, self.k, leaf.target_size)
-        part = np.searchsorted(self.leaf_top, top, side="right") - 1
-        np.maximum(part, 0, out=part)
+        part = self.radix[top >> np.uint64(self.shift)].astype(np.intp)
+        part -= 1
+        for step in range(self.steps - 1, -1, -1):
+            half = 1 << step
+            part += (top_padded[part + half] <= top) * half
+        np.clip(part, 0, self.leaf_top.size - 1, out=part)
         tied = np.flatnonzero(self.leaf_top[part] == top)
         while tied.size:
             p = part[tied]

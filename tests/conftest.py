@@ -45,6 +45,20 @@ def repetitive_reference(rng: np.random.Generator, max_bases: int = 40) -> Refer
     return Reference("repetitive", np.append(body, 0).astype(np.uint8))
 
 
+def crowded_bucket_reference() -> Reference:
+    """520 bases where, at K = 21 and alpha_leaf 0.5, one radix bucket holds many leaves.
+
+    Twice six copies of a random 30-base unit and a 60-base poly-A run, then
+    40 random bases. The rows that start with eight A's share the top 16
+    bits of their top words, and their k-mers, A's and then the unit, fit
+    no line, so their bucket holds 15 leaf boundaries.
+    """
+    rng = np.random.default_rng(16)
+    unit = "".join(RANK_TO_CHAR[r] for r in rng.integers(1, 5, size=30))
+    tail = "".join(RANK_TO_CHAR[r] for r in rng.integers(1, 5, size=40))
+    return make_reference((unit * 6 + "A" * 60) * 2 + tail, name="crowded")
+
+
 def rotation_rows(ranks) -> list[int]:
     """Row order of the sorted-rotation matrix: rows[r] = start of rank-r rotation."""
     seq = list(ranks)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import load_index, save_index
-from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch
+from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, top_words
 from dnasearch.rmi import (
+    RADIX_BITS,
     audit_errors,
     build_rmi,
     fit_layer,
@@ -24,6 +25,7 @@ from dnasearch.search import build_engine
 from conftest import (
     audit_leaves,
     brute_entries,
+    crowded_bucket_reference,
     damage_index,
     make_reference,
     random_reference,
@@ -310,6 +312,28 @@ class TestQueryTimeBound:
         top = engine.rmi.leaf_top
         assert np.count_nonzero(top[1:] == top[:-1]) >= 100
         check_locate_and_window(engine, probe_keys(np.random.default_rng(5), engine.ipbwt, 28))
+
+    def test_crowded_bucket(self):
+        # the rows that start with eight A's share one bucket of the radix
+        # table, which holds enough leaf boundaries for four halvings
+        engine = build_engine(crowded_bucket_reference(), k=21, alpha_leaf=0.5)
+        rmi, n = engine.rmi, engine.ipbwt.n
+        sizes = np.diff(rmi.radix)
+        assert rmi.shift > 0 and sizes.max() >= 9 and rmi.steps >= 4
+        assert rmi.radix[0] == 0 and rmi.radix[-1] == len(rmi.leaf)
+
+        rng = np.random.default_rng(7)
+        all_t = (4**21 - 1) << 32 | n + 21  # the largest key a search forms
+        (last_bucket,) = top_words(*words([all_t]), 21, n) >> np.uint64(rmi.shift)
+        assert last_bucket == 2**RADIX_BITS - 1
+        # keys in buckets that hold no boundary: their k-mers' first 8 bases name the bucket
+        empty = np.flatnonzero(sizes == 0)
+        assert empty.size
+        buckets = rng.choice(empty, size=60).tolist() + [int(empty[0]), int(empty[-1])]
+        in_empty = [(b << 26 | int(rng.integers(0, 2**26))) << 32 | int(rng.integers(0, n + 22))
+                    for b in buckets]
+        keys = probe_keys(rng, engine.ipbwt, 21) + [0, all_t] + in_empty
+        check_locate_and_window(engine, sorted(set(keys)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

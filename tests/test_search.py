@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnasearch.fmindex import locate
+from dnasearch.index_io import load_index, save_index
 from dnasearch.search import (
     MODES,
     SearchError,
@@ -16,6 +17,7 @@ from dnasearch.search import (
 from dnasearch.seqcore import encode_ranks, parse_queries
 
 from conftest import (
+    crowded_bucket_reference,
     make_reference,
     naive_interval,
     naive_positions,
@@ -247,6 +249,33 @@ class TestRepetitiveText:
                     assert (int(low[i]), int(high[i])) == expected, (mode, qm[i])
                     rows = engine.fm.sa[low[i] : high[i]]
                     assert set(rows.tolist()) == naive_positions(ref.ranks, qm[i])
+
+
+class TestCrowdedBucket:
+    def test_all_modes_match_oracle_after_load(self, tmp_path):
+        # leaves crowd one radix bucket (conftest.crowded_bucket_reference);
+        # queries of one, two and part of a chunk, present and absent
+        ref = crowded_bucket_reference()
+        path = tmp_path / "crowded.idx"
+        save_index(str(path), build_engine(ref, k=21, alpha_leaf=0.5))
+        engine = load_index(str(path))[0]
+        assert np.diff(engine.rmi.radix).max() >= 9
+        body = ref.ranks[:-1]
+        rng = np.random.default_rng(17)
+        for qlen in (12, 21, 42):
+            starts = rng.integers(0, body.size - qlen + 1, size=8)
+            present = [body[s : s + qlen] for s in starts]
+            present += [np.ones(qlen, dtype=np.uint8), body[-qlen:]]  # poly-A; at the sentinel
+            changed = [q.copy() for q in present]
+            for q in changed:
+                q[rng.integers(qlen)] = rng.integers(1, 5)
+            random = [rng.integers(1, 5, size=qlen) for _ in range(4)]
+            qm = np.array(present + changed + random, dtype=np.uint8)
+            expected = [naive_interval(ref.ranks, q) for q in qm]
+            assert sum(lo == hi for lo, hi in expected) >= 4  # absent queries
+            for mode in MODES:
+                low, high = batch_search_matrix(engine, qm, mode=mode)
+                assert list(zip(low.tolist(), high.tolist())) == expected, (mode, qlen)
 
 
 class TestLongestChunk:
