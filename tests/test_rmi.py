@@ -330,8 +330,9 @@ class TestQueryTimeBound:
         empty = np.flatnonzero(sizes == 0)
         assert empty.size
         buckets = rng.choice(empty, size=60).tolist() + [int(empty[0]), int(empty[-1])]
-        in_empty = [(b << 26 | int(rng.integers(0, 2**26))) << 32 | int(rng.integers(0, n + 22))
-                    for b in buckets]
+        low_bits = 2 * 21 - RADIX_BITS
+        in_empty = [(b << low_bits | int(rng.integers(0, 2**low_bits))) << 32
+                    | int(rng.integers(0, n + 22)) for b in buckets]
         keys = probe_keys(rng, engine.ipbwt, 21) + [0, all_t] + in_empty
         check_locate_and_window(engine, sorted(set(keys)))
 

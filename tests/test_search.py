@@ -267,8 +267,8 @@ class TestCrowdedBucket:
             present = [body[s : s + qlen] for s in starts]
             present += [np.ones(qlen, dtype=np.uint8), body[-qlen:]]  # poly-A; at the sentinel
             changed = [q.copy() for q in present]
-            for q in changed:
-                q[rng.integers(qlen)] = rng.integers(1, 5)
+            for q, i in zip(changed, rng.integers(0, qlen, size=len(changed))):
+                q[i] = q[i] % 4 + 1  # another base
             random = [rng.integers(1, 5, size=qlen) for _ in range(4)]
             qm = np.array(present + changed + random, dtype=np.uint8)
             expected = [naive_interval(ref.ranks, q) for q in qm]
