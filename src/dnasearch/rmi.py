@@ -124,8 +124,7 @@ class Rmi:
     ``leaf_top`` holds the leaf boundaries' top words. The radix table maps
     a top word's bucket, its top RADIX_BITS bits (the word shifted right by
     ``shift``), to the first leaf whose boundary's bucket is at or above
-    it; ``steps`` is the bit length of the largest bucket. All are derived
-    from the boundaries, at build and at load, and never stored.
+    it; ``steps`` is the bit length of the largest bucket.
     """
 
     leaf: RmiLayer
