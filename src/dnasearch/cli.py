@@ -31,16 +31,18 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
     n = engine.fm.n
     k = engine.k
     ipbwt_expected = (0.25 * k + 4) * n
+    ipbwt_bytes = engine.ipbwt.key_hi.nbytes + engine.ipbwt.key_lo.nbytes  # the table in memory
     total_expected = 4 * n + ipbwt_expected  # suffix array + IP-BWT model
     lines = [
         f"n={n}",
         f"k={k}",
         f"sa_bytes={sizes['sa']}",
-        f"ipbwt_bytes={sizes['ipbwt']}",
+        f"text_bytes={sizes['text']}",
+        f"ipbwt_bytes={ipbwt_bytes}",
         f"rmi_bytes={sizes['rmi']}",
         f"total_bytes={sizes['total']}",
         f"ipbwt_expected_bytes={ipbwt_expected:.0f}",
-        f"ipbwt_ratio_vs_expected={sizes['ipbwt'] / ipbwt_expected:.3f}",
+        f"ipbwt_ratio_vs_expected={ipbwt_bytes / ipbwt_expected:.3f}",
         f"total_expected_bytes={total_expected:.0f}",
         f"total_per_n={sizes['total'] / n:.2f}",
     ]

@@ -76,12 +76,13 @@ def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:
     return np.roll(ref.ranks, 1)[sa]  # the character before each row's suffix
 
 
-def _pack_occ(bwt: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _pack_occ(bwt: np.ndarray) -> np.ndarray:
     """One 64-byte line per 64-row block, row n's block included.
 
     A line holds the block's rank bitmaps (bit i: row 64·block + i), then
-    d[r] plus the occurrences of r in the rows before the block. Those
-    counts stay <= n < 2^32.
+    d[r] plus the occurrences of r in the rows before the block. d[r], the
+    count of ranks below r, comes from the bitmaps too. Those counts stay
+    <= n < 2^32.
     """
     n = bwt.size
     nblocks = n // OCC_STRIDE + 1
@@ -92,9 +93,10 @@ def _pack_occ(bwt: np.ndarray, d: np.ndarray) -> np.ndarray:
     for r in range(NUM_RANKS):
         occ[:, r] = np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
     counts = occ.view(np.uint32)[:, _COUNTS : _COUNTS + NUM_RANKS]
-    counts[0] = d
-    np.cumsum(np.bitwise_count(occ[:-1, :NUM_RANKS]), axis=0, dtype=np.uint32, out=counts[1:])
-    counts[1:] += counts[0]
+    ones = np.bitwise_count(occ[:, :NUM_RANKS])  # each block's occurrences of each rank
+    np.cumsum(ones[:-1], axis=0, dtype=np.uint32, out=counts[1:])
+    total = counts[-1] + ones[-1]  # each rank's occurrences in the text
+    counts += np.cumsum(total, dtype=np.uint32) - total  # d
     return occ.ravel()
 
 
@@ -108,9 +110,7 @@ class FmIndex:
 def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
     if sa is None:
         sa = build_suffix_array(ref)
-    counts = np.bincount(ref.ranks, minlength=NUM_RANKS)
-    d = np.concatenate(([0], np.cumsum(counts)[:-1]))  # count of ranks smaller than r
-    return FmIndex(n=ref.n, sa=sa, occ=_pack_occ(build_bwt(ref, sa), d))
+    return FmIndex(n=ref.n, sa=sa, occ=_pack_occ(build_bwt(ref, sa)))
 
 
 def lf_rank(fm: FmIndex, ranks, rows) -> np.ndarray:

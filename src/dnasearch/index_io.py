@@ -5,30 +5,30 @@ Layout (all little-endian):
 * magic ``LSA1``; header: version u16, K u16, n u64, alpha_leaf f64;
   then the ``zlib.crc32`` of the magic and header (u32).
 * three sections, each followed by the ``zlib.crc32`` of its bytes (u32):
-  suffix array (u32[n]); IP-BWT k-mer codes (u64[n]); leaf models: a leaf
-  count u64, then slopes and intercepts (f64), maximum errors and
-  partition starts (u64), each of that length. The file ends there.
+  suffix array (u32[n]); the text's n - 1 bases, 4 per byte, first base in
+  the high bits, padding 0 (:func:`dnasearch.ipbwt.pack_bases`); leaf
+  models: a leaf count u64, then slopes and intercepts (f64), maximum
+  errors and partition starts (u64), each of that length. The file ends there.
 
-Nothing load can derive is stored: the IP-BWT loc fields come from the
-suffix array (:func:`dnasearch.ipbwt.loc_column`), each leaf's boundary
-key is the key at its start, and the k-mers, put into text order by the
-suffix array, start with the text's bases, from which load rebuilds the
-FM tables as the build does.
+Nothing load can derive is stored. Load is the build minus the suffix sort
+and the fit: :func:`dnasearch.ipbwt.build_ipbwt` derives the IP-BWT from
+the stored text and suffix array, each leaf's boundary key is the key at
+its start, and the FM tables are rebuilt from the text.
 
 Files of any version but :data:`VERSION` are refused, before the header's
 checksum is read (an older header has another size). ``load_index`` reads
 each array into a buffer of its own, so every array starts aligned, and
 checks every checksum, then the structure the checksums cannot vouch for:
 K and n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is
-finite and > 0, the suffix array is a permutation of [0, n) whose row 0 is
-the sentinel's position n - 1, the k-mers fit in 2K bits and, in text
-order, each one's last K - 1 bases are the next one's first K - 1 with the
-sentinel's k-mer 0 (so they are one text's k-mers), the keys never
-decrease (so the suffix array is that text's, by induction on the loc
-fields from the text's end), leaf starts rise strictly from 0 below n,
-slopes are finite and >= 0, intercepts finite, maximum errors in [0, n],
-and no bytes follow the last section. Any failure raises
-:class:`CorruptIndexError` naming the section.
+finite and > 0, the text's padding is 0 (its length follows from n), the
+suffix array is a permutation of [0, n), the keys never decrease (so the
+suffix array is the text's, by induction on the loc fields from the
+text's end, and its row 0 holds the sentinel's key (0, 0), the unique
+least), leaf starts rise strictly from 0 below n, slopes are finite and
+>= 0, intercepts finite, maximum errors in [0, n], and no bytes follow the
+last section. The k-mers need no check of their own: they are the text's
+by construction. Any failure raises :class:`CorruptIndexError` naming the
+section.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import build_fm_index
-from dnasearch.ipbwt import IpBwt, IpBwtError, check_k, loc_column
+from dnasearch.ipbwt import IpBwtError, build_ipbwt, check_k, unpack_bases
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
 MAGIC = b"LSA1"
-VERSION = 9
+VERSION = 10
 _HEADER = struct.Struct("<HHQd")
 
 
@@ -79,12 +79,12 @@ def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     sections = (
         ("header", [MAGIC + _HEADER.pack(VERSION, engine.k, fm.n, engine.rmi.alpha_leaf)]),
         ("sa", [flat(fm.sa, "<u4")]),
-        ("ipbwt", [flat(ix.key_hi, "<u8")]),
+        ("text", [ix.text]),
         ("rmi", [struct.pack("<Q", len(leaf)), flat(leaf.slopes, "<f8"),
                  flat(leaf.intercepts, "<f8"), flat(leaf.max_errors, "<u8"),
                  flat(leaf.starts, "<u8")]),
     )
-    sizes = {"bwt_occ": 0}  # no such section; perfbench/run.py still reads the key
+    sizes = {"bwt_occ": 0, "ipbwt": 0}  # no such sections; perfbench/run.py still reads the keys
     with open(path, "wb") as fh:
         for name, parts in sections:
             start, crc = fh.tell(), 0
@@ -135,27 +135,17 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
                  f"alpha_leaf={alpha_leaf} is not finite and > 0")
 
         (sa,) = section("sa", n, "<u4")
+        (text,) = section("text", (n + 2) // 4, "u1")  # ceil((n - 1) / 4) bytes
+        # the last byte holds (n - 2) % 4 + 1 bases; its padding reads as the sentinel's code 0
+        _require(text[-1] & (0xFF >> 2 * ((n - 2) % 4 + 1)) == 0, "text", "padding bits set")
         try:
-            key_lo = loc_column(sa, k)
-        except IpBwtError as exc:
+            ix = build_ipbwt(text, sa, k)
+        except IpBwtError as exc:  # sa is not a permutation
             raise CorruptIndexError("sa", str(exc)) from None
-        _require(sa[0] == n - 1, "sa", f"row 0 is position {sa[0]}, not the sentinel's {n - 1}")
-
-        (key_hi,) = section("ipbwt", n, "<u8")
-        _require(int(key_hi[-1]) >> 2 * k == 0, "ipbwt", f"k-mer codes wider than {2 * k} bits")
-        # in text order, the sentinel's k-mer is 0 and each k-mer continues into the next
-        kmers = np.empty_like(key_hi)
-        kmers[sa] = key_hi
-        _require(kmers[-1] == 0, "ipbwt", "the sentinel's k-mer is not 0")
-        for i in range(0, n - 1, 1 << 16):  # in blocks: load holds no second n-row temporary
-            step = kmers[i : min(i + (1 << 16), n - 1)] & np.uint64((1 << 2 * (k - 1)) - 1)
-            step <<= np.uint64(2)
-            step ^= kmers[i + 1 : i + 1 + step.size]  # below 4 where the next k-mer continues
-            _require(step.max() < 4, "ipbwt", "k-mers do not continue into the next position's")
-        # with the text's k-mers, sorted keys make sa that text's suffix array
-        hi_a, hi_b = key_hi[:-1], key_hi[1:]
+        # sorted keys make sa the text's suffix array (see the module docstring)
+        hi_a, hi_b, key_lo = ix.key_hi[:-1], ix.key_hi[1:], ix.key_lo
         _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
-                 "ipbwt", "keys out of order")
+                 "sa", "keys out of order")
 
         head = take("rmi", 8)
         count = int.from_bytes(head, "little")
@@ -170,16 +160,8 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
              "rmi", "slopes must be finite and >= 0, intercepts finite")
     _require(np.all((max_errors >= 0) & (max_errors <= n)), "rmi", "maximum errors outside [0, n]")
     leaf = RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts, max_errors=max_errors,
-                    boundary_hi=key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
+                    boundary_hi=ix.key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
     rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
-
-    # the text: each position's k-mer starts with its base, and the sentinel ends it
-    kmers >>= np.uint64(2 * (k - 1))
-    ranks = kmers.astype(np.uint8) + np.uint8(1)
-    del kmers
-    ranks[-1] = 0
-    ref = Reference(name="reference", ranks=ranks)
-
-    ix = IpBwt(k=k, n=n, key_hi=key_hi, key_lo=key_lo)
+    ref = Reference(name="reference", ranks=unpack_bases(text, n))
     engine = SearchEngine(fm=build_fm_index(ref, sa), ipbwt=ix, rmi=rmi, k=k)
     return engine, ref, IndexMeta(k=k, n=n, alpha_leaf=alpha_leaf)

@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.seqcore import Reference
-
 LOC_BITS = 32
 _NO_ROW = (1 << LOC_BITS) - 1  # above every row, as n < 2^LOC_BITS
 MAX_K = 32  # 2K bits of k-mer code fill one uint64
 _U64 = np.uint64
-# 2-bit code per rank; the sentinel shares code 0 with A
-CODE_OF_RANK = np.array([0, 0, 1, 2, 3], dtype=np.uint64)
+_BLOCK = 1 << 16  # rows per block of kmer_rows: its temporaries stay small
+_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)  # packed bases: a byte's first in its high bits
 
 
 class IpBwtError(ValueError):
@@ -46,6 +44,7 @@ class IpBwt:
 
     k: int
     n: int
+    text: np.ndarray  # uint8: the packed bases (pack_bases) the keys are derived from
     key_hi: np.ndarray  # uint64[n]: the k-mer codes
     key_lo: np.ndarray  # uint32[n]: the loc fields
 
@@ -60,27 +59,53 @@ def check_k(n: int, k: int) -> None:
         raise IpBwtError(f"reference too long: n + k = {n + k} must be < 2^{LOC_BITS}")
 
 
-def build_ipbwt(ref: Reference, sa: np.ndarray, k: int) -> IpBwt:
-    """Construct the index-paired BWT for chunk length k.
+def pack_bases(ranks: np.ndarray) -> np.ndarray:
+    """The n - 1 bases of sentinel-terminated ``ranks`` as base codes, 4 per byte, padded with 0."""
+    codes = np.append(ranks[:-1] - 1, np.zeros(-(ranks.size - 1) % 4, dtype=np.uint8))
+    return np.bitwise_or.reduce(codes.reshape(-1, 4) << _SHIFTS, axis=1)
 
-    Row i pairs the first k characters of BW-matrix row i with the row
-    index of the rotation starting k characters later (computed through
-    the inverse suffix array; the BW-matrix itself is never materialized).
-    Both columns are first computed per text position, then gathered once
-    in suffix-array order.
+
+def unpack_bases(packed: np.ndarray, n: int) -> np.ndarray:
+    """The n ranks ($=0, A=1 .. T=4), sentinel included, whose bases :func:`pack_bases` packed."""
+    ranks = np.zeros(n, dtype=np.uint8)
+    ranks[:-1] = ((packed[:, None] >> _SHIFTS) & 3).ravel()[: n - 1] + 1
+    return ranks
+
+
+def build_ipbwt(text: np.ndarray, sa: np.ndarray, k: int) -> IpBwt:
+    """Construct the index-paired BWT of packed text ``text`` for chunk length k.
+
+    Row i pairs the first k characters of BW-matrix row i (:func:`kmer_rows`)
+    with the row index of the rotation starting k characters later
+    (:func:`loc_column`); the BW-matrix itself is never materialized.
     """
-    n = ref.n
+    n = sa.size
     check_k(n, k)
+    key_lo = loc_column(sa, k)  # first, so that its temporaries are freed before the k-mers
+    return IpBwt(k=k, n=n, text=text, key_hi=kmer_rows(text, sa, k), key_lo=key_lo)
 
-    # the k-mer at each text position; reading stops at the sentinel
-    # (position n-1), whose code 0 fills the rest
-    code = CODE_OF_RANK[ref.ranks]
-    bits = np.zeros(n, dtype=np.uint64)
-    for i in range(k):
-        bits <<= _U64(2)
-        bits[: n - i] |= code[i:]
-    key_lo = loc_column(sa, k)  # first, so that its temporaries are freed before the gather
-    return IpBwt(k=k, n=n, key_hi=bits[sa], key_lo=key_lo)
+
+def kmer_rows(text: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray:
+    """The k-mer codes of every row of suffix array ``sa``, in row order.
+
+    Read as big-endian 64-bit words, packed text ``text`` holds 32 bases a
+    word, so the k-mer at text position p is the top 2k bits of words p >> 5
+    and (p >> 5) + 1, shifted left together by 2 (p & 31) bits. The word
+    past the sentinel (position n - 1) is 0, as is the text's padding, so
+    code 0 fills every k-mer from the sentinel on.
+    """
+    n = sa.size
+    words = np.zeros(((n - 1) >> 5) + 2, dtype=">u8")
+    words.view(np.uint8)[: text.size] = text
+    words = words.astype(_U64)
+    out = np.empty(n, dtype=_U64)
+    for i in range(0, n, _BLOCK):
+        p = sa[i : i + _BLOCK]
+        w, shift = p >> 5, (p & 31).astype(_U64) << _U64(1)
+        kmer = np.left_shift(words[w], shift, out=out[i : i + p.size])
+        kmer |= words[w + 1] >> (_U64(64) - shift)  # numpy shifts by 64 to 0
+        kmer >>= _U64(64 - 2 * k)
+    return out
 
 
 def loc_column(sa: np.ndarray, k: int) -> np.ndarray:

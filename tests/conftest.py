@@ -180,7 +180,7 @@ def audit_leaves(engine) -> dict[str, np.ndarray]:
     }
 
 
-SECTIONS = ("sa", "ipbwt", "rmi")
+SECTIONS = ("sa", "text", "rmi")
 
 
 def index_sections(data) -> dict[str, tuple[int, int]]:
@@ -193,7 +193,7 @@ def index_sections(data) -> dict[str, tuple[int, int]]:
     _, _, n, _ = _HEADER.unpack_from(data, 4)
     pos = 0
     out = {}
-    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("ipbwt", 8 * n),
+    for name, size in (("header", 4 + _HEADER.size), ("sa", 4 * n), ("text", (n + 2) // 4),
                        ("rmi", None)):
         if size is None:
             size = 8 + 32 * int.from_bytes(data[pos : pos + 8], "little")
@@ -225,10 +225,8 @@ STRUCTURE_DAMAGE = {
     "slope_inf": "slopes",
     "intercept_nan": "intercepts",
     "error_over_n": "maximum errors",
-    "keys_unsorted": "do not continue",
     "rows_reordered": "keys out of order",
-    "first_key_raised": "sentinel's k-mer",
-    "kmer_too_wide": "wider than",
+    "text_padding_set": "padding",
     "trailing_bytes": "trailing bytes",
     "alpha_nan": "alpha_leaf",
 }
@@ -238,10 +236,9 @@ def damage_index(path, how: str) -> None:
     """Rewrite a saved index file with one defect.
 
     ``flip_<section>``: one bit flipped inside the section, its checksum
-    left as it was (in ``ipbwt``, bit 0 of the middle row's k-mer).
-    ``header_k``: the header's K is one less, its checksum left as it was.
-    The other kinds rewrite the damaged section's checksum to match, so
-    that only a version or structure check can see them:
+    left as it was. ``header_k``: the header's K is one less, its checksum
+    left as it was. The other kinds rewrite the damaged section's checksum
+    to match, so that only a version or structure check can see them:
 
     * ``version_<d>``: the header says version d;
     * ``k_out_of_range``: the header's K is MAX_K + 1;
@@ -251,24 +248,18 @@ def damage_index(path, how: str) -> None:
     * ``sa_rows_swapped``: suffix-array rows 0 and 1 trade places, so the
       array is still a permutation but row 0 is not the sentinel's;
     * ``sa_rows_permuted``: suffix-array rows 1 and n - 1 trade places, so
-      the array is still a permutation with the sentinel's row 0, but the
-      k-mers it puts into text order do not continue into each other;
+      the array is still a permutation with the sentinel's row 0;
+    * ``rows_reordered``: suffix-array rows n // 2 and n // 2 + 1 trade
+      places, so the keys of two neighbouring rows decrease;
+    * ``text_padding_set``: the last bit of the packed text, padding when
+      n - 1 is not a multiple of 4, is set;
     * ``starts_swapped``: leaf starts 1 and 2 trade places;
     * ``slopes_negated``: every slope changes sign (some are > 0);
     * ``slope_inf``, ``intercept_nan``: leaf 0's slope is +inf, its
       intercept NaN;
     * ``error_over_n``: leaf 0's maximum error is n + 1;
     * ``error_raised``: the middle leaf's maximum error is one too large,
-      which loads but fails the audit;
-    * ``keys_unsorted``: the k-mers of the first IP-BWT rows i, i + 1 from
-      n // 2 on that differ trade places;
-    * ``rows_reordered``: as ``keys_unsorted``, and suffix-array rows i and
-      i + 1 trade places too (both checksums rewritten), so the k-mers in
-      text order are the text's but the keys decrease;
-    * ``first_key_raised``: the k-mer of IP-BWT row 0, the sentinel's,
-      gains bit 0;
-    * ``kmer_too_wide``: the last row's k-mer gains bit 2K, so the keys stay
-      in order but the first base read from that row is no base.
+      which loads but fails the audit.
 
     ``trailing_bytes`` appends four bytes after the last checksum.
     """
@@ -277,11 +268,7 @@ def damage_index(path, how: str) -> None:
     section = "rmi"
     if how.startswith("flip_"):
         start, end = sections[how[len("flip_"):]]
-        if how == "flip_ipbwt":
-            n = (end - start) // 8
-            data[start + 8 * (n // 2)] ^= 0x01
-        else:
-            data[(start + end) // 2] ^= 0x10
+        data[(start + end) // 2] ^= 0x10
     elif how == "header_k":
         data[6:8] = (int.from_bytes(data[6:8], "little") - 1).to_bytes(2, "little")
     elif how == "trailing_bytes":
@@ -295,35 +282,24 @@ def damage_index(path, how: str) -> None:
                 data[6:8] = (MAX_K + 1).to_bytes(2, "little")
             else:
                 data[4:6] = int(how[len("version_"):]).to_bytes(2, "little")
-        elif how.startswith("sa_"):
+        elif how.startswith("sa_") or how == "rows_reordered":
             section = "sa"
             sa_start = sections["sa"][0]
             if how == "sa_out_of_range":
                 data[sa_start + 3] ^= 0xFF  # top byte of sa[0]
-            elif how in ("sa_rows_swapped", "sa_rows_permuted"):
+            elif how in ("sa_rows_swapped", "sa_rows_permuted", "rows_reordered"):
                 sa = np.frombuffer(data, "<u4", (sections["sa"][1] - sa_start) // 4, sa_start)
-                rows = [0, 1] if how == "sa_rows_swapped" else [1, sa.size - 1]
+                rows = {"sa_rows_swapped": [0, 1], "sa_rows_permuted": [1, sa.size - 1],
+                        "rows_reordered": [sa.size // 2, sa.size // 2 + 1]}[how]
                 sa[rows] = sa[rows[::-1]]
             else:
                 sa = np.frombuffer(bytes(data[sa_start : sa_start + 32]), dtype="<u4")
                 i = int(np.flatnonzero(sa >= 2)[0])  # sa[i] ^ 1 < n is held by another row
                 data[sa_start + 4 * i] ^= 0x01
-        elif how in ("keys_unsorted", "rows_reordered", "first_key_raised", "kmer_too_wide"):
-            section = "ipbwt"
-            start, end = sections["ipbwt"]
-            kmers = np.frombuffer(data, "<u8", (end - start) // 8, start)
-            if how == "kmer_too_wide":
-                k = _HEADER.unpack_from(data, 4)[1]
-                kmers[-1] |= np.uint64(1 << 2 * k)
-            elif how in ("keys_unsorted", "rows_reordered"):
-                i = kmers.size // 2 + int(np.flatnonzero(np.diff(kmers[kmers.size // 2 :]))[0])
-                kmers[[i, i + 1]] = kmers[[i + 1, i]]
-                if how == "rows_reordered":
-                    sa = np.frombuffer(data, "<u4", kmers.size, sections["sa"][0])
-                    sa[[i, i + 1]] = sa[[i + 1, i]]
-                    rewrite_crc(data, "sa")
-            else:
-                kmers[0] |= np.uint64(1)
+        elif how == "text_padding_set":
+            section = "text"
+            assert (_HEADER.unpack_from(data, 4)[2] - 1) % 4, "n - 1 is a multiple of 4: no padding"
+            data[sections["text"][1] - 1] |= 0x01
         else:
             leaf = leaf_arrays(data)
             if how == "starts_swapped":

@@ -41,7 +41,7 @@ def built_index(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     fasta = root / "ref.fa"
     rng = np.random.default_rng(31)
-    bases = random_bases(rng, 3000)
+    bases = random_bases(rng, 3001)  # not a multiple of 4: the packed text ends in padding
     write_reference(fasta, bases)
     index = root / "ref.idx"
     assert main(["build", str(fasta), "--k", "6", "--out", str(index)]) == 0
@@ -62,9 +62,11 @@ class TestBuild:
         )
         assert int(report["n"]) == 801
         assert "bwt_occ_bytes" not in report  # the file stores no BWT
-        for key in ("sa_bytes", "ipbwt_bytes", "rmi_bytes",
+        for key in ("sa_bytes", "text_bytes", "ipbwt_bytes", "rmi_bytes",
                     "total_bytes", "ipbwt_expected_bytes", "ipbwt_ratio_vs_expected"):
             assert key in report
+        # the file stores 800 bases in 200 bytes; the IP-BWT is the 12n-byte table in memory
+        assert (int(report["text_bytes"]), int(report["ipbwt_bytes"])) == (200 + 4, 12 * 801)
         # model shape: leaf count and the worst leaf prediction error
         assert 1 <= int(report["rmi_leaf_models"]) <= 801
         assert 0 <= int(report["rmi_leaf_err_max"]) < 801
@@ -283,10 +285,11 @@ class TestQuery:
         assert "bad header section (bad magic b'>ref')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "version_7", "version_8", "header_k",
+                                     "version_5", "version_6", "version_7", "version_8",
+                                     "version_9", "header_k",
                                      "k_out_of_range",
                                      "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
-                                     "sa_rows_permuted", "flip_sa", "flip_ipbwt", "flip_rmi",
+                                     "sa_rows_permuted", "flip_sa", "flip_text", "flip_rmi",
                                      *STRUCTURE_DAMAGE])
     def test_rejected_index_exit_2(self, built_index, tmp_path, how):
         index, _ = built_index

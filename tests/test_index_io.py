@@ -35,7 +35,8 @@ class TestRoundTrip:
         sizes = save_index(path, engine)
         assert sizes["total"] == (tmp_path / "a.idx").stat().st_size
         loaded, ref2, meta = load_index(path)
-        # the FM tables are rebuilt from the text that sa and the keys give back
+        # the keys and the FM tables are rebuilt from the stored text
+        assert np.array_equal(loaded.ipbwt.text, engine.ipbwt.text)
         for name in ("sa", "occ"):
             a, b = getattr(loaded.fm, name), getattr(engine.fm, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -75,8 +76,8 @@ class TestRoundTrip:
         assert np.array_equal(loaded.ipbwt.key_hi[rows], engine.ipbwt.key_hi[rows])
         assert np.array_equal(loaded.ipbwt.key_lo[rows], engine.ipbwt.key_lo[rows])
 
-    def test_text_derived_from_first_column(self, tmp_path):
-        # k-mers cut at the sentinel must still give their first base
+    def test_text_round_trip(self, tmp_path):
+        # texts of every length mod 4, so with every amount of padding
         rng = np.random.default_rng(77)
         refs = [repetitive_reference(rng) for _ in range(12)]
         refs += [random_reference(rng, int(rng.integers(1, 60))) for _ in range(6)]
@@ -137,77 +138,29 @@ def refused_or_exact(path) -> bool:
     return True
 
 
-@pytest.mark.parametrize("kind", ["sa_rows_swapped", "kmer_base_changed"])
+@pytest.mark.parametrize("kind", ["sa_rows_swapped", "text_base_changed"])
 def test_single_row_damage_refused_or_exact(engine_and_ref, tmp_path, kind):
     # with its checksum rewritten, only load's structure checks can see the change
     engine, _ = engine_and_ref
-    n, k = engine.fm.n, engine.k
+    n = engine.fm.n
     path = tmp_path / "row.idx"
     save_index(str(path), engine)
     clean = path.read_bytes()
     rng = np.random.default_rng(15)
     for _ in range(150):
         data = bytearray(clean)
-        section = "sa" if kind == "sa_rows_swapped" else "ipbwt"
+        section = "sa" if kind == "sa_rows_swapped" else "text"
         start, _ = index_sections(data)[section]
         if kind == "sa_rows_swapped":
             sa = np.frombuffer(data, "<u4", n, start)
             rows = rng.choice(n, size=2, replace=False)
             sa[rows] = sa[rows[::-1]]
         else:
-            kmers = np.frombuffer(data, "<u8", n, start)
-            row, shift = int(rng.integers(n)), 2 * int(rng.integers(k))
-            kmers[row] ^= np.uint64(int(rng.integers(1, 4)) << shift)  # another code at one base
+            p = int(rng.integers(n - 1))  # another code at one base
+            data[start + p // 4] ^= int(rng.integers(1, 4)) << (6 - 2 * (p % 4))
         rewrite_crc(data, section)
         path.write_bytes(bytes(data))
         refused_or_exact(path)
-
-
-def test_last_kmer_base_lowered_refused(engine_and_ref, tmp_path):
-    # row r's k-mer X..c becomes X..c-1: the keys stay sorted and every first
-    # base, so the text, stays as it was, so fm would still be right while
-    # rmi and binary would put the lower bound of X..c one row late
-    engine, _ = engine_and_ref
-    hi, first = engine.ipbwt.key_hi, np.uint64(2 * engine.k - 2)
-    r = 1 + int(np.flatnonzero((hi[1:] & np.uint64(3) > 0) & (hi[:-1] + np.uint64(1) < hi[1:]))[0])
-    path = tmp_path / "last.idx"
-    save_index(str(path), engine)
-    data = bytearray(path.read_bytes())
-    kmers = np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])
-    kmers[r] -= np.uint64(1)
-    assert np.all(kmers[:-1] <= kmers[1:]) and kmers[r] >> first == hi[r] >> first
-    rewrite_crc(data, "ipbwt")
-    path.write_bytes(bytes(data))
-    assert not refused_or_exact(path)
-
-
-def test_sentinel_kmer_checked_where_keys_stay_sorted(tmp_path):
-    # at K = 1 over a text without A, the sentinel row's k-mer raised to C
-    # keeps the keys sorted and every k-mer continuing into the next
-    engine = build_engine(make_reference("CGTCCGTTC"), k=1)
-    path = tmp_path / "sentinel.idx"
-    save_index(str(path), engine)
-    data = bytearray(path.read_bytes())
-    np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])[0] = 1
-    rewrite_crc(data, "ipbwt")
-    path.write_bytes(bytes(data))
-    with pytest.raises(CorruptIndexError, match="sentinel's k-mer"):
-        load_index(str(path))
-
-
-def test_kmer_check_spans_its_blocks(tmp_path):
-    # the first base of the k-mer at text position 2^16 takes part only in the
-    # check against the k-mer before it, the first one across load's blocks
-    engine = build_engine(random_reference(np.random.default_rng(16), 70_000), k=4)
-    path = tmp_path / "blocks.idx"
-    save_index(str(path), engine)
-    data = bytearray(path.read_bytes())
-    kmers = np.frombuffer(data, "<u8", engine.fm.n, index_sections(data)["ipbwt"][0])
-    kmers[np.flatnonzero(engine.fm.sa == 1 << 16)[0]] ^= np.uint64(1 << 2 * engine.k - 2)
-    rewrite_crc(data, "ipbwt")
-    path.write_bytes(bytes(data))
-    with pytest.raises(CorruptIndexError, match="do not continue"):
-        load_index(str(path))
 
 
 class TestCorruption:
@@ -242,7 +195,8 @@ class TestCorruption:
     # every older version lays its header or sections out otherwise (version 7's
     # header holds a flags word before alpha_leaf): each would misread
     @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "version_7", "version_8"])
+                                     "version_5", "version_6", "version_7", "version_8",
+                                     "version_9"])
     def test_older_version_refused(self, engine_and_ref, tmp_path, how):
         engine, ref = engine_and_ref
         path = tmp_path / "old.idx"
@@ -268,7 +222,7 @@ class TestCorruption:
         assert "unsupported version 7" in str(exc.value)
 
     @pytest.mark.parametrize("where", ["magic", "header_fields", "header_crc", "after_header",
-                                       "after_sa", "after_ipbwt", "leaf_count",
+                                       "after_sa", "after_text", "leaf_count",
                                        "before_last_crc", "inside_last_crc"])
     def test_truncation_names_its_section(self, engine_and_ref, tmp_path, where):
         engine, ref = engine_and_ref
@@ -282,8 +236,8 @@ class TestCorruption:
             "header_fields": (10, "header"),
             "header_crc": (sections["header"][1] + 2, "header"),
             "after_header": (sections["header"][1] + 4, "sa"),
-            "after_sa": (sections["sa"][1] + 4, "ipbwt"),
-            "after_ipbwt": (sections["ipbwt"][1] + 4, "rmi"),
+            "after_sa": (sections["sa"][1] + 4, "text"),
+            "after_text": (sections["text"][1] + 4, "rmi"),
             "leaf_count": (rmi_start + 3, "rmi"),
             "before_last_crc": (rmi_end - 1, "rmi"),
             "inside_last_crc": (len(data) - 1, "rmi"),
@@ -341,38 +295,37 @@ class TestCorruption:
             name: sizes[name] for name in ("header", *SECTIONS)
         }
         assert sections["header"][0] == 0
-        assert sections["ipbwt"][1] - sections["ipbwt"][0] == 8 * engine.ipbwt.n
+        assert sections["text"][1] - sections["text"][0] == engine.ipbwt.text.size
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 
 @pytest.mark.parametrize("how", ["sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
                                  "sa_rows_permuted"])
 def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
-    # a permutation whose row 0 is not the sentinel's would derive a text
-    # that does not end with the sentinel; one with two other rows swapped
-    # puts the k-mers into an order in which they spell no text
+    # a permutation that is not the text's suffix array, whether or not its
+    # row 0 is the sentinel's, puts the text's keys out of order
     engine, _ = engine_and_ref
     path = tmp_path / "sa.idx"
     save_index(str(path), engine)
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    assert exc.value.section == ("ipbwt" if how == "sa_rows_permuted" else "sa")
-    words = {"sa_rows_swapped": "sentinel", "sa_rows_permuted": "do not continue"}
-    assert words.get(how, "permutation") in str(exc.value)  # the checksum was rewritten to match
+    assert exc.value.section == "sa"
+    permuted = how in ("sa_rows_swapped", "sa_rows_permuted")
+    assert ("keys out of order" if permuted else "permutation") in str(exc.value)
 
 
 @pytest.mark.parametrize("how", list(STRUCTURE_DAMAGE))
-def test_structure_damage_refused(engine_and_ref, tmp_path, how):
-    # a tighter bound than the default gives the several leaves starts_swapped needs
-    engine = build_engine(engine_and_ref[1], k=4, alpha_leaf=2.0)
+def test_structure_damage_refused(tmp_path, how):
+    # a tighter bound than the default gives the several leaves starts_swapped
+    # needs, and 501 bases leave the padding text_padding_set needs
+    engine = build_engine(random_reference(np.random.default_rng(21), 501), k=4, alpha_leaf=2.0)
     assert len(engine.rmi.leaf) >= 3
     path = tmp_path / "bad.idx"
     save_index(str(path), engine)
     damage_index(path, how)
     with pytest.raises(CorruptIndexError) as exc:
         load_index(str(path))
-    sections = {"keys_unsorted": "ipbwt", "rows_reordered": "ipbwt", "first_key_raised": "ipbwt",
-                "kmer_too_wide": "ipbwt", "alpha_nan": "header"}
+    sections = {"rows_reordered": "sa", "text_padding_set": "text", "alpha_nan": "header"}
     assert exc.value.section == sections.get(how, "rmi")
     assert STRUCTURE_DAMAGE[how] in str(exc.value)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import load_index, save_index
-from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, top_words
+from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases, top_words
 from dnasearch.rmi import (
     RADIX_BITS,
     audit_errors,
@@ -43,7 +43,7 @@ BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28, 32)
 def build_pair(rng, n_bases, k):
     ref = random_reference(rng, n_bases)
     sa = build_suffix_array(ref)
-    ix = build_ipbwt(ref, sa, k=k)
+    ix = build_ipbwt(pack_bases(ref.ranks), sa, k=k)
     return ix, build_rmi(ix)
 
 
@@ -166,7 +166,7 @@ class TestBuild:
 
     def test_single_leaf_is_audited(self):
         hi, lo = words([(1 << 70) + 7 * i for i in range(1000)])
-        ix = IpBwt(k=21, n=hi.size, key_hi=hi, key_lo=lo)
+        ix = IpBwt(k=21, n=hi.size, text=np.zeros(0, np.uint8), key_hi=hi, key_lo=lo)  # no text
         rmi = build_rmi(ix)
         assert len(rmi.leaf) == 1
         assert audit_errors(rmi, ix) == [(0, 0, 0.0)]
