@@ -28,7 +28,9 @@ least), leaf starts rise strictly from 0 below n, slopes are finite and
 >= 0, intercepts finite, maximum errors in [0, n], and no bytes follow the
 last section. The k-mers need no check of their own: they are the text's
 by construction. Any failure raises :class:`CorruptIndexError` naming the
-section.
+section. Only their checksum protects the leaf models: altered in range,
+with the checksum rewritten, they load, and ``rmi`` (never ``binary`` or
+``fm``) returns wrong rows.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ A query is processed right-to-left in chunks of K characters; each chunk
 costs one lower-bound evaluation per interval bound, exact with no
 correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). A batch
 is sorted once by its first chunk and run in blocks of that order, one
-round per chunk. Every lower bound is one branchless bisection
+round per chunk. A chunk's codes are packed into one ``uint64`` word by an
+integer ``einsum`` (:func:`_pack_codes`), so no step calls BLAS. Every
+lower bound is one branchless bisection
 (:func:`dnasearch.ipbwt.lower_bound_batch`): over the whole table in
 ``binary`` mode; in ``rmi`` mode over a window around the prediction of the
 key's leaf model (found by :meth:`dnasearch.rmi.Rmi.locate`), as wide as
@@ -73,20 +75,13 @@ _BLOCK = 1 << 15
 
 
 def _pack_codes(kmers: np.ndarray) -> np.ndarray:
-    """2-bit codes (rank - 1) of rows of base ranks 1..4, packed into uint64.
+    """2-bit codes (rank - 1) of ``uint8`` rows of base ranks 1..4, packed into uint64.
 
-    Up to 26 columns at a time are one float64 dot product with powers of 4,
-    exact because every partial sum stays below 2^53.
+    One integer sum of products with powers of 4, exact for up to 32 columns
+    (4^32 - 1 < 2^64). A signed matrix would make ``einsum`` compute in float64.
     """
-    bits = np.zeros(kmers.shape[0], dtype=np.uint64)
-    for start in range(0, kmers.shape[1], 26):
-        part = kmers[:, start : start + 26]
-        width = part.shape[1]
-        # ranks are codes + 1, so the dot product exceeds the codes' by (4^width - 1) / 3
-        dot = part.astype(np.float64) @ 4.0 ** np.arange(width - 1, -1, -1)
-        bits <<= np.uint64(2 * width)
-        bits |= (dot - (4**width - 1) // 3).astype(np.uint64)
-    return bits
+    powers = np.uint64(4) ** np.arange(kmers.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return np.einsum("ij,j->i", kmers - np.uint8(1), powers)
 
 
 def _rmi_window(engine: SearchEngine, key_hi: np.ndarray,
@@ -141,14 +136,16 @@ def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
 
 def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
                         mode: str = "rmi") -> tuple[np.ndarray, np.ndarray]:
-    """Batched search over rows of base ranks (1..4); returns (low, high) arrays.
+    """Batched search over rows of an integer matrix of base ranks (1..4); returns (low, high).
 
     An absent query gets the empty interval at its insertion point, as in FM search.
-    Raises :class:`SearchError` for any other shape or value, such as base codes 0..3.
+    Raises :class:`SearchError` for any other shape, dtype or value: codes 0..3, floats, bools.
     """
     _require_mode(mode)
-    if qmatrix.ndim != 2 or qmatrix.size and (qmatrix.min() < 1 or qmatrix.max() > 4):
-        raise SearchError("a batch must be a 2-D array of base ranks 1..4")
+    if qmatrix.ndim != 2 or not np.issubdtype(qmatrix.dtype, np.integer) or qmatrix.size and (
+            qmatrix.min() < 1 or qmatrix.max() > 4):
+        raise SearchError("a batch must be a 2-D integer array of base ranks 1..4")
+    qmatrix = qmatrix.astype(np.uint8, copy=False)
     n = engine.ipbwt.n
     nq, qlen = qmatrix.shape
     if qlen == 0 or nq == 0:

@@ -10,6 +10,7 @@ from dnasearch.index_io import load_index, save_index
 from dnasearch.search import (
     MODES,
     SearchError,
+    _pack_codes,
     batch_search,
     batch_search_matrix,
     build_engine,
@@ -182,9 +183,45 @@ class TestBatchSearch:
             with pytest.raises(SearchError):
                 search_one(small_engine, [1, 0, 2], mode)
 
+    def test_non_integer_batches_rejected(self, small_engine):
+        # a fractional rank names no base and a bool matrix holds no ranks:
+        # every mode refuses both, and integral floats too
+        ranks = np.random.default_rng(9).integers(1, 5, size=(8, 7))
+        halves = ranks.astype(np.float64)
+        halves[3, 2] = 2.5
+        for mode in MODES:
+            for batch in (ranks.astype(np.float64), halves, ranks == 1):
+                with pytest.raises(SearchError):
+                    batch_search_matrix(small_engine, batch, mode=mode)
+
+    def test_integer_dtypes_give_the_uint8_rows(self):
+        # a signed matrix would make the packing compute in float64
+        rng = np.random.default_rng(14)
+        ref = random_reference(rng, 300)
+        engine = build_engine(ref, k=4)
+        qm = np.concatenate([rng.integers(1, 5, size=(20, 9)),
+                             [ref.ranks[s : s + 9] for s in rng.integers(0, 290, size=20)]])
+        for mode in MODES:
+            expected = batch_search_matrix(engine, qm.astype(np.uint8), mode=mode)
+            for dtype in (np.int8, np.int32, np.int64, np.uint16):
+                got = batch_search_matrix(engine, qm.astype(dtype), mode=mode)
+                assert [a.tolist() for a in got] == [a.tolist() for a in expected], (mode, dtype)
+
     def test_unknown_mode_rejected(self, small_engine):
         with pytest.raises(SearchError):
             search_one(small_engine, encode_ranks("AC"), "turbo")
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_pack_codes_matches_brute_force(width):
+    # all-A rows pack to 0 and all-T rows to 4^width - 1, 2^64 - 1 at width 32
+    rows = np.random.default_rng(width).integers(1, 5, size=(20, width)).astype(np.uint8)
+    rows[0], rows[1] = 1, 4
+    expected = [sum((int(r) - 1) << 2 * (width - 1 - j) for j, r in enumerate(row)) for row in rows]
+    got = _pack_codes(rows)
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+    assert expected[:2] == [0, 4**width - 1]
 
 
 class TestAbsentQueries:
