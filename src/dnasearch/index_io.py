@@ -25,12 +25,15 @@ suffix array is a permutation of [0, n), the keys never decrease (so the
 suffix array is the text's, by induction on the loc fields from the
 text's end, and its row 0 holds the sentinel's key (0, 0), the unique
 least), leaf starts rise strictly from 0 below n, slopes are finite and
->= 0, intercepts finite, maximum errors in [0, n], and no bytes follow the
-last section. The k-mers need no check of their own: they are the text's
-by construction. Any failure raises :class:`CorruptIndexError` naming the
-section. Only their checksum protects the leaf models: altered in range,
-with the checksum rewritten, they load, and ``rmi`` (never ``binary`` or
-``fm``) returns wrong rows.
+>= 0, intercepts finite, maximum errors in [0, n], every leaf model
+predicts its leaf's first, middle and last key within its maximum error,
+and no bytes follow the last section. The k-mers need no check of their
+own: they are the text's by construction. Any failure raises
+:class:`CorruptIndexError` naming the section. The three-key check refuses
+gross alterations of the leaf models, such as every maximum error set to
+0, but not all: with the checksum rewritten, one leaf's maximum error
+lowered by 2 can still load, and ``rmi`` (never ``binary`` or ``fm``) then
+returns wrong rows.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import build_fm_index
-from dnasearch.ipbwt import IpBwtError, build_ipbwt, check_k, unpack_bases
+from dnasearch.ipbwt import IpBwtError, build_ipbwt, check_k, key_less, unpack_bases
 from dnasearch.rmi import Rmi, RmiLayer
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
@@ -145,8 +148,8 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         except IpBwtError as exc:  # sa is not a permutation
             raise CorruptIndexError("sa", str(exc)) from None
         # sorted keys make sa the text's suffix array (see the module docstring)
-        hi_a, hi_b, key_lo = ix.key_hi[:-1], ix.key_hi[1:], ix.key_lo
-        _require(np.all((hi_a < hi_b) | ((hi_a == hi_b) & (key_lo[:-1] <= key_lo[1:]))),
+        key_hi, key_lo = ix.key_hi, ix.key_lo
+        _require(not key_less(key_hi[1:], key_lo[1:], key_hi[:-1], key_lo[:-1]).any(),
                  "sa", "keys out of order")
 
         head = take("rmi", 8)
@@ -162,7 +165,14 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
              "rmi", "slopes must be finite and >= 0, intercepts finite")
     _require(np.all((max_errors >= 0) & (max_errors <= n)), "rmi", "maximum errors outside [0, n]")
     leaf = RmiLayer(starts=starts, slopes=slopes, intercepts=intercepts, max_errors=max_errors,
-                    boundary_hi=ix.key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
+                    boundary_hi=key_hi[starts], boundary_lo=key_lo[starts], target_size=n)
+    # every model predicts its leaf's first, middle and last key within its maximum error
+    part = np.tile(np.arange(count), 3)
+    rows = np.concatenate([starts, starts + (leaf.sizes - 1) // 2, starts + leaf.sizes - 1])
+    miss = np.abs(leaf.predict(part, key_hi[rows], key_lo[rows]) - rows) > max_errors[part]
+    missed = np.count_nonzero(miss.reshape(3, count).any(axis=0))
+    _require(not missed, "rmi",
+             f"{missed} of {count} leaf models miss their own keys by more than their maximum error")
     rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
     ref = Reference(name="reference", ranks=unpack_bases(text, n))
     engine = SearchEngine(fm=build_fm_index(ref, sa), ipbwt=ix, rmi=rmi, k=k)

@@ -3,9 +3,10 @@
 Entries are kept in BW-matrix row order as two columns: ``key_hi``, the
 K-mer as 2-bit base codes (A=0 .. T=3) in one uint64, and ``key_lo``, a
 uint32 loc field. Keys compare as (k-mer, loc field) pairs, and that order
-is true row order, so a plain bisection over the pairs gives exact lower
-bounds. For a row whose rotation starts at text position p, with the
-sentinel j = n-1-p characters later:
+is true row order, so :func:`count_below`, the one branchless kernel of
+every sorted lookup in the package (leaf locate in :mod:`dnasearch.rmi`
+too), gives exact lower bounds over the pairs. For a row whose rotation
+starts at text position p, with the sentinel j = n-1-p characters later:
 
 * j >= K: the K-mer, with loc field ISA[p+K] + K;
 * j < K: the j bases before the sentinel, then code 0 (as A) for the
@@ -142,25 +143,34 @@ def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:
     return (hi << _U64(loc_bits - cut)) | (lo >> np.uint32(cut))
 
 
+def count_below(below, base: np.ndarray, width: int) -> np.ndarray:
+    """``base`` plus the number of rows in [base, base + width) where ``below`` holds, per key.
+
+    ``below(rows)`` tests one row per key and must hold on a prefix of each
+    window. Branchless, after Khuong and Morin (2017): every key takes the
+    same bit_length(width) tests, the first splitting off a power of two
+    that the rest halve, and no row outside the window is read.
+    """
+    half = 1 << (width.bit_length() - 1)
+    lo = np.array(base, dtype=np.int64)
+    lo += below(lo + (width - half)) * (width - half + 1)
+    while half > 1:
+        half >>= 1
+        lo += below(lo + (half - 1)) * half
+    return lo
+
+
+def key_less(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
+    """Whether key (a_hi, a_lo) is less than key (b_hi, b_lo), elementwise."""
+    return (a_hi < b_hi) | ((a_hi == b_hi) & (a_lo < b_lo))
+
+
 def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray,
                       base=0, width: int | None = None) -> np.ndarray:
-    """Exact lower bounds of query keys (key_hi, key_lo) in the table.
+    """Exact lower bounds of query keys (key_hi, key_lo) in the table, by :func:`count_below`.
 
     Key j is searched among rows [base[j], base[j] + width), by default the
     whole table; its lower bound must lie in [base[j], base[j] + width].
-    The bisection is branchless: every key takes the same ceil(log2(width))
-    halving steps and one final comparison, with no per-key bookkeeping.
     """
-    width = ix.n if width is None else width
-    lo = np.broadcast_to(base, key_hi.shape).astype(np.int64)
-
-    def less(rows: np.ndarray) -> np.ndarray:
-        h = ix.key_hi[rows]
-        return (h < key_hi) | ((h == key_hi) & (ix.key_lo[rows] < key_lo))
-
-    while width > 1:
-        half = width // 2
-        lo += less(lo + half) * half
-        width -= half
-    lo += less(lo)
-    return lo
+    return count_below(lambda rows: key_less(ix.key_hi[rows], ix.key_lo[rows], key_hi, key_lo),
+                       np.broadcast_to(base, key_hi.shape), ix.n if width is None else width)

@@ -8,12 +8,12 @@ and its model predicts the key's IP-BWT row.
 
 Locate compares the keys' top words (:func:`dnasearch.ipbwt.top_words`).
 A radix table over the top ``RADIX_BITS`` bits of the leaf boundaries'
-words, as in RadixSpline (Kipf et al., 2020), narrows each key to the
-boundaries of its bucket; a fixed number of branchless halvings, the bit
-length of the largest bucket, finds the leaf among them, and full keys
-settle ties on the top word. The table, 2^16 + 1 int32 entries (256 KB),
-is derived from the boundaries at build and at load and is never stored,
-so the index file does not change with it.
+words, as in RadixSpline (Kipf et al., 2020), gives each key a window as
+wide as the largest bucket, in which the search kernel
+(:func:`dnasearch.ipbwt.count_below`) finds its leaf; where top words cut
+loc bits, the kernel settles ties over full keys. The table, 2^16 + 1
+int32 entries (256 KB), and both widths are derived at build and at load
+and never stored, so the index file does not change with them.
 
 A model sees a key as its float64 distance ``d`` from its partition's
 first key (:func:`relative_keys`): the k-mer difference times 2^32 plus
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dnasearch.ipbwt import IpBwt, top_words
+from dnasearch.ipbwt import IpBwt, count_below, key_less, top_words
 
 
 def relative_keys(hi: np.ndarray, lo: np.ndarray,
@@ -113,8 +113,7 @@ class RmiLayer:
                        self.intercepts[part], d)
 
 
-# bits of a top word that index the radix table (RadixSpline, Kipf et al., 2020)
-RADIX_BITS = 16
+RADIX_BITS = 16  # bits of a top word that index the radix table (RadixSpline)
 
 
 @dataclass
@@ -124,7 +123,8 @@ class Rmi:
     ``leaf_top`` holds the leaf boundaries' top words. The radix table maps
     a top word's bucket, its top RADIX_BITS bits (the word shifted right by
     ``shift``), to the first leaf whose boundary's bucket is at or above
-    it; ``steps`` is the bit length of the largest bucket.
+    it; ``width`` is the largest bucket's size. ``tie_width``, where top
+    words cut loc bits, is the most boundaries sharing one; else 0.
     """
 
     leaf: RmiLayer
@@ -134,59 +134,48 @@ class Rmi:
     leaf_top: np.ndarray = field(init=False)  # uint64
     shift: int = field(init=False)
     radix: np.ndarray = field(init=False)  # int32[2^RADIX_BITS + 1]
-    steps: int = field(init=False)
-    # leaf_top followed by 2^steps copies of its last word, which a halving
-    # that runs past the last leaf reads; leaf_top is a view of it
-    _top_padded: np.ndarray = field(init=False)
+    width: int = field(init=False)
+    tie_width: int = field(init=False)
 
     def __post_init__(self):
         leaf, k = self.leaf, self.k
         n = leaf.target_size
-        top = top_words(leaf.boundary_hi, leaf.boundary_lo, k, n)
-        self.shift = max(min(2 * k + (n + k).bit_length(), 64) - RADIX_BITS, 0)
+        self.leaf_top = top = top_words(leaf.boundary_hi, leaf.boundary_lo, k, n)
+        bits = 2 * k + (n + k).bit_length()
+        self.shift = max(min(bits, 64) - RADIX_BITS, 0)
         # entry b counts the boundaries in buckets below b; built in place,
         # with no temporary the size of the table
         self.radix = np.zeros(2**RADIX_BITS + 1, dtype=np.int32)
         np.add.at(self.radix, (top >> np.uint64(self.shift)) + np.uint64(1), 1)
         np.cumsum(self.radix, dtype=np.int32, out=self.radix)
-        self.steps = int(np.diff(self.radix).max()).bit_length()
-        self._top_padded = np.concatenate([top, np.repeat(top[-1:], 1 << self.steps)])
-        self.leaf_top = self._top_padded[: top.size]
+        self.width = int(np.diff(self.radix).max())
+        self.tie_width = int(np.unique(top, return_counts=True)[1].max()) if bits > 64 else 0
 
     @property
     def layers(self) -> list[RmiLayer]:
-        # read only by the benchmark's traced counts (perfbench/worker.py);
-        # goes when the benchmark is next revised (ROADMAP item 1)
+        # read only by perfbench/worker.py's traced counts; goes with ROADMAP item 1
         return [self.leaf]
 
     def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
 
-        The search starts at the last leaf whose boundary lies below the
-        key's bucket (its radix table entry, less one); ``steps`` branchless
-        halvings then count the bucket's boundaries whose top words are <=
-        the key's, the same steps for every key. A
-        key at or above the last boundary can count past it, onto the
-        padding, and is clipped back to the last leaf. Where a key's top word
-        ties with its leaf boundary's, the full keys decide, stepping back
-        over tied boundaries that are above the key. The table (256 KB) is
-        derived at load, so neither the index file nor its version changes.
+        :func:`dnasearch.ipbwt.count_below` counts the boundaries whose top
+        words are <= the key's among ``width`` from its radix table entry,
+        moved back to end at the last leaf; all before them are smaller.
+        Boundary 0 is (0, 0), so each count is at least 1. Where top words
+        cut loc bits, a key tied with its leaf's top word is counted again
+        over the ``tie_width`` full boundary keys up to it.
         """
-        leaf, top_padded = self.leaf, self._top_padded
+        leaf, leaf_top = self.leaf, self.leaf_top
         top = top_words(hi, lo, self.k, leaf.target_size)
-        part = self.radix[top >> np.uint64(self.shift)].astype(np.intp)
-        part -= 1
-        for step in range(self.steps - 1, -1, -1):
-            half = 1 << step
-            part += (top_padded[part + half] <= top) * half
-        np.clip(part, 0, self.leaf_top.size - 1, out=part)
-        tied = np.flatnonzero(self.leaf_top[part] == top)
-        while tied.size:
-            p = part[tied]
-            b_hi, q_hi = leaf.boundary_hi[p], hi[tied]
-            above = (b_hi > q_hi) | ((b_hi == q_hi) & (leaf.boundary_lo[p] > lo[tied]))
-            tied = tied[above & (p > 0)]
-            part[tied] -= 1
+        base = np.minimum(self.radix[top >> np.uint64(self.shift)], leaf_top.size - self.width)
+        part = count_below(lambda rows: leaf_top[rows] <= top, base, self.width) - 1
+        if self.tie_width:
+            tied = np.flatnonzero(leaf_top[part] == top)
+            q_hi, q_lo, b_hi, b_lo = hi[tied], lo[tied], leaf.boundary_hi, leaf.boundary_lo
+            part[tied] = count_below(lambda rows: ~key_less(q_hi, q_lo, b_hi[rows], b_lo[rows]),
+                                     np.maximum(part[tied] + 1 - self.tie_width, 0),
+                                     self.tie_width) - 1
         return part
 
 

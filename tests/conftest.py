@@ -225,6 +225,9 @@ STRUCTURE_DAMAGE = {
     "slope_inf": "slopes",
     "intercept_nan": "intercepts",
     "error_over_n": "maximum errors",
+    "errors_zeroed": "miss their own keys",
+    "slopes_scaled": "miss their own keys",
+    "intercepts_shifted": "miss their own keys",
     "rows_reordered": "keys out of order",
     "text_padding_set": "padding",
     "trailing_bytes": "trailing bytes",
@@ -259,7 +262,9 @@ def damage_index(path, how: str) -> None:
       intercept NaN;
     * ``error_over_n``: leaf 0's maximum error is n + 1;
     * ``error_raised``: the middle leaf's maximum error is one too large,
-      which loads but fails the audit.
+      which loads but fails the audit;
+    * ``errors_zeroed``, ``slopes_scaled``, ``intercepts_shifted``: every
+      maximum error is 0, every slope times 1.5, every intercept plus 40.
 
     ``trailing_bytes`` appends four bytes after the last checksum.
     """
@@ -315,6 +320,12 @@ def damage_index(path, how: str) -> None:
                 leaf["max_errors"][0] = _HEADER.unpack_from(data, 4)[2] + 1
             elif how == "error_raised":
                 leaf["max_errors"][leaf["max_errors"].size // 2] += 1
+            elif how == "errors_zeroed":
+                leaf["max_errors"][:] = 0
+            elif how == "slopes_scaled":
+                leaf["slopes"] *= 1.5
+            elif how == "intercepts_shifted":
+                leaf["intercepts"] += 40
             else:
                 raise ValueError(how)
         rewrite_crc(data, section)

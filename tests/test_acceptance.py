@@ -184,8 +184,9 @@ def test_criterion_5_performance_ordering(capsys, big_engine):
     ok = times["rmi"] <= times["binary"] / 1.2 and times["rmi"] <= times["fm"] / 1.5
     elapsed = time.perf_counter() - t0
     _report(capsys, 5, ok and elapsed < 900, elapsed,
-            "ns/query rmi={rmi:.0f} binary={binary:.0f} fm={fm:.0f} "
-            "(need rmi <= binary/1.2 and <= fm/1.5)".format(**times))
+            "ns/query rmi={rmi:.0f} binary={binary:.0f} fm={fm:.0f} ".format(**times)
+            + f"binary/rmi={times['binary'] / times['rmi']:.2f} "
+            f"fm/rmi={times['fm'] / times['rmi']:.2f} (need binary/rmi >= 1.2 and fm/rmi >= 1.5)")
 
 
 def test_criterion_6_batch_size_trend(capsys, medium_engine):

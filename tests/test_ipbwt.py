@@ -7,6 +7,7 @@ from dnasearch.fmindex import build_suffix_array
 from dnasearch.ipbwt import (
     IpBwtError,
     build_ipbwt,
+    count_below,
     kmer_rows,
     lower_bound_batch,
     pack_bases,
@@ -178,3 +179,22 @@ class TestLowerBound:
         locs = rng.integers(0, ref.n + 1, size=60).tolist()
         got = lower_bound_batch(ix, *words([packed(c, b + 4) for c, b in zip(kmers, locs)]))
         assert got.tolist() == [brute_lower_bound(entries, c, b) for c, b in zip(kmers, locs)]
+
+
+@pytest.mark.parametrize("width", [*range(1, 131), 2**20 + 4321])
+def test_count_below_matches_brute_force(width):
+    # random bases and random prefix lengths: below(r) holds for r < base + count
+    rng = np.random.default_rng(width)
+    base = rng.integers(0, 10_000, size=50)
+    count = rng.integers(0, width + 1, size=50)
+    count[:2] = 0, width
+    calls = []
+
+    def below(rows):
+        calls.append(rows.copy())
+        return rows < base + count
+
+    assert count_below(below, base, width).tolist() == (base + count).tolist()
+    assert len(calls) == width.bit_length()
+    for rows in calls:  # every row read lies in its key's window
+        assert np.all((base <= rows) & (rows < base + width))

@@ -12,6 +12,8 @@ from dnasearch.index_io import load_index, save_index
 from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases, top_words
 from dnasearch.rmi import (
     RADIX_BITS,
+    Rmi,
+    RmiLayer,
     audit_errors,
     build_rmi,
     fit_layer,
@@ -311,15 +313,28 @@ class TestQueryTimeBound:
         engine = build_engine(ref, k=28, alpha_leaf=0.5)
         top = engine.rmi.leaf_top
         assert np.count_nonzero(top[1:] == top[:-1]) >= 100
+        assert engine.rmi.tie_width == np.unique(top, return_counts=True)[1].max() > 1
         check_locate_and_window(engine, probe_keys(np.random.default_rng(5), engine.ipbwt, 28))
+
+    def test_no_tie_window_where_top_words_are_exact(self):
+        # at K = 21 the top words are exact while n + K < 2^22 (2K +
+        # bit_length(n + K) <= 64), so locate runs no tie window there
+        engine = build_engine(random_reference(np.random.default_rng(9), 3000), k=21)
+        assert engine.rmi.tie_width == 0
+        for n, tie_width in ((2**22 - 22, 0), (2**22 - 21, 1)):
+            leaf = RmiLayer(starts=np.zeros(1, np.int64), slopes=np.zeros(1),
+                            intercepts=np.zeros(1), max_errors=np.zeros(1, np.int64),
+                            boundary_hi=np.zeros(1, np.uint64), boundary_lo=np.zeros(1, np.uint32),
+                            target_size=n)
+            assert Rmi(leaf=leaf, alpha_leaf=6.0, k=21).tie_width == tie_width
 
     def test_crowded_bucket(self):
         # the rows that start with eight A's share one bucket of the radix
-        # table, which holds enough leaf boundaries for four halvings
+        # table, which holds enough leaf boundaries for four tests of locate
         engine = build_engine(crowded_bucket_reference(), k=21, alpha_leaf=0.5)
         rmi, n = engine.rmi, engine.ipbwt.n
         sizes = np.diff(rmi.radix)
-        assert rmi.shift > 0 and sizes.max() >= 9 and rmi.steps >= 4
+        assert rmi.shift > 0 and rmi.width == sizes.max() >= 9
         assert rmi.radix[0] == 0 and rmi.radix[-1] == len(rmi.leaf)
 
         rng = np.random.default_rng(7)

@@ -165,6 +165,15 @@ class TestBatchSearch:
                 assert (int(low[i]), int(high[i])) == search_one(small_engine, encode_ranks(line), mode)
             assert low[[1, 3]].tolist() == high[[1, 3]].tolist() == [0, 0]
 
+    @pytest.mark.parametrize("lengths", [[7], [4], [2, -1, 5]])
+    def test_lengths_that_do_not_tile_the_ranks_rejected(self, small_engine, lengths):
+        # [7] reads past the ranks, [4] would drop the last two, and a
+        # negative length cannot tile them even where the sum matches
+        ranks = encode_ranks("ACGTAC")
+        for mode in MODES:
+            with pytest.raises(SearchError):
+                batch_search(small_engine, ranks, np.array(lengths), mode=mode)
+
     def test_empty_batch(self, small_engine):
         for mode in MODES:
             low, high, valid = batch_search(small_engine, np.zeros(0, dtype=np.uint8),
