@@ -1,8 +1,11 @@
 """Suffix array and FM-index baseline with one occurrence line per 64 rows.
 
-The suffix array is built by prefix doubling over numpy ranks. Because the
-text ends with a unique sentinel that sorts below every base, suffix order
-equals sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
+The suffix array is built by prefix doubling over numpy ranks (Manber and
+Myers, 1993), seeded at h = ``SEED_K`` with each position's k-mer code from
+:func:`dnasearch.ipbwt.kmer_rows`, so random text is sorted in one round and
+a repeat of length L takes about log2(L / SEED_K) more. Because the text
+ends with a unique sentinel that sorts below every base, suffix order equals
+sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
 once to pack the occurrence table, whose layout only this module knows. As
 in BWA's interleaved occurrence array, one 64-byte line serves a 64-row
 block: five ``uint64`` bitmap words (bit i of word r: row 64·block + i holds
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dnasearch.ipbwt import kmer_rows, pack_bases
 from dnasearch.seqcore import Reference
 
 OCC_STRIDE = 64  # rows per occurrence line; one 64-bit bitmap word per rank
 NUM_RANKS = 5  # sentinel + ACGT
+# prefix length of the suffix sort's first round; S-mer code * (S + 1) + S < 2^64 for S <= 29
+SEED_K = 29
 # A line is 8 uint64 words (64 bytes): the block's 5 rank bitmaps, then as
 # uint32 its 5 counts (index _COUNTS + r) and 4 bytes of padding.
 _LINE_WORDS = 8
@@ -36,24 +42,33 @@ _BELOW = (np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64)) - np.uint64(1)
 
 
 def build_suffix_array(ref: Reference) -> np.ndarray:
-    """Prefix-doubling suffix sort; returns sa as uint32, sa[0] == n-1.
+    """Prefix-doubling suffix sort from S = ``SEED_K``; returns sa as uint32, sa[0] == n-1.
 
-    Each round sorts one uint64 key per suffix, rank[i] * (n+1) plus
-    rank[i+k] + 1 (0 past the end); n < 2^32 keeps it below 2^64.
+    The first round sorts each position p by its S-mer code (:func:`kmer_rows`,
+    code 0 from the sentinel on) times S + 1, plus min(j, S) for j = n-1-p, the
+    distance to the sentinel: as the IP-BWT's loc field does, this puts X$
+    below XA, so equal keys are equal first S characters. Each later round
+    doubles k from S and sorts one uint64 key per suffix, rank[i] * (n+1)
+    plus rank[i+k] + 1 (0 past the end); n < 2^32 keeps it below 2^64.
     """
     t = ref.ranks
     n = t.size
-    order = np.argsort(t, kind="stable")
-    rank = _dense_ranks(t[order], order)
-    k = 1
-    while rank.max() != n - 1:
+    m = min(n, SEED_K)
+    key = kmer_rows(pack_bases(t), np.arange(n, dtype=np.uint32), SEED_K)
+    key *= np.uint64(SEED_K + 1)
+    key[: n - m] += np.uint64(SEED_K)
+    key[n - m :] += np.arange(m - 1, -1, -1, dtype=np.uint64)  # j < S
+    k = SEED_K
+    while True:
+        order = np.argsort(key)
+        rank = _dense_ranks(key[order], order)
+        del key, order
+        if rank.max() == n - 1:
+            break
         key = rank.astype(np.uint64)
         key *= np.uint64(n + 1)
         key[: n - k] += rank[k:].astype(np.uint64)
         key[: n - k] += np.uint64(1)
-        order = np.argsort(key)
-        rank = _dense_ranks(key[order], order)
-        del key, order
         k *= 2
     sa = np.empty(n, dtype=np.uint32)
     sa[rank] = np.arange(n, dtype=np.uint32)

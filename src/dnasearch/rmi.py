@@ -2,9 +2,15 @@
 
 The layer holds one linear model per contiguous key partition (a leaf),
 found by halving the keys until each partition fits the mean absolute
-error bound ``alpha_leaf``. All partitions of one halving level are fit at
-once. A key's leaf is found over the leaves' first keys (:meth:`Rmi.locate`),
-and its model predicts the key's IP-BWT row.
+error bound ``alpha_leaf``. The partitions of one halving level are fit
+together, in blocks of whole partitions of about 2^16 keys, which keeps the
+fit's temporaries small. A partition above ``SAMPLE_ABOVE`` keys is first
+fit on ``SAMPLE`` evenly spaced keys, against their positions in the
+partition; if those err by more than ``SAMPLE_SPLIT`` * alpha on average,
+it splits with no full fit. Every partition that stops is fit, and its
+error measured, on all its keys, so a sample can add leaves but never
+loosen the bound. A key's leaf is found over the leaves' first keys
+(:meth:`Rmi.locate`), and its model predicts the key's IP-BWT row.
 
 Locate compares the keys' top words (:func:`dnasearch.ipbwt.top_words`).
 A radix table over the top ``RADIX_BITS`` bits of the leaf boundaries'
@@ -113,6 +119,12 @@ class RmiLayer:
                        self.intercepts[part], d)
 
 
+# the sampled split decision of fit_layer
+SAMPLE_ABOVE = 8192
+SAMPLE = 512
+SAMPLE_SPLIT = 4.0
+_BLOCK = 1 << 16  # keys per block of full fits: their temporaries stay small
+
 RADIX_BITS = 16  # bits of a top word that index the radix table (RadixSpline)
 
 
@@ -179,39 +191,63 @@ class Rmi:
         return part
 
 
-def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fit of every partition of one halving level at once.
+def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+               sample: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of the partitions (starts, sizes) at once.
 
-    Returns per-partition slopes (clamped at 0), intercepts, and the mean
-    and maximum absolute errors of :func:`predict` over the partition's keys.
+    Each partition is fit on all its keys, or with ``sample`` > 0 on that
+    many evenly spaced ones, its first and last among them, against their
+    positions inside the partition. Returns per-partition slopes (clamped
+    at 0), intercepts, and the mean and maximum absolute errors of
+    :func:`predict` over the keys fit.
     """
-    offsets = np.cumsum(sizes) - sizes  # of each partition in the level's key list
-    rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+    counts = np.full(starts.size, sample) if sample else sizes
+    offsets = np.cumsum(counts) - counts  # of each partition in the fit's key list
+    if sample:
+        i = np.tile(np.arange(sample), starts.size)
+        y = i * np.repeat(sizes - 1, sample) // (sample - 1)  # position inside the partition
+        rows = y + np.repeat(starts, sample)
+    else:
+        rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+        y = rows - np.repeat(starts, sizes)
     d = relative_keys(hi[rows], lo[rows],
-                      np.repeat(hi[starts], sizes), np.repeat(lo[starts], sizes))
-    y = rows - np.repeat(starts, sizes)  # position inside the partition
+                      np.repeat(hi[starts], counts), np.repeat(lo[starts], counts))
     del rows
 
-    count = sizes.astype(np.float64)
+    count = counts.astype(np.float64)
     d_mean = np.add.reduceat(d, offsets) / count
-    y_mean = (count - 1) / 2
-    dx = d - np.repeat(d_mean, sizes)
+    y_mean = np.add.reduceat(y, offsets) / count  # (count - 1) / 2, exactly, on all keys
+    dx = d - np.repeat(d_mean, counts)
     sxx = np.add.reduceat(dx * dx, offsets)
-    dx *= y - np.repeat(y_mean, sizes)
+    dx *= y - np.repeat(y_mean, counts)
     sxy = np.add.reduceat(dx, offsets)
     del dx
     slopes = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx > 0)
     np.maximum(slopes, 0.0, out=slopes)  # keeps predict monotone
     intercepts = y_mean - slopes * d_mean
 
-    pred = predict(0, np.repeat(count - 1, sizes), np.repeat(slopes, sizes),
-                   np.repeat(intercepts, sizes), d)
+    pred = predict(0, np.repeat(sizes - 1.0, counts), np.repeat(slopes, counts),
+                   np.repeat(intercepts, counts), d)
     del d
     pred -= y
     np.abs(pred, out=pred)
     means = np.add.reduceat(pred, offsets) / count
     return slopes, intercepts, means, np.maximum.reduceat(pred, offsets)
+
+
+def _fit_blocks(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                sample: int = 0) -> tuple[np.ndarray, ...]:
+    """:func:`_fit_level` in blocks of whole partitions of about ``_BLOCK`` keys fit.
+
+    Each partition's fit reads only its own keys, so the blocks give the
+    results of one call, with temporaries of one block.
+    """
+    counts = np.full(starts.size, sample) if sample else sizes
+    block = (np.cumsum(counts) - counts) // _BLOCK
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    fits = [_fit_level(hi, lo, s, z, sample)
+            for s, z in zip(np.split(starts, cuts), np.split(sizes, cuts))]
+    return tuple(np.concatenate(column) for column in zip(*fits))
 
 
 def check_alpha(alpha: float) -> None:
@@ -223,22 +259,30 @@ def check_alpha(alpha: float) -> None:
 def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     """Halve the sorted keys (hi, lo) until each partition fits ``alpha``.
 
-    A partition stops at mean absolute error <= alpha, which a fit of one
-    or two keys always meets; on an odd size the left half takes the extra
-    element.
+    A partition stops at mean absolute error <= alpha over all its keys,
+    which a fit of one or two keys always meets; on an odd size the left
+    half takes the extra element. One above ``SAMPLE_ABOVE`` keys whose
+    ``SAMPLE`` evenly spaced keys err by more than ``SAMPLE_SPLIT`` * alpha
+    splits without that full fit.
     """
     check_alpha(alpha)
     starts = np.zeros(1, dtype=np.int64)
     sizes = np.array([hi.size], dtype=np.int64)
     done_starts, done_slopes, done_intercepts, done_max = [], [], [], []
     while starts.size:
-        slopes, intercepts, errors, max_errors = _fit_level(hi, lo, starts, sizes)
-        done = errors <= alpha
-        done_starts.append(starts[done])
-        done_slopes.append(slopes[done])
-        done_intercepts.append(intercepts[done])
-        done_max.append(max_errors[done])
-        split, split_sizes = starts[~done], sizes[~done]
+        fit = sizes <= SAMPLE_ABOVE
+        large = ~fit
+        sampled = _fit_blocks(hi, lo, starts[large], sizes[large], SAMPLE)[2]
+        fit[large] = sampled <= SAMPLE_SPLIT * alpha
+        slopes, intercepts, errors, max_errors = _fit_blocks(hi, lo, starts[fit], sizes[fit])
+        within = errors <= alpha
+        stop = fit.copy()
+        stop[fit] = within
+        done_starts.append(starts[stop])
+        done_slopes.append(slopes[within])
+        done_intercepts.append(intercepts[within])
+        done_max.append(max_errors[within])
+        split, split_sizes = starts[~stop], sizes[~stop]
         left = (split_sizes + 1) // 2
         starts = np.column_stack([split, split + left]).ravel()
         sizes = np.column_stack([left, split_sizes - left]).ravel()

@@ -158,16 +158,18 @@ def test_criterion_4_error_bound_audit(capsys, tmp_path, medium_engine):
 
 @pytest.fixture(scope="module")
 def big_engine():
-    """Engine over a 10^7-base reference (criterion 5 only; slow to build)."""
+    """Engine over a 10^7-base reference (criterion 5 only), its reference and build seconds."""
     rng = np.random.default_rng(990)
     ref = random_reference(rng, 10_000_000, name="big")
-    return build_engine(ref, k=21), ref
+    t0 = time.perf_counter()
+    engine = build_engine(ref, k=21)
+    return engine, ref, time.perf_counter() - t0
 
 
 @pytest.mark.skipif(SKIP_PERF, reason="DNASEARCH_SKIP_PERF set")
 def test_criterion_5_performance_ordering(capsys, big_engine):
     t0 = time.perf_counter()
-    engine, ref = big_engine
+    engine, ref, build_s = big_engine
     qm = generate_query_matrix(ref, length=21, count=1_000_000, seed=5)
     modes = ["fm", "binary", "rmi"]
     for mode in modes:
@@ -186,7 +188,8 @@ def test_criterion_5_performance_ordering(capsys, big_engine):
     _report(capsys, 5, ok and elapsed < 900, elapsed,
             "ns/query rmi={rmi:.0f} binary={binary:.0f} fm={fm:.0f} ".format(**times)
             + f"binary/rmi={times['binary'] / times['rmi']:.2f} "
-            f"fm/rmi={times['fm'] / times['rmi']:.2f} (need binary/rmi >= 1.2 and fm/rmi >= 1.5)")
+            f"fm/rmi={times['fm'] / times['rmi']:.2f} (need binary/rmi >= 1.2 and fm/rmi >= 1.5), "
+            f"10^7-base build {build_s:.1f}s")
 
 
 def test_criterion_6_batch_size_trend(capsys, medium_engine):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dnasearch import search
 from dnasearch.fmindex import (
+    SEED_K,
     backward_search_batch,
     build_bwt,
     build_fm_index,
@@ -38,6 +39,34 @@ class TestSuffixArray:
         ref = random_reference(rng, n_bases)
         sa = build_suffix_array(ref)
         assert sa.tolist() == rotation_rows(ref.ranks)
+
+    # the first round sorts by S-mer codes and the distance to the sentinel:
+    # texts shorter than S, across S and 2S, and up to 300 bases
+    SEED_LENGTHS = (1, 2, 3, SEED_K - 1, SEED_K, SEED_K + 1, 2 * SEED_K, 2 * SEED_K + 1, 100, 300)
+
+    @pytest.mark.parametrize("n_bases", SEED_LENGTHS)
+    def test_seed_lengths(self, n_bases):
+        ref = random_reference(np.random.default_rng(n_bases), n_bases)
+        assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks)
+
+    @pytest.mark.parametrize("n_bases", SEED_LENGTHS)
+    def test_homopolymers_and_a_runs(self, n_bases):
+        # every tail of an A-run has the code of the run (the sentinel codes
+        # as A), so only the distance to the sentinel orders them
+        rng = np.random.default_rng(n_bases)
+        head = "".join(rng.choice(list("ACGT"), size=n_bases // 2))
+        for bases in ("A" * n_bases, "T" * n_bases, head + "A" * (n_bases - len(head))):
+            ref = make_reference(bases)
+            assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks), bases
+
+    @pytest.mark.parametrize("unit", ["C", "AC", "ACG", "GATTACA", "A" * 30 + "C"])
+    def test_tandem_repeats_past_twice_the_seed(self, unit):
+        # copies of the unit share prefixes longer than 2S, which only later
+        # doubling rounds tell apart; the last copy is cut short
+        bases = (unit * (300 // len(unit) + 1))[:300 - len(unit) // 2]
+        assert len(bases) - len(unit) > 2 * SEED_K
+        ref = make_reference(bases)
+        assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks)
 
 
 def prefix_counts(ref, fm):

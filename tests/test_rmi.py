@@ -12,8 +12,12 @@ from dnasearch.index_io import load_index, save_index
 from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases, top_words
 from dnasearch.rmi import (
     RADIX_BITS,
+    SAMPLE,
+    SAMPLE_ABOVE,
+    SAMPLE_SPLIT,
     Rmi,
     RmiLayer,
+    _fit_level,
     audit_errors,
     build_rmi,
     fit_layer,
@@ -123,6 +127,21 @@ def sorted_keys(rng, size, bits=80):
     return words(keys)
 
 
+def plain_halving(hi, lo, alpha):
+    """Leaf starts, slopes, intercepts and max errors of halving with every level fit in full."""
+    starts, sizes = np.zeros(1, np.int64), np.array([hi.size])
+    leaves = []
+    while starts.size:
+        slopes, intercepts, errors, max_errors = _fit_level(hi, lo, starts, sizes)
+        done = errors <= alpha
+        leaves += zip(starts[done], slopes[done], intercepts[done], max_errors[done])
+        starts, sizes = starts[~done], sizes[~done]
+        left = (sizes + 1) // 2
+        starts = np.column_stack([starts, starts + left]).ravel()
+        sizes = np.column_stack([left, sizes - left]).ravel()
+    return (np.array(column) for column in zip(*sorted(leaves)))
+
+
 class TestPartition:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([0.5, 2.0, 6.0]))
     @settings(max_examples=40, deadline=None)
@@ -141,6 +160,40 @@ class TestPartition:
         layer = fit_layer(hi, lo, alpha=1.0)
         assert len(layer) == 1
         assert key_errors(layer, hi, lo).max() == 0
+
+    @pytest.mark.parametrize("alpha", [2.0, 6.0])
+    def test_sampled_splits_give_the_plain_halving_leaves(self, alpha):
+        # 40,000 random keys: the partitions above SAMPLE_ABOVE keys split on
+        # their samples, and the leaves are those of fitting every level in full
+        hi, lo = sorted_keys(np.random.default_rng(12), 40_000)
+        layer = fit_layer(hi, lo, alpha)
+        assert hi.size > 4 * SAMPLE_ABOVE
+        starts, slopes, intercepts, max_errors = plain_halving(hi, lo, alpha)
+        assert np.array_equal(layer.starts, starts)
+        assert np.array_equal(layer.slopes, slopes)
+        assert np.array_equal(layer.intercepts, intercepts)
+        assert np.array_equal(layer.max_errors, max_errors)
+        assert np.all(layer_mean_errors(layer, hi, lo) <= alpha)
+
+    def test_linear_keys_pass_the_sample_and_the_full_fit(self):
+        hi, lo = words([(1 << 70) + 7 * i for i in range(50_000)])
+        layer = fit_layer(hi, lo, alpha=1.0)
+        assert len(layer) == 1
+        assert key_errors(layer, hi, lo).max() == 0
+
+    def test_a_passing_sample_still_gets_a_full_fit(self):
+        # linear at the SAMPLE evenly spaced keys, 32 positions apart, but
+        # each run of 32 keys between them is bunched at its first key
+        alpha = 6.0
+        size = 32 * (SAMPLE - 1) + 1
+        hi, lo = words([(1 << 60) + (j // 32) * 32_000 + j % 32 for j in range(size)])
+        starts, sizes = np.zeros(1, np.int64), np.array([size])
+        assert size > SAMPLE_ABOVE
+        assert _fit_level(hi, lo, starts, sizes, SAMPLE)[2][0] <= SAMPLE_SPLIT * alpha
+        assert _fit_level(hi, lo, starts, sizes)[2][0] > alpha
+        layer = fit_layer(hi, lo, alpha)
+        assert len(layer) > 1
+        assert np.all(layer_mean_errors(layer, hi, lo) <= alpha)
 
     def test_alpha_must_be_positive(self):
         # NaN would let no partition stop, inf fit one leaf
