@@ -207,9 +207,16 @@ def cmd_query(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors (and those of the subcommands) exiting EXIT_PARAMS, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARAMS, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dnasearch",
-                                description="Exact DNA search with a learned index")
+    p = _Parser(prog="dnasearch", description="Exact DNA search with a learned index")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build an index from FASTA")

@@ -19,15 +19,15 @@ Files of any version but :data:`VERSION` are refused, before the header's
 checksum is read (an older header has another size). ``load_index`` reads
 each array into a buffer of its own, so every array starts aligned, and
 checks every checksum, then the structure the checksums cannot vouch for:
-K and n pass the build's :func:`dnasearch.ipbwt.check_k`, alpha_leaf is
-finite and > 0, the text's padding is 0 (its length follows from n), the
-suffix array is a permutation of [0, n), the keys never decrease (so the
-suffix array is the text's, by induction on the loc fields from the
-text's end, and its row 0 holds the sentinel's key (0, 0), the unique
-least), leaf starts rise strictly from 0 below n, slopes are finite and
->= 0, intercepts finite, maximum errors in [0, n], every leaf model
-predicts its leaf's first, middle and last key within its maximum error,
-and no bytes follow the last section. The k-mers need no check of their
+K, n and alpha_leaf pass the build's :func:`dnasearch.ipbwt.check_k` and
+:func:`dnasearch.rmi.check_alpha`, the text's padding is 0 (its length
+follows from n), the suffix array is a permutation of [0, n), the keys
+never decrease (so the suffix array is the text's, by induction on the
+loc fields from the text's end, and its row 0 holds the sentinel's key
+(0, 0), the unique least), leaf starts rise strictly from 0 below n,
+slopes are finite and >= 0, intercepts finite, maximum errors in [0, n],
+every leaf model predicts its leaf's first, middle and last key within
+its maximum error, and no bytes follow the last section. The k-mers need no check of their
 own: they are the text's by construction. Any failure raises
 :class:`CorruptIndexError` naming the section. The three-key check refuses
 gross alterations of the leaf models, such as every maximum error set to
@@ -47,7 +47,7 @@ import numpy as np
 
 from dnasearch.fmindex import build_fm_index
 from dnasearch.ipbwt import IpBwtError, build_ipbwt, check_k, key_less, unpack_bases
-from dnasearch.rmi import Rmi, RmiLayer
+from dnasearch.rmi import Rmi, RmiLayer, check_alpha
 from dnasearch.search import SearchEngine
 from dnasearch.seqcore import Reference
 
@@ -132,12 +132,11 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
         # before the checksum: an older header has another size, so its checksum lies elsewhere
         _require(version == VERSION, "header", f"unsupported version {version}")
         section("header", 0, head=magic + fields)
-        try:
-            check_k(n, k)  # the build's rule: 1 <= K <= min(MAX_K, n - 1) and n + K < 2^32
-        except IpBwtError as exc:
+        try:  # the build's rules for K, n and alpha_leaf
+            check_k(n, k)
+            check_alpha(alpha_leaf)
+        except ValueError as exc:
             raise CorruptIndexError("header", str(exc)) from None
-        _require(np.isfinite(alpha_leaf) and alpha_leaf > 0, "header",
-                 f"alpha_leaf={alpha_leaf} is not finite and > 0")
 
         (sa,) = section("sa", n, "<u4")
         (text,) = section("text", (n + 2) // 4, "u1")  # ceil((n - 1) / 4) bytes

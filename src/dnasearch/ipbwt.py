@@ -2,11 +2,12 @@
 
 Entries are kept in BW-matrix row order as two columns: ``key_hi``, the
 K-mer as 2-bit base codes (A=0 .. T=3) in one uint64, and ``key_lo``, a
-uint32 loc field. Keys compare as (k-mer, loc field) pairs, and that order
-is true row order, so :func:`count_below`, the one branchless kernel of
-every sorted lookup in the package (leaf locate in :mod:`dnasearch.rmi`
-too), gives exact lower bounds over the pairs. For a row whose rotation
-starts at text position p, with the sentinel j = n-1-p characters later:
+uint32 loc field. Keys compare as (k-mer, loc field) pairs
+(:func:`key_less`), the one key order of the package, and that order is
+true row order, so :func:`count_below`, the one branchless kernel of
+every sorted lookup (leaf locate in :mod:`dnasearch.rmi` too), gives
+exact lower bounds over the pairs. For a row whose rotation starts at
+text position p, with the sentinel j = n-1-p characters later:
 
 * j >= K: the K-mer, with loc field ISA[p+K] + K;
 * j < K: the j bases before the sentinel, then code 0 (as A) for the
@@ -128,19 +129,6 @@ def loc_column(sa: np.ndarray, k: int) -> np.ndarray:
     loc[: n - k] = isa[k:] + np.uint32(k)
     loc[n - k :] = np.arange(k - 1, -1, -1, dtype=np.uint32)  # j, the distance to the sentinel
     return loc[sa]
-
-
-def top_words(hi: np.ndarray, lo: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Order-preserving 64-bit words of keys (hi, lo) of an n-row table.
-
-    The k-mer code sits above the loc field cut to the bit_length(n + k)
-    bits its values need, and the result keeps the highest 64 bits. That is
-    one-to-one while 2k + bit_length(n + k) <= 64; beyond that, keys with
-    equal words are ordered by the low loc bits cut off.
-    """
-    loc_bits = (n + k).bit_length()
-    cut = max(2 * k + loc_bits - 64, 0)
-    return (hi << _U64(loc_bits - cut)) | (lo >> np.uint32(cut))
 
 
 def count_below(below, base: np.ndarray, width: int) -> np.ndarray:

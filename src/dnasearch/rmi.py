@@ -12,14 +12,13 @@ error measured, on all its keys, so a sample can add leaves but never
 loosen the bound. A key's leaf is found over the leaves' first keys
 (:meth:`Rmi.locate`), and its model predicts the key's IP-BWT row.
 
-Locate compares the keys' top words (:func:`dnasearch.ipbwt.top_words`).
-A radix table over the top ``RADIX_BITS`` bits of the leaf boundaries'
-words, as in RadixSpline (Kipf et al., 2020), gives each key a window as
-wide as the largest bucket, in which the search kernel
-(:func:`dnasearch.ipbwt.count_below`) finds its leaf; where top words cut
-loc bits, the kernel settles ties over full keys. The table, 2^16 + 1
-int32 entries (256 KB), and both widths are derived at build and at load
-and never stored, so the index file does not change with them.
+Locate compares (k-mer, loc) pairs, the keys' one order. A radix table
+over the top ``RADIX_BITS`` bits of the leaf boundaries' k-mer codes, as in
+RadixSpline (Kipf et al., 2020), gives each key a window as wide as the
+largest bucket, in which the search kernel
+(:func:`dnasearch.ipbwt.count_below`) finds its leaf. The table, 2^16 + 1
+int32 entries (256 KB), and its width are derived at build and at load and
+never stored, so the index file does not change with them.
 
 A model sees a key as its float64 distance ``d`` from its partition's
 first key (:func:`relative_keys`): the k-mer difference times 2^32 plus
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dnasearch.ipbwt import IpBwt, count_below, key_less, top_words
+from dnasearch.ipbwt import IpBwt, count_below, key_less
 
 
 def relative_keys(hi: np.ndarray, lo: np.ndarray,
@@ -125,70 +124,53 @@ SAMPLE = 512
 SAMPLE_SPLIT = 4.0
 _BLOCK = 1 << 16  # keys per block of full fits: their temporaries stay small
 
-RADIX_BITS = 16  # bits of a top word that index the radix table (RadixSpline)
+RADIX_BITS = 16  # bits of a k-mer code that index the radix table (RadixSpline)
 
 
 @dataclass
 class Rmi:
     """The leaf layer, its error bound ``alpha_leaf`` and the keys' chunk length ``k``.
 
-    ``leaf_top`` holds the leaf boundaries' top words. The radix table maps
-    a top word's bucket, its top RADIX_BITS bits (the word shifted right by
-    ``shift``), to the first leaf whose boundary's bucket is at or above
-    it; ``width`` is the largest bucket's size. ``tie_width``, where top
-    words cut loc bits, is the most boundaries sharing one; else 0.
+    The radix table maps a k-mer code's bucket, its top RADIX_BITS bits
+    (the code shifted right by ``shift``; the whole code up to K = 8), to
+    the first leaf whose boundary's bucket is at or above it; ``width`` is
+    the largest bucket's size.
     """
 
     leaf: RmiLayer
     alpha_leaf: float
     k: int
 
-    leaf_top: np.ndarray = field(init=False)  # uint64
     shift: int = field(init=False)
     radix: np.ndarray = field(init=False)  # int32[2^RADIX_BITS + 1]
     width: int = field(init=False)
-    tie_width: int = field(init=False)
 
     def __post_init__(self):
-        leaf, k = self.leaf, self.k
-        n = leaf.target_size
-        self.leaf_top = top = top_words(leaf.boundary_hi, leaf.boundary_lo, k, n)
-        bits = 2 * k + (n + k).bit_length()
-        self.shift = max(min(bits, 64) - RADIX_BITS, 0)
+        self.shift = max(2 * self.k - RADIX_BITS, 0)
         # entry b counts the boundaries in buckets below b; built in place,
         # with no temporary the size of the table
         self.radix = np.zeros(2**RADIX_BITS + 1, dtype=np.int32)
-        np.add.at(self.radix, (top >> np.uint64(self.shift)) + np.uint64(1), 1)
+        np.add.at(self.radix, (self.leaf.boundary_hi >> np.uint64(self.shift)) + np.uint64(1), 1)
         np.cumsum(self.radix, dtype=np.int32, out=self.radix)
         self.width = int(np.diff(self.radix).max())
-        self.tie_width = int(np.unique(top, return_counts=True)[1].max()) if bits > 64 else 0
 
     @property
     def layers(self) -> list[RmiLayer]:
-        # read only by perfbench/worker.py's traced counts; goes with ROADMAP item 1
+        # read only by perfbench/worker.py's traced counts; goes with ROADMAP item 2
         return [self.leaf]
 
     def locate(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Leaf of each key (hi, lo): the last leaf whose boundary key is <= it.
 
-        :func:`dnasearch.ipbwt.count_below` counts the boundaries whose top
-        words are <= the key's among ``width`` from its radix table entry,
-        moved back to end at the last leaf; all before them are smaller.
-        Boundary 0 is (0, 0), so each count is at least 1. Where top words
-        cut loc bits, a key tied with its leaf's top word is counted again
-        over the ``tie_width`` full boundary keys up to it.
+        :func:`dnasearch.ipbwt.count_below` counts the boundary keys <= the
+        key among ``width`` from its radix table entry, moved back to end at
+        the last leaf; all before them are smaller. Boundary 0 is (0, 0), so
+        each count is at least 1.
         """
-        leaf, leaf_top = self.leaf, self.leaf_top
-        top = top_words(hi, lo, self.k, leaf.target_size)
-        base = np.minimum(self.radix[top >> np.uint64(self.shift)], leaf_top.size - self.width)
-        part = count_below(lambda rows: leaf_top[rows] <= top, base, self.width) - 1
-        if self.tie_width:
-            tied = np.flatnonzero(leaf_top[part] == top)
-            q_hi, q_lo, b_hi, b_lo = hi[tied], lo[tied], leaf.boundary_hi, leaf.boundary_lo
-            part[tied] = count_below(lambda rows: ~key_less(q_hi, q_lo, b_hi[rows], b_lo[rows]),
-                                     np.maximum(part[tied] + 1 - self.tie_width, 0),
-                                     self.tie_width) - 1
-        return part
+        b_hi, b_lo = self.leaf.boundary_hi, self.leaf.boundary_lo
+        base = np.minimum(self.radix[hi >> np.uint64(self.shift)], b_hi.size - self.width)
+        return count_below(lambda rows: ~key_less(hi, lo, b_hi[rows], b_lo[rows]),
+                           base, self.width) - 1
 
 
 def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -253,7 +235,7 @@ def _fit_blocks(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.nd
 def check_alpha(alpha: float) -> None:
     """Raise ``ValueError`` unless the error bound ``alpha`` is finite and > 0."""
     if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+        raise ValueError(f"alpha_leaf={alpha} is not finite and > 0")
 
 
 def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:

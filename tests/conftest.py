@@ -50,7 +50,7 @@ def crowded_bucket_reference() -> Reference:
 
     Twice six copies of a random 30-base unit and a 60-base poly-A run, then
     40 random bases. The rows that start with eight A's share the top 16
-    bits of their top words, and their k-mers, A's and then the unit, fit
+    bits of their k-mer codes, and their k-mers, A's and then the unit, fit
     no line, so their bucket holds 15 leaf boundaries.
     """
     rng = np.random.default_rng(16)

@@ -123,6 +123,21 @@ class TestBuild:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [["build", "r.fa", "--out", "o", "--k", "abc"],
+                                      ["build", "r.fa", "--out", "o", "--alpha-leaf", "abc"],
+                                      ["query", "i", "q", "--mode", "bogus"],
+                                      ["build", "r.fa"], ["query", "i"], []])
+    def test_usage_errors_exit_4(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "-h"])
+        assert exc.value.code == 0
+
 
 GOLDEN_REFERENCE = "ATACGACGTTAGCATTACGGATCCATGACTAGGACATTTACGACCGTAGATTACA"
 

@@ -45,12 +45,13 @@ class TestRoundTrip:
         assert np.array_equal(ref2.ranks, ref.ranks)
         la, lb = loaded.rmi.leaf, engine.rmi.leaf
         assert la.target_size == lb.target_size
-        # boundaries and top words are gathered from the keys at load
+        # boundaries and the radix table are derived from the keys at load
         for name in ("starts", "slopes", "intercepts", "max_errors", "boundary_hi",
                      "boundary_lo"):
             a, b = getattr(la, name), getattr(lb, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert np.array_equal(loaded.rmi.leaf_top, engine.rmi.leaf_top)
+        assert np.array_equal(loaded.rmi.radix, engine.rmi.radix)
+        assert loaded.rmi.width == engine.rmi.width
         assert (loaded.rmi.alpha_leaf, loaded.rmi.k) == (engine.rmi.alpha_leaf, engine.rmi.k)
 
     def test_results_identical_after_reload(self, engine_and_ref, tmp_path):

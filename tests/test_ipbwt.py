@@ -11,7 +11,6 @@ from dnasearch.ipbwt import (
     kmer_rows,
     lower_bound_batch,
     pack_bases,
-    top_words,
     unpack_bases,
 )
 from dnasearch.seqcore import encode_ranks
@@ -88,21 +87,6 @@ class TestKeyEncoding:
             packed = pack_bases(ranks)
             assert packed.dtype == np.uint8 and packed.size == -(-n_bases // 4)
             assert np.array_equal(unpack_bases(packed, ranks.size), ranks), n_bases
-
-    @given(st.integers(1, 32), st.integers(2, 2**31), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_top_words_keep_key_order(self, k, n, data):
-        key = st.tuples(st.integers(0, 4**k - 1), st.integers(0, n + k))
-        pairs = data.draw(st.lists(key, min_size=2, max_size=8))
-        keys = [(code << 32) | loc for code, loc in pairs]
-        top = top_words(*words(keys), k, n).tolist()
-        exact = 2 * k + (n + k).bit_length() <= 64
-        for a, ta in zip(keys, top):
-            for b, tb in zip(keys, top):
-                assert (ta < tb) <= (a < b)  # a smaller word means a smaller key
-                assert (a < b) <= (ta <= tb)
-                if exact:
-                    assert (ta == tb) == (a == b)
 
 
 class TestBuild:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import load_index, save_index
-from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases, top_words
+from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases
 from dnasearch.rmi import (
     RADIX_BITS,
     SAMPLE,
@@ -40,9 +40,8 @@ from conftest import (
     words,
 )
 
-# top words are exact up to K = 16 whatever n; at K = 28 they cut loc bits
-# once n + K >= 256 (2K + bit_length(n + K) > 64), and at K = 32 they are
-# the k-mer alone
+# the radix table buckets on the whole k-mer code up to K = 8 and on its top
+# 16 bits above; at K = 32 the k-mer code fills its uint64
 BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28, 32)
 
 
@@ -359,27 +358,34 @@ class TestQueryTimeBound:
         engine = build_engine(ref, k=k, alpha_leaf=float(rng.choice([0.5, 2.0, 6.0])))
         check_locate_and_window(engine, probe_keys(rng, engine.ipbwt, k))
 
-    def test_tied_top_words_step_back(self):
-        # at K = 28 and n + K >= 256 the top words drop loc bits; in runs of
-        # A broken by single bases, many leaf boundaries share theirs
+    def test_many_boundaries_share_one_kmer(self):
+        # in runs of A broken by single bases, over 100 consecutive leaf
+        # boundaries share one 28-mer and differ in their loc fields alone
         ref = make_reference(("A" * 60 + "C" + "A" * 33 + "G") * 30)
         engine = build_engine(ref, k=28, alpha_leaf=0.5)
-        top = engine.rmi.leaf_top
-        assert np.count_nonzero(top[1:] == top[:-1]) >= 100
-        assert engine.rmi.tie_width == np.unique(top, return_counts=True)[1].max() > 1
+        assert np.unique(engine.rmi.leaf.boundary_hi, return_counts=True)[1].max() > 100
         check_locate_and_window(engine, probe_keys(np.random.default_rng(5), engine.ipbwt, 28))
 
-    def test_no_tie_window_where_top_words_are_exact(self):
-        # at K = 21 the top words are exact while n + K < 2^22 (2K +
-        # bit_length(n + K) <= 64), so locate runs no tie window there
-        engine = build_engine(random_reference(np.random.default_rng(9), 3000), k=21)
-        assert engine.rmi.tie_width == 0
-        for n, tie_width in ((2**22 - 22, 0), (2**22 - 21, 1)):
-            leaf = RmiLayer(starts=np.zeros(1, np.int64), slopes=np.zeros(1),
-                            intercepts=np.zeros(1), max_errors=np.zeros(1, np.int64),
-                            boundary_hi=np.zeros(1, np.uint64), boundary_lo=np.zeros(1, np.uint32),
-                            target_size=n)
-            assert Rmi(leaf=leaf, alpha_leaf=6.0, k=21).tie_width == tie_width
+    @pytest.mark.parametrize("n", [2**22 - 21, 2**22, 2**31])
+    def test_loc_fields_order_ties_at_k21_on_large_references(self, n):
+        # n + K needs 23 bits or more here, so a 42-bit k-mer code and its loc
+        # field do not fit one 64-bit word (criterion 5's 10^7 bases do not
+        # either); boundaries of one k-mer differ in their two lowest loc bits
+        code, loc = 0x2B7A3_1C5D1, (n + 21) & ~3
+        pairs = [(0, 0), (code - 1, n + 21), (code, 3), (code, loc - 16), (code, loc - 13),
+                 *((code, loc - 8 + i) for i in range(8)), (code + 1, 0), (code + 1, loc)]
+        leaf = RmiLayer(starts=np.arange(len(pairs), dtype=np.int64) * 7,
+                        slopes=np.zeros(len(pairs)), intercepts=np.zeros(len(pairs)),
+                        max_errors=np.zeros(len(pairs), np.int64),
+                        boundary_hi=np.array([h for h, _ in pairs], np.uint64),
+                        boundary_lo=np.array([lo for _, lo in pairs], np.uint32), target_size=n)
+        rmi = Rmi(leaf=leaf, alpha_leaf=6.0, k=21)
+        bounds = [h << 32 | lo for h, lo in pairs]
+        keys = {b + d for b in bounds for d in (-1, 0, 1)} | {(code - 2) << 32, (code + 2) << 32}
+        keys |= {code << 32 | lo for lo in (0, 2, 4, n + 21)} | {(4**21 - 1) << 32 | n + 21}
+        keys = sorted(key for key in keys if key & 0xFFFFFFFF <= n + 21)  # loc fields a search forms
+        part = rmi.locate(*words(keys))
+        assert part.tolist() == [bisect.bisect_right(bounds, key) - 1 for key in keys]
 
     def test_crowded_bucket(self):
         # the rows that start with eight A's share one bucket of the radix
@@ -392,7 +398,7 @@ class TestQueryTimeBound:
 
         rng = np.random.default_rng(7)
         all_t = (4**21 - 1) << 32 | n + 21  # the largest key a search forms
-        (last_bucket,) = top_words(*words([all_t]), 21, n) >> np.uint64(rmi.shift)
+        (last_bucket,) = words([all_t])[0] >> np.uint64(rmi.shift)
         assert last_bucket == 2**RADIX_BITS - 1
         # keys in buckets that hold no boundary: their k-mers' first 8 bases name the bucket
         empty = np.flatnonzero(sizes == 0)
