@@ -32,7 +32,6 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
     k = engine.k
     ipbwt_expected = (0.25 * k + 4) * n
     ipbwt_bytes = engine.ipbwt.key_hi.nbytes + engine.ipbwt.key_lo.nbytes  # the table in memory
-    total_expected = 4 * n + ipbwt_expected  # suffix array + IP-BWT model
     lines = [
         f"n={n}",
         f"k={k}",
@@ -43,7 +42,7 @@ def _space_report(engine: SearchEngine, sizes: dict[str, int]) -> list[str]:
         f"total_bytes={sizes['total']}",
         f"ipbwt_expected_bytes={ipbwt_expected:.0f}",
         f"ipbwt_ratio_vs_expected={ipbwt_bytes / ipbwt_expected:.3f}",
-        f"total_expected_bytes={total_expected:.0f}",
+        f"total_expected_bytes={index_io.file_bytes(n, len(engine.rmi.leaf))}",
         f"total_per_n={sizes['total'] / n:.2f}",
     ]
     eps = engine.rmi.leaf.max_errors  # each leaf's maximum error bounds its search window

@@ -3,15 +3,16 @@
 The suffix array is built by prefix doubling over numpy ranks (Manber and
 Myers, 1993), seeded at h = ``SEED_K`` with each position's k-mer code from
 :func:`dnasearch.ipbwt.kmer_rows`, so random text is sorted in one round and
-a repeat of length L takes about log2(L / SEED_K) more. Because the text
-ends with a unique sentinel that sorts below every base, suffix order equals
-sorted-rotation (BW-matrix) order. The BWT is not kept: it is read
-once to pack the occurrence table, whose layout only this module knows. As
-in BWA's interleaved occurrence array, one 64-byte line serves a 64-row
-block: five ``uint64`` bitmap words (bit i of word r: row 64·block + i holds
-rank r), then five ``uint32`` counts, d[r] plus the occurrences of r before
-the block, where d[r] counts the text's ranks below r. The n // 64 + 1 lines
-take about 1.0n bytes. The index file stores no table, and load rebuilds it
+a repeat of length L takes about log2(L / SEED_K) more. Doubling ends at
+the first round whose sort separates every suffix, and that sort's order is
+the suffix array. Because the text ends with a unique sentinel that sorts
+below every base, suffix order equals sorted-rotation (BW-matrix) order.
+The BWT is not kept: it is read once to pack the occurrence table, whose
+layout only this module knows. As in BWA's interleaved occurrence array,
+one 64-byte line serves a 64-row block: five ``uint64`` bitmap words (bit i
+of word r: row 64·block + i holds rank r), then five ``uint32`` counts, d[r]
+plus the occurrences of r before the block, where d[r] counts the text's
+ranks below r. The n // 64 + 1 lines take about 1.0n bytes. The index file stores no table, and load rebuilds it
 with :func:`build_fm_index`.
 
 :func:`backward_search_batch` is the ``fm`` engine; each step is one
@@ -50,6 +51,10 @@ def build_suffix_array(ref: Reference) -> np.ndarray:
     below XA, so equal keys are equal first S characters. Each later round
     doubles k from S and sorts one uint64 key per suffix, rank[i] * (n+1)
     plus rank[i+k] + 1 (0 past the end); n < 2^32 keeps it below 2^64.
+    Doubling ends at the first round whose sorted keys are all distinct:
+    that sort has separated every suffix, so its order is the suffix array
+    (Larsson and Sadakane's qsufsort stops refining a group once it is
+    sorted; here the whole sort stops).
     """
     t = ref.ranks
     n = t.size
@@ -61,29 +66,24 @@ def build_suffix_array(ref: Reference) -> np.ndarray:
     k = SEED_K
     while True:
         order = np.argsort(key)
-        rank = _dense_ranks(key[order], order)
-        del key, order
-        if rank.max() == n - 1:
-            break
+        sorted_keys = key[order]
+        # group[i]: the distinct keys below sorted_keys[i], each suffix's dense rank in sorted order
+        group = np.empty(n, dtype=np.int64)
+        group[0] = 0
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=group[1:])
+        np.cumsum(group, out=group)
+        if group[-1] == n - 1:  # every key distinct: this sort's order is the suffix array
+            return order.astype(np.uint32)
+        rank = np.empty_like(group)
+        rank[order] = group
+        # freed together here: freeing key or rank earlier left glibc's heap in a
+        # state that made multi-round sorts and the later build stages slower
+        del sorted_keys, group, key, order
         key = rank.astype(np.uint64)
         key *= np.uint64(n + 1)
         key[: n - k] += rank[k:].astype(np.uint64)
         key[: n - k] += np.uint64(1)
         k *= 2
-    sa = np.empty(n, dtype=np.uint32)
-    sa[rank] = np.arange(n, dtype=np.uint32)
-    return sa
-
-
-def _dense_ranks(sorted_keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """rank[order[i]] = number of distinct keys below sorted_keys[i]."""
-    changed = np.empty(sorted_keys.size, dtype=np.int64)
-    changed[0] = 0
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=changed[1:])
-    np.cumsum(changed, out=changed)
-    rank = np.empty_like(changed)
-    rank[order] = changed
-    return rank
 
 
 def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:

@@ -77,6 +77,12 @@ def _require(ok, section: str, detail: str) -> None:
         raise CorruptIndexError(section, detail)
 
 
+def file_bytes(n: int, leaves: int) -> int:
+    """The size of an index file: 4n bytes of suffix array, ceil((n - 1) / 4) of
+    text and 32 per leaf, plus the magic, header, leaf count and four checksums."""
+    return len(MAGIC) + _HEADER.size + 4 * n + (n + 2) // 4 + 8 + 32 * leaves + 4 * 4
+
+
 def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     """Write the engine to ``path``; returns per-section byte sizes."""
     fm, ix, leaf = engine.fm, engine.ipbwt, engine.rmi.leaf

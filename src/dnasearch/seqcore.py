@@ -69,47 +69,55 @@ class Reference:
         return int(self.ranks.size)
 
 
-def encode_ranks(seq: str | bytes, line: int | None = None) -> np.ndarray:
+def encode_ranks(seq: str | bytes) -> np.ndarray:
     """Encode a base string to a rank array, rejecting anything outside ACGT."""
     if isinstance(seq, str):
         seq = seq.encode("ascii", errors="replace")
     raw = np.frombuffer(seq, dtype=np.uint8)
-    ranks = _BYTE_TO_RANK[raw]
+    ranks = np.take(_BYTE_TO_RANK, raw)  # half the time of _BYTE_TO_RANK[raw] on uint8 indices
     bad = np.flatnonzero(ranks == 255)
     if bad.size:
         off = int(bad[0])
-        raise InvalidCharacterError(chr(raw[off]), off, line)
+        raise InvalidCharacterError(chr(raw[off]), off)
     return ranks
+
+
+def _stripped_lines(stream: BinaryIO) -> list[bytes]:
+    """The stream's lines (LF or CRLF), each stripped of surrounding whitespace."""
+    return list(map(bytes.strip, stream.read().split(b"\n")))
 
 
 def load_fasta(stream: BinaryIO) -> Reference:
     """Parse FASTA into a Reference.
 
     Multi-record inputs are concatenated in file order into one text; the
-    name is taken from the first header. Characters outside ACGT (including
-    N) are a hard error.
+    name is taken from the first header. Lines (LF or CRLF) are stripped of
+    surrounding whitespace and blank lines skipped. Characters outside ACGT
+    (including N) are a hard error, reported at the line and column of the
+    first one in the file.
+
+    The stream is read once and its sequence lines joined, so the whole
+    body is encoded by one :func:`encode_ranks` call.
     """
-    name = None
-    chunks: list[np.ndarray] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(b">"):
-            if name is None:
-                tokens = line[1:].split()
-                name = tokens[0].decode("ascii", errors="replace") if tokens else "reference"
-            continue
-        if name is None:
-            raise SequenceError(f"line {lineno}: sequence data before FASTA header")
-        chunks.append(encode_ranks(bytes(line), line=lineno))
-    if name is None or not chunks:
+    lines = _stripped_lines(stream)
+    first = next((i for i, line in enumerate(lines) if line), len(lines))  # first non-blank
+    if first < len(lines) and lines[first][:1] != b">":
+        raise SequenceError(f"line {first + 1}: sequence data before FASTA header")
+    # header lines add no bases, so line i's bases end at offset ends[i] of the body
+    seqs = [b"" if line[:1] == b">" else line for line in lines]
+    body = b"".join(seqs)
+    if not body:
         raise EmptyInputError("no FASTA sequence data found")
-    body = np.concatenate(chunks)
-    ranks = np.empty(body.size + 1, dtype=np.uint8)
-    ranks[:-1] = body
-    ranks[-1] = SENTINEL_RANK
-    return Reference(name=name, ranks=ranks)
+    try:
+        ranks = encode_ranks(body)
+    except InvalidCharacterError as exc:  # map the body offset back to its line and column
+        ends = np.cumsum([len(seq) for seq in seqs])
+        i = int(np.searchsorted(ends, exc.offset, side="right"))
+        raise InvalidCharacterError(exc.char, exc.offset - int(ends[i]) + len(seqs[i]),
+                                    i + 1) from None
+    tokens = lines[first][1:].split()
+    name = tokens[0].decode("ascii", errors="replace") if tokens else "reference"
+    return Reference(name=name, ranks=np.append(ranks, np.uint8(SENTINEL_RANK)))
 
 
 def parse_queries(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +128,7 @@ def parse_queries(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     each byte outside ACGT/acgt, so one bad read never aborts the batch;
     ``lengths`` (int64) holds each line's length.
     """
-    raw_lines = stream.read().split(b"\n")
-    lines = [line for line in map(bytes.strip, raw_lines) if line]
+    lines = [line for line in _stripped_lines(stream) if line]
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     return _BYTE_TO_RANK[np.frombuffer(b"".join(lines), dtype=np.uint8)], lengths
 

@@ -67,6 +67,11 @@ class TestBuild:
             assert key in report
         # the file stores 800 bases in 200 bytes; the IP-BWT is the 12n-byte table in memory
         assert (int(report["text_bytes"]), int(report["ipbwt_bytes"])) == (200 + 4, 12 * 801)
+        # the file's model: 4n of suffix array, the packed text and 32 bytes a
+        # leaf, plus 48 of magic, header, leaf count and checksums
+        leaves = int(report["rmi_leaf_models"])
+        assert (int(report["total_expected_bytes"]) == int(report["total_bytes"])
+                == 4 * 801 + 200 + 32 * leaves + 48)
         # model shape: leaf count and the worst leaf prediction error
         assert 1 <= int(report["rmi_leaf_models"]) <= 801
         assert 0 <= int(report["rmi_leaf_err_max"]) < 801

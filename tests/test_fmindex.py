@@ -68,6 +68,29 @@ class TestSuffixArray:
         ref = make_reference(bases)
         assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks)
 
+    @staticmethod
+    def tied_suffixes(bases, h):
+        """Suffixes (the sentinel's included) minus distinct first-h-character prefixes."""
+        return len(bases) + 1 - len({bases[p : p + h] for p in range(len(bases) + 1)})
+
+    # A repeat of L >= h bases leaves L - h + 1 suffixes tied with their copy
+    # after sorting by the first h characters. The sort returns at the first
+    # round with none: the seed round (no repeat), the first doubling round
+    # (one, two or three ties left by the seed), or a later one (L >= 2S).
+    @pytest.mark.parametrize("repeat", [0, SEED_K, SEED_K + 1, SEED_K + 2, 2 * SEED_K + 1, 150])
+    def test_stops_at_first_round_without_ties(self, repeat):
+        # random text with one substring of ``repeat`` bases written twice,
+        # each copy between other bases so that the shared run is no longer
+        rng = np.random.default_rng(repeat)
+        flank, unit = ("".join(rng.choice(list("ACGT"), size=size)) for size in (120, repeat))
+        bases = flank[:60] + "A" + unit + "C" + flank[60:] + "G" + unit + "T"
+        for h in (SEED_K, 2 * SEED_K):
+            assert self.tied_suffixes(bases, h) == max(repeat - h + 1, 0)
+        ref = make_reference(bases)
+        sa = build_suffix_array(ref)
+        assert sa.dtype == np.uint32 and sa[0] == ref.n - 1
+        assert sa.tolist() == rotation_rows(ref.ranks)
+
 
 def prefix_counts(ref, fm):
     """counts[b, r] = occurrences of rank r in bwt[0, b), from np.cumsum; b runs 0..n."""

@@ -28,10 +28,10 @@ class TestEncoding:
 
     def test_invalid_character_reports_position(self):
         with pytest.raises(InvalidCharacterError) as exc:
-            encode_ranks("ACGNA", line=7)
-        assert "N" in str(exc.value)
+            encode_ranks("ACGNA")
+        assert str(exc.value) == "invalid character 'N' at offset 3 (expected one of ACGT)"
         assert exc.value.offset == 3
-        assert exc.value.line == 7
+        assert exc.value.line is None
 
     def test_lowercase_accepted(self):
         assert encode_ranks("acgt").tolist() == [1, 2, 3, 4]
@@ -77,8 +77,40 @@ class TestFasta:
             load_fasta(io.BytesIO(b""))
 
     def test_header_only(self):
-        with pytest.raises(EmptyInputError):
-            load_fasta(io.BytesIO(b">a\n"))
+        # headers, blank lines or both, and no base
+        for data in (b">a\n", b">a\n>b\n\n", b"\n \r\n\t\n"):
+            with pytest.raises(EmptyInputError):
+                load_fasta(io.BytesIO(data))
+
+    @pytest.mark.parametrize("data, char, line, offset", [
+        # CRLF, each line padded with spaces: the column counts in the stripped line
+        (b">chr1 x\r\n  ACGT \r\n\tGGCC\r\n  ACGXT  \r\nTT\r\n", "X", 4, 3),
+        (b">a\nAC GT\n", " ", 2, 2),
+        (b">a\nACGT\nAC\tGT\n", "\t", 3, 2),
+        # the first byte of a line, after a blank line and a header
+        (b">a\nACGT\n\n>b\nNACG\n", "N", 5, 0),
+        # the first bad byte in file order, past an empty record
+        (b">a\nACGT\n>b\n\n>c\nAC\xe9T\nACNT\n", "\xe9", 6, 2),
+    ])
+    def test_invalid_base_line_and_column(self, data, char, line, offset):
+        with pytest.raises(InvalidCharacterError) as exc:
+            load_fasta(io.BytesIO(data))
+        assert (exc.value.char, exc.value.line, exc.value.offset) == (char, line, offset)
+        assert str(exc.value) == (f"invalid character {char!r} at line {line}, "
+                                  f"column {offset + 1} (expected one of ACGT)")
+
+    @pytest.mark.parametrize("data, line", [(b"ACGT\n>a\nAC\n", 1), (b"\n \r\nACNT\n>a\nAC\n", 3)])
+    def test_sequence_before_header(self, data, line):
+        with pytest.raises(SequenceError) as exc:
+            load_fasta(io.BytesIO(data))
+        assert type(exc.value) is SequenceError  # reported before any base is checked
+        assert str(exc.value) == f"line {line}: sequence data before FASTA header"
+
+    def test_empty_record_and_lowercase(self):
+        ref = load_fasta(io.BytesIO(b">a x\nacgt\n>b\n\n>c\r\nGgTt\r\n"))
+        assert ref.name == "a"
+        assert np.array_equal(ref.ranks, make_reference("ACGTGGTT").ranks)
+        assert load_fasta(io.BytesIO(b">\nAC\n")).name == "reference"
 
     def test_stream_input(self):
         ref = load_fasta(io.BytesIO(b">s\nGATTACA\n"))
