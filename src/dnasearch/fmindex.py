@@ -2,18 +2,21 @@
 
 The suffix array is built by prefix doubling over numpy ranks (Manber and
 Myers, 1993), seeded at h = ``SEED_K`` with each position's k-mer code from
-:func:`dnasearch.ipbwt.kmer_rows`, so random text is sorted in one round and
+:func:`dnasearch.ipbwt.text_kmers`, so random text is sorted in one round and
 a repeat of length L takes about log2(L / SEED_K) more. Doubling ends at
 the first round whose sort separates every suffix, and that sort's order is
 the suffix array. Because the text ends with a unique sentinel that sorts
 below every base, suffix order equals sorted-rotation (BW-matrix) order.
 The BWT is not kept: it is read once to pack the occurrence table, whose
-layout only this module knows. As in BWA's interleaved occurrence array,
+layout only this module knows. Only the ``fm`` engine reads the table, so
+:attr:`FmIndex.occ` builds it at its first read, from the packed text the
+index shares with the IP-BWT. As in BWA's interleaved occurrence array,
 one 64-byte line serves a 64-row block: five ``uint64`` bitmap words (bit i
 of word r: row 64·block + i holds rank r), then five ``uint32`` counts, d[r]
 plus the occurrences of r before the block, where d[r] counts the text's
-ranks below r. The n // 64 + 1 lines take about 1.0n bytes. The index file stores no table, and load rebuilds it
-with :func:`build_fm_index`.
+ranks below r. The n // 64 + 1 lines take about 1.0n bytes. The index
+file stores no table, and neither build nor load makes one: the first
+``fm`` search does.
 
 :func:`backward_search_batch` is the ``fm`` engine; each step is one
 :func:`lf_rank` over both bounds of every query. :func:`locate` turns row
@@ -24,10 +27,11 @@ with one gather and one sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from dnasearch.ipbwt import kmer_rows, pack_bases
+from dnasearch.ipbwt import pack_bases, text_kmers, unpack_bases
 from dnasearch.seqcore import Reference
 
 OCC_STRIDE = 64  # rows per occurrence line; one 64-bit bitmap word per rank
@@ -40,12 +44,14 @@ _LINE_WORDS = 8
 _COUNTS = 2 * NUM_RANKS
 # _BELOW[i]: the bitmap bits of a block's rows 0..i - 1
 _BELOW = (np.uint64(1) << np.arange(OCC_STRIDE, dtype=np.uint64)) - np.uint64(1)
+_BLOCK = 1 << 16  # rows per block of the occurrence table's passes: their temporaries stay small
 
 
-def build_suffix_array(ref: Reference) -> np.ndarray:
+def build_suffix_array(text: np.ndarray, n: int) -> np.ndarray:
     """Prefix-doubling suffix sort from S = ``SEED_K``; returns sa as uint32, sa[0] == n-1.
 
-    The first round sorts each position p by its S-mer code (:func:`kmer_rows`,
+    ``text`` holds the n - 1 bases, packed (:func:`dnasearch.ipbwt.pack_bases`).
+    The first round sorts each position p by its S-mer code (:func:`text_kmers`,
     code 0 from the sentinel on) times S + 1, plus min(j, S) for j = n-1-p, the
     distance to the sentinel: as the IP-BWT's loc field does, this puts X$
     below XA, so equal keys are equal first S characters. Each later round
@@ -56,10 +62,8 @@ def build_suffix_array(ref: Reference) -> np.ndarray:
     (Larsson and Sadakane's qsufsort stops refining a group once it is
     sorted; here the whole sort stops).
     """
-    t = ref.ranks
-    n = t.size
     m = min(n, SEED_K)
-    key = kmer_rows(pack_bases(t), np.arange(n, dtype=np.uint32), SEED_K)
+    key = text_kmers(text, n, SEED_K)
     key *= np.uint64(SEED_K + 1)
     key[: n - m] += np.uint64(SEED_K)
     key[n - m :] += np.arange(m - 1, -1, -1, dtype=np.uint64)  # j < S
@@ -86,9 +90,15 @@ def build_suffix_array(ref: Reference) -> np.ndarray:
         k *= 2
 
 
-def build_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:
-    """Last column of the BW-matrix, as ranks (sentinel representable)."""
-    return np.roll(ref.ranks, 1)[sa]  # the character before each row's suffix
+def build_bwt(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """Last column of the BW-matrix, as ranks (sentinel representable), from packed ``text``."""
+    ranks = unpack_bases(text, sa.size)
+    bwt = np.empty_like(ranks)
+    for i in range(0, sa.size, _BLOCK):
+        p = sa[i : i + _BLOCK].astype(np.intp)
+        p -= 1  # the character before each row's suffix; -1 reads the sentinel at n - 1
+        np.take(ranks, p, out=bwt[i : i + p.size])
+    return bwt
 
 
 def _pack_occ(bwt: np.ndarray) -> np.ndarray:
@@ -97,16 +107,23 @@ def _pack_occ(bwt: np.ndarray) -> np.ndarray:
     A line holds the block's rank bitmaps (bit i: row 64·block + i), then
     d[r] plus the occurrences of r in the rows before the block. d[r], the
     count of ranks below r, comes from the bitmaps too. Those counts stay
-    <= n < 2^32.
+    <= n < 2^32. The bitmaps are packed ``_BLOCK`` rows at a time, so the
+    only n-sized array made is the table.
     """
-    n = bwt.size
-    nblocks = n // OCC_STRIDE + 1
-    padded = np.full(nblocks * OCC_STRIDE, 255, dtype=np.uint8)  # 255: no rank
-    padded[:n] = bwt
-    grid = padded.reshape(nblocks, OCC_STRIDE)
-    occ = np.zeros((nblocks, _LINE_WORDS), dtype=np.uint64)
-    for r in range(NUM_RANKS):
-        occ[:, r] = np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
+    nblocks = bwt.size // OCC_STRIDE + 1
+    # every line starts a 64-byte cache line, so that an LF step reads one line
+    # of memory; the heap alone aligns an array to 16 bytes
+    buf = np.zeros((nblocks + 1) * _LINE_WORDS, dtype=np.uint64)
+    skip = -buf.ctypes.data % 64 // 8
+    occ = buf[skip : skip + nblocks * _LINE_WORDS].reshape(nblocks, _LINE_WORDS)
+    step = _BLOCK // OCC_STRIDE
+    for b in range(0, nblocks, step):
+        lines = occ[b : b + step]
+        grid = np.full((lines.shape[0], OCC_STRIDE), 255, dtype=np.uint8)  # 255: no rank
+        rows = bwt[b * OCC_STRIDE : (b + step) * OCC_STRIDE]
+        grid.reshape(-1)[: rows.size] = rows
+        for r in range(NUM_RANKS):
+            lines[:, r] = np.packbits(grid == r, axis=1, bitorder="little").view("<u8")[:, 0]
     counts = occ.view(np.uint32)[:, _COUNTS : _COUNTS + NUM_RANKS]
     ones = np.bitwise_count(occ[:, :NUM_RANKS])  # each block's occurrences of each rank
     np.cumsum(ones[:-1], axis=0, dtype=np.uint32, out=counts[1:])
@@ -119,13 +136,18 @@ def _pack_occ(bwt: np.ndarray) -> np.ndarray:
 class FmIndex:
     n: int
     sa: np.ndarray  # uint32, length n
-    occ: np.ndarray  # uint64[(n // 64 + 1) * 8]: the occurrence lines (:func:`_pack_occ`)
+    text: np.ndarray  # uint8: the packed bases (pack_bases), the same array as the IP-BWT's
+
+    @cached_property
+    def occ(self) -> np.ndarray:
+        """uint64[(n // 64 + 1) * 8]: the occurrence lines (:func:`_pack_occ`), built at first read."""
+        return _pack_occ(build_bwt(self.text, self.sa))
 
 
-def build_fm_index(ref: Reference, sa: np.ndarray | None = None) -> FmIndex:
-    if sa is None:
-        sa = build_suffix_array(ref)
-    return FmIndex(n=ref.n, sa=sa, occ=_pack_occ(build_bwt(ref, sa)))
+def build_fm_index(ref: Reference) -> FmIndex:
+    """The suffix array of ``ref``, and its packed text, which the IP-BWT shares."""
+    text = pack_bases(ref.ranks)
+    return FmIndex(n=ref.n, sa=build_suffix_array(text, ref.n), text=text)
 
 
 def lf_rank(fm: FmIndex, ranks, rows) -> np.ndarray:

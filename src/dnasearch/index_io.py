@@ -12,8 +12,9 @@ Layout (all little-endian):
 
 Nothing load can derive is stored. Load is the build minus the suffix sort
 and the fit: :func:`dnasearch.ipbwt.build_ipbwt` derives the IP-BWT from
-the stored text and suffix array, each leaf's boundary key is the key at
-its start, and the FM tables are rebuilt from the text.
+the stored text and suffix array, and each leaf's boundary key is the key
+at its start. Load makes no FM occurrence table: the first ``fm`` search
+builds it from the text (:attr:`dnasearch.fmindex.FmIndex.occ`).
 
 Files of any version but :data:`VERSION` are refused, before the header's
 checksum is read (an older header has another size). ``load_index`` reads
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnasearch.fmindex import build_fm_index
+from dnasearch.fmindex import FmIndex
 from dnasearch.ipbwt import IpBwtError, build_ipbwt, check_k, key_less, unpack_bases
 from dnasearch.rmi import Rmi, RmiLayer, check_alpha
 from dnasearch.search import SearchEngine
@@ -54,6 +55,7 @@ from dnasearch.seqcore import Reference
 MAGIC = b"LSA1"
 VERSION = 10
 _HEADER = struct.Struct("<HHQd")
+_BLOCK = 1 << 16  # rows per block of the key-order check: its temporaries stay small
 
 
 class CorruptIndexError(ValueError):
@@ -152,10 +154,13 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
             ix = build_ipbwt(text, sa, k)
         except IpBwtError as exc:  # sa is not a permutation
             raise CorruptIndexError("sa", str(exc)) from None
-        # sorted keys make sa the text's suffix array (see the module docstring)
+        # sorted keys make sa the text's suffix array (see the module docstring);
+        # compared a block of rows at a time, so no n-sized temporary is made
         key_hi, key_lo = ix.key_hi, ix.key_lo
-        _require(not key_less(key_hi[1:], key_lo[1:], key_hi[:-1], key_lo[:-1]).any(),
-                 "sa", "keys out of order")
+        for i in range(1, n, _BLOCK):
+            j = min(i + _BLOCK, n)
+            _require(not key_less(key_hi[i:j], key_lo[i:j], key_hi[i - 1 : j - 1],
+                                  key_lo[i - 1 : j - 1]).any(), "sa", "keys out of order")
 
         head = take("rmi", 8)
         count = int.from_bytes(head, "little")
@@ -180,5 +185,5 @@ def load_index(path: str) -> tuple[SearchEngine, Reference, IndexMeta]:
              f"{missed} of {count} leaf models miss their own keys by more than their maximum error")
     rmi = Rmi(leaf=leaf, alpha_leaf=alpha_leaf, k=k)
     ref = Reference(name="reference", ranks=unpack_bases(text, n))
-    engine = SearchEngine(fm=build_fm_index(ref, sa), ipbwt=ix, rmi=rmi, k=k)
+    engine = SearchEngine(fm=FmIndex(n=n, sa=sa, text=text), ipbwt=ix, rmi=rmi, k=k)
     return engine, ref, IndexMeta(k=k, n=n, alpha_leaf=alpha_leaf)

@@ -32,8 +32,10 @@ LOC_BITS = 32
 _NO_ROW = (1 << LOC_BITS) - 1  # above every row, as n < 2^LOC_BITS
 MAX_K = 32  # 2K bits of k-mer code fill one uint64
 _U64 = np.uint64
-_BLOCK = 1 << 16  # rows per block of kmer_rows: its temporaries stay small
+_BLOCK = 1 << 16  # rows per block of the row-order passes: their temporaries stay small
 _SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)  # packed bases: a byte's first in its high bits
+# _UNPACK[b]: the 4 ranks packed in byte b, first in the lowest byte of a little-endian word
+_UNPACK = (((np.arange(256, dtype=np.uint8)[:, None] >> _SHIFTS) & 3) + 1).view("<u4").ravel()
 
 
 class IpBwtError(ValueError):
@@ -63,15 +65,21 @@ def check_k(n: int, k: int) -> None:
 
 def pack_bases(ranks: np.ndarray) -> np.ndarray:
     """The n - 1 bases of sentinel-terminated ``ranks`` as base codes, 4 per byte, padded with 0."""
-    codes = np.append(ranks[:-1] - 1, np.zeros(-(ranks.size - 1) % 4, dtype=np.uint8))
-    return np.bitwise_or.reduce(codes.reshape(-1, 4) << _SHIFTS, axis=1)
+    codes = np.zeros(-(-(ranks.size - 1) // 4) * 4, dtype=np.uint8)
+    np.subtract(ranks[:-1], 1, out=codes[: ranks.size - 1])
+    codes = codes.reshape(-1, 4)
+    packed = np.zeros(codes.shape[0], dtype=np.uint8)
+    for col, shift in enumerate(_SHIFTS):
+        packed |= codes[:, col] << shift
+    return packed
 
 
 def unpack_bases(packed: np.ndarray, n: int) -> np.ndarray:
     """The n ranks ($=0, A=1 .. T=4), sentinel included, whose bases :func:`pack_bases` packed."""
-    ranks = np.zeros(n, dtype=np.uint8)
-    ranks[:-1] = ((packed[:, None] >> _SHIFTS) & 3).ravel()[: n - 1] + 1
-    return ranks
+    ranks = np.empty(4 * packed.size + 4, dtype=np.uint8)  # >= n; 4 ranks a word, as _UNPACK
+    np.take(_UNPACK, packed, out=ranks.view("<u4")[: packed.size])
+    ranks[n - 1] = 0
+    return ranks[:n]
 
 
 def build_ipbwt(text: np.ndarray, sa: np.ndarray, k: int) -> IpBwt:
@@ -87,27 +95,61 @@ def build_ipbwt(text: np.ndarray, sa: np.ndarray, k: int) -> IpBwt:
     return IpBwt(k=k, n=n, text=text, key_hi=kmer_rows(text, sa, k), key_lo=key_lo)
 
 
+def _words(text: np.ndarray, n: int) -> np.ndarray:
+    """Packed text ``text`` of n - 1 bases read as big-endian 64-bit words, in native order.
+
+    Word w holds the bases at text positions 32w .. 32w + 31, the first in
+    its high bits. The word past the sentinel (position n - 1) is 0, as is
+    the text's padding, so code 0 fills every k-mer from the sentinel on.
+    """
+    words = np.zeros(((n - 1) >> 5) + 2, dtype=">u8")
+    words.view(np.uint8)[: text.size] = text
+    return words.astype(_U64)
+
+
 def kmer_rows(text: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray:
     """The k-mer codes of every row of suffix array ``sa``, in row order.
 
-    Read as big-endian 64-bit words, packed text ``text`` holds 32 bases a
-    word, so the k-mer at text position p is the top 2k bits of words p >> 5
-    and (p >> 5) + 1, shifted left together by 2 (p & 31) bits. The word
-    past the sentinel (position n - 1) is 0, as is the text's padding, so
-    code 0 fills every k-mer from the sentinel on.
+    The k-mer at text position p is the top 2k bits of words p >> 5 and
+    (p >> 5) + 1 (:func:`_words`), shifted left together by 2 (p & 31) bits.
     """
     n = sa.size
-    words = np.zeros(((n - 1) >> 5) + 2, dtype=">u8")
-    words.view(np.uint8)[: text.size] = text
-    words = words.astype(_U64)
+    words = _words(text, n)
+    after = words[1:]
     out = np.empty(n, dtype=_U64)
     for i in range(0, n, _BLOCK):
         p = sa[i : i + _BLOCK]
-        w, shift = p >> 5, (p & 31).astype(_U64) << _U64(1)
-        kmer = np.left_shift(words[w], shift, out=out[i : i + p.size])
-        kmer |= words[w + 1] >> (_U64(64) - shift)  # numpy shifts by 64 to 0
+        w = p.astype(np.intp)
+        w >>= 5
+        shift = (p & 31).astype(_U64)
+        shift <<= _U64(1)
+        kmer = np.take(words, w, out=out[i : i + p.size])
+        kmer <<= shift
+        low = np.take(after, w)
+        low >>= np.subtract(_U64(64), shift, out=shift)  # numpy shifts by 64 to 0
+        kmer |= low
         kmer >>= _U64(64 - 2 * k)
     return out
+
+
+def text_kmers(text: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k-mer code at every text position 0 .. n - 1, in text order.
+
+    The 32 positions of word w take its 32 shifts as one row of a
+    (words, 32) array, so no position is gathered (:func:`kmer_rows`
+    gathers them in row order).
+    """
+    words = _words(text, n)
+    words, after = words[:-1], words[1:]  # 32 words.size >= n positions
+    shifts = np.arange(0, 64, 2, dtype=_U64)
+    back = _U64(64) - shifts  # numpy shifts by 64 to 0
+    out = np.empty((words.size, 32), dtype=_U64)
+    step = _BLOCK >> 5
+    for w in range(0, words.size, step):
+        kmer = np.left_shift(words[w : w + step, None], shifts, out=out[w : w + step])
+        kmer |= after[w : w + step, None] >> back
+        kmer >>= _U64(64 - 2 * k)
+    return out.reshape(-1)[:n]
 
 
 def loc_column(sa: np.ndarray, k: int) -> np.ndarray:
@@ -117,18 +159,28 @@ def loc_column(sa: np.ndarray, k: int) -> np.ndarray:
     ISA[p + k] + k, or j = n-1-p when the sentinel lies j < k characters on.
     Raises :class:`IpBwtError` unless ``sa`` is a permutation of [0, n):
     the inverse suffix array starts filled with a value no row has, which
-    stays wherever no row of ``sa`` names the position.
+    stays wherever no row of ``sa`` names the position. The check comes
+    before any gather that ``sa`` indexes. Both passes run in blocks of
+    rows, so ``sa``'s uint32 indices are converted a block at a time.
     """
     n = sa.size
-    isa = np.full(n, _NO_ROW, dtype=np.uint32)
+    # entry n + t, for t < k, is -1 - t (mod 2^32): plus k it wraps to
+    # k - 1 - t, the j of the row whose p + k is n + t
+    isa = np.full(n + k, _NO_ROW, dtype=np.uint32)
+    isa[n:] -= np.arange(k, dtype=np.uint32)
     if int(sa.max()) < n:
-        isa[sa] = np.arange(n, dtype=np.uint32)
-    if isa.max() == _NO_ROW:
+        for i in range(0, n, _BLOCK):
+            p = sa[i : i + _BLOCK]
+            np.put(isa, p, np.arange(i, i + p.size, dtype=np.uint32))
+    if isa[:n].max() == _NO_ROW:
         raise IpBwtError("the suffix array is not a permutation of the rows")
-    loc = np.empty(n, dtype=np.uint32)
-    loc[: n - k] = isa[k:] + np.uint32(k)
-    loc[n - k :] = np.arange(k - 1, -1, -1, dtype=np.uint32)  # j, the distance to the sentinel
-    return loc[sa]
+    out = np.empty(n, dtype=np.uint32)
+    for i in range(0, n, _BLOCK):
+        p = sa[i : i + _BLOCK].astype(np.intp)
+        p += k
+        loc = np.take(isa, p, out=out[i : i + p.size])
+        loc += np.uint32(k)
+    return out
 
 
 def count_below(below, base: np.ndarray, width: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, backward_search_batch
-from dnasearch.ipbwt import IpBwt, check_k, lower_bound_batch, pack_bases
+from dnasearch.ipbwt import IpBwt, check_k, lower_bound_batch
 from dnasearch.rmi import Rmi, check_alpha
 
 MODES = ("rmi", "binary", "fm")
@@ -71,7 +71,7 @@ def build_engine(ref, k: int = 21, alpha_leaf: float = 6.0) -> SearchEngine:
     check_k(ref.n, k)
     check_alpha(alpha_leaf)
     fm = build_fm_index(ref)
-    ix = build_ipbwt(pack_bases(ref.ranks), fm.sa, k)
+    ix = build_ipbwt(fm.text, fm.sa, k)
     return SearchEngine(fm=fm, ipbwt=ix, rmi=build_rmi(ix, alpha_leaf), k=k)
 
 

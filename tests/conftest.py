@@ -7,8 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
+from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import _HEADER
-from dnasearch.ipbwt import MAX_K
+from dnasearch.ipbwt import MAX_K, pack_bases
 from dnasearch.rmi import audit_errors, key_errors
 from dnasearch.seqcore import Reference, encode_ranks
 from dnasearch.search import build_engine
@@ -20,6 +21,16 @@ def make_reference(bases: str, name: str = "test") -> Reference:
     """Reference from an ACGT string (sentinel appended)."""
     ranks = np.append(encode_ranks(bases), 0).astype(np.uint8)
     return Reference(name, ranks)
+
+
+def suffix_array(ref: Reference) -> np.ndarray:
+    """The package's suffix array of ``ref``, sorted from its packed bases."""
+    return build_suffix_array(pack_bases(ref.ranks), ref.n)
+
+
+def brute_bwt(ref: Reference, sa: np.ndarray) -> np.ndarray:
+    """The BWT as ranks: the character before each row's suffix, read from the ranks."""
+    return np.roll(ref.ranks, 1)[sa]
 
 
 def random_reference(rng: np.random.Generator, n_bases: int, name: str = "rand") -> Reference:

@@ -122,7 +122,7 @@ class TestBuild:
         write_reference(fasta, random_bases(np.random.default_rng(5), 20))
         sorted_calls = []
         monkeypatch.setattr(fmindex, "build_suffix_array",
-                            lambda ref: sorted_calls.append(ref) or np.zeros(0))
+                            lambda *args: sorted_calls.append(args) or np.zeros(0))
         rc = main(["build", str(fasta), arg, "--out", str(tmp_path / "o")])
         assert (rc, sorted_calls) == (EXIT_PARAMS, [])
         assert "error:" in capsys.readouterr().err
@@ -304,21 +304,22 @@ class TestQuery:
         assert main(["query", str(index.parent / "ref.fa"), str(qfile)]) == EXIT_IO
         assert "bad header section (bad magic b'>ref')" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("how", ["version_1", "version_2", "version_3", "version_4",
-                                     "version_5", "version_6", "version_7", "version_8",
-                                     "version_9", "header_k",
-                                     "k_out_of_range",
-                                     "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
-                                     "sa_rows_permuted", "flip_sa", "flip_text", "flip_rmi",
-                                     *STRUCTURE_DAMAGE])
-    def test_rejected_index_exit_2(self, built_index, tmp_path, how):
+    # every defect in every mode; the default mode, rmi, keeps the defect's name as its id
+    @pytest.mark.parametrize("how, mode", [
+        pytest.param(how, mode, id=how if mode == "rmi" else f"{how}-{mode}")
+        for how in ["version_1", "version_2", "version_3", "version_4", "version_5",
+                    "version_6", "version_7", "version_8", "version_9", "header_k",
+                    "k_out_of_range", "sa_out_of_range", "sa_duplicate", "sa_rows_swapped",
+                    "sa_rows_permuted", "flip_sa", "flip_text", "flip_rmi", *STRUCTURE_DAMAGE]
+        for mode in MODES])
+    def test_rejected_index_exit_2(self, built_index, tmp_path, how, mode):
         index, _ = built_index
         broken = tmp_path / "broken.idx"
         broken.write_bytes(index.read_bytes())
         damage_index(broken, how)
         qfile = tmp_path / "q.txt"
         qfile.write_text("ACGT\n")
-        assert main(["query", str(broken), str(qfile)]) == EXIT_IO
+        assert main(["query", str(broken), str(qfile), "--mode", mode]) == EXIT_IO
 
     def test_out_file_and_stdout_same_bytes(self, built_index, tmp_path, capsys):
         # stdout gets text through sys.stdout.write, also when it has no .buffer

@@ -9,26 +9,34 @@ from dnasearch.fmindex import (
     backward_search_batch,
     build_bwt,
     build_fm_index,
-    build_suffix_array,
     lf_rank,
     locate,
 )
+from dnasearch.ipbwt import pack_bases
 from dnasearch.seqcore import encode_ranks
 
-from conftest import make_reference, naive_interval, naive_positions, random_reference, rotation_rows
+from conftest import (
+    brute_bwt,
+    make_reference,
+    naive_interval,
+    naive_positions,
+    random_reference,
+    rotation_rows,
+    suffix_array,
+)
 
 
 class TestSuffixArray:
     def test_golden_small(self):
         # rotations of ATACGAC$ sorted: $.., AC$.., ACGAC$.., ATACGAC$, C$.., CGAC$.., GAC$.., TACGAC$
         ref = make_reference("ATACGAC")
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         assert sa.tolist() == [7, 5, 2, 0, 6, 3, 4, 1]
 
     def test_golden_bwt(self):
         ref = make_reference("ATACGAC")
-        sa = build_suffix_array(ref)
-        bwt = build_bwt(ref, sa)
+        sa = suffix_array(ref)
+        bwt = build_bwt(pack_bases(ref.ranks), sa)
         # last column of the sorted rotations: C G T $ A A C A
         assert bwt.tolist() == [2, 3, 4, 0, 1, 1, 2, 1]
 
@@ -37,7 +45,7 @@ class TestSuffixArray:
     def test_matches_rotation_sort(self, seed, n_bases):
         rng = np.random.default_rng(seed)
         ref = random_reference(rng, n_bases)
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         assert sa.tolist() == rotation_rows(ref.ranks)
 
     # the first round sorts by S-mer codes and the distance to the sentinel:
@@ -47,7 +55,7 @@ class TestSuffixArray:
     @pytest.mark.parametrize("n_bases", SEED_LENGTHS)
     def test_seed_lengths(self, n_bases):
         ref = random_reference(np.random.default_rng(n_bases), n_bases)
-        assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks)
+        assert suffix_array(ref).tolist() == rotation_rows(ref.ranks)
 
     @pytest.mark.parametrize("n_bases", SEED_LENGTHS)
     def test_homopolymers_and_a_runs(self, n_bases):
@@ -57,7 +65,7 @@ class TestSuffixArray:
         head = "".join(rng.choice(list("ACGT"), size=n_bases // 2))
         for bases in ("A" * n_bases, "T" * n_bases, head + "A" * (n_bases - len(head))):
             ref = make_reference(bases)
-            assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks), bases
+            assert suffix_array(ref).tolist() == rotation_rows(ref.ranks), bases
 
     @pytest.mark.parametrize("unit", ["C", "AC", "ACG", "GATTACA", "A" * 30 + "C"])
     def test_tandem_repeats_past_twice_the_seed(self, unit):
@@ -66,7 +74,7 @@ class TestSuffixArray:
         bases = (unit * (300 // len(unit) + 1))[:300 - len(unit) // 2]
         assert len(bases) - len(unit) > 2 * SEED_K
         ref = make_reference(bases)
-        assert build_suffix_array(ref).tolist() == rotation_rows(ref.ranks)
+        assert suffix_array(ref).tolist() == rotation_rows(ref.ranks)
 
     @staticmethod
     def tied_suffixes(bases, h):
@@ -87,14 +95,14 @@ class TestSuffixArray:
         for h in (SEED_K, 2 * SEED_K):
             assert self.tied_suffixes(bases, h) == max(repeat - h + 1, 0)
         ref = make_reference(bases)
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         assert sa.dtype == np.uint32 and sa[0] == ref.n - 1
         assert sa.tolist() == rotation_rows(ref.ranks)
 
 
 def prefix_counts(ref, fm):
     """counts[b, r] = occurrences of rank r in bwt[0, b), from np.cumsum; b runs 0..n."""
-    bwt = build_bwt(ref, fm.sa)
+    bwt = brute_bwt(ref, fm.sa)
     counts = np.zeros((ref.n + 1, 5), dtype=np.int64)
     np.cumsum(bwt[:, None] == np.arange(5), axis=0, out=counts[1:])
     return counts
@@ -114,8 +122,9 @@ def search_one(fm, ranks):
 class TestOcc:
     def test_occ_matches_prefix_counts(self):
         # every rank at every row from 0 to n, at sizes around the 64-row lines
+        # and across the 2^16-row blocks the table is packed in
         rng = np.random.default_rng(7)
-        for n_bases in (1, 62, 63, 64, 65, 127, 128, 300):
+        for n_bases in (1, 62, 63, 64, 65, 127, 128, 300, 2 * 65536 + 100):
             ref = random_reference(rng, n_bases)
             fm = build_fm_index(ref)
             expected = prefix_counts(ref, fm) + smaller_ranks(ref)
@@ -144,7 +153,7 @@ class TestOcc:
         ref = random_reference(rng, 90)
         fm = build_fm_index(ref)
         sa = fm.sa.astype(np.int64)
-        c = build_bwt(ref, fm.sa)
+        c = brute_bwt(ref, fm.sa)
         j = lf_rank(fm, c, np.arange(ref.n))
         assert np.array_equal((sa[j] + 1) % ref.n, sa)
 

@@ -5,12 +5,16 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from dnasearch.index_io import MAGIC, CorruptIndexError, load_index, save_index
+from dnasearch import fmindex
+from dnasearch.cli import main
+from dnasearch.fmindex import _pack_occ
+from dnasearch.index_io import _BLOCK, MAGIC, CorruptIndexError, load_index, save_index
 from dnasearch.search import MODES, batch_search_matrix, build_engine
 
 from conftest import (
     SECTIONS,
     STRUCTURE_DAMAGE,
+    brute_bwt,
     damage_index,
     index_sections,
     make_reference,
@@ -107,6 +111,33 @@ def test_loaded_arrays_aligned(tmp_path, n_bases):
                       ("slopes", leaf.slopes), ("intercepts", leaf.intercepts),
                       ("max_errors", leaf.max_errors), ("starts", leaf.starts)):
         assert arr.flags.aligned and arr.flags.c_contiguous, name
+
+
+def test_occurrence_table_built_by_the_first_fm_search(engine_and_ref, tmp_path, monkeypatch):
+    # only fm reads the table: build, load, rmi and binary searches, locate and
+    # the query command in those modes leave it unbuilt; fm builds it once per engine
+    built = []
+    monkeypatch.setattr(fmindex, "_pack_occ", lambda bwt: built.append(bwt.size) or _pack_occ(bwt))
+    engine, ref = engine_and_ref
+    path = str(tmp_path / "occ.idx")
+    save_index(path, engine)
+    loaded, _, _ = load_index(path)
+    qm = np.random.default_rng(5).integers(1, 5, size=(50, 9)).astype(np.uint8)
+    for mode in ("rmi", "binary"):
+        low, high = batch_search_matrix(loaded, qm, mode)
+        fmindex.locate(loaded.fm, low, high)
+    (tmp_path / "q.txt").write_text("ACGTA\nGGT\n")
+    for mode in ("rmi", "binary"):
+        assert main(["query", path, str(tmp_path / "q.txt"), "--mode", mode, "--locate",
+                     "--out", str(tmp_path / "r.tsv")]) == 0
+    assert built == []
+    expected = _pack_occ(brute_bwt(ref, engine.fm.sa))
+    for eng in (engine, loaded):
+        for _ in range(2):
+            batch_search_matrix(eng, qm, "fm")
+        assert eng.fm.occ.dtype == np.uint64 and np.array_equal(eng.fm.occ, expected)
+        assert eng.fm.occ.ctypes.data % 64 == 0  # each line is one cache line
+    assert built == [ref.n, ref.n]
 
 
 def test_benchmark_contract(engine_and_ref, tmp_path):
@@ -314,6 +345,24 @@ def test_sa_not_a_permutation_refused(engine_and_ref, tmp_path, how):
     assert exc.value.section == "sa"
     permuted = how in ("sa_rows_swapped", "sa_rows_permuted")
     assert ("keys out of order" if permuted else "permutation") in str(exc.value)
+
+
+def test_keys_out_of_order_across_check_blocks(tmp_path):
+    # the key-order check runs in blocks of _BLOCK rows: neighbouring rows swapped
+    # on either side of a block's edge are refused as well as inside one
+    engine = build_engine(random_reference(np.random.default_rng(31), _BLOCK + 100), k=12)
+    path = tmp_path / "big.idx"
+    save_index(str(path), engine)
+    clean = path.read_bytes()
+    for row in (_BLOCK - 2, _BLOCK - 1, _BLOCK):
+        data = bytearray(clean)
+        start, end = index_sections(data)["sa"]
+        sa = np.frombuffer(data, "<u4", (end - start) // 4, start)
+        sa[[row, row + 1]] = sa[[row + 1, row]]
+        rewrite_crc(data, "sa")
+        path.write_bytes(data)
+        with pytest.raises(CorruptIndexError, match="keys out of order"):
+            load_index(str(path))
 
 
 @pytest.mark.parametrize("how", list(STRUCTURE_DAMAGE))

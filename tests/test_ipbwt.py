@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnasearch.fmindex import build_suffix_array
 from dnasearch.ipbwt import (
     IpBwtError,
     build_ipbwt,
@@ -11,6 +10,7 @@ from dnasearch.ipbwt import (
     kmer_rows,
     lower_bound_batch,
     pack_bases,
+    text_kmers,
     unpack_bases,
 )
 from dnasearch.seqcore import encode_ranks
@@ -24,6 +24,7 @@ from conftest import (
     random_reference,
     repetitive_reference,
     sample_queries,
+    suffix_array,
     words,
 )
 
@@ -38,7 +39,7 @@ class TestKeyEncoding:
         # sentinel as A) in a uint64 column, loc fields in a uint32 column:
         # the continuation row + 2, or the distance to the sentinel
         ref = make_reference("ACGT")
-        ix = build_ipbwt(pack_bases(ref.ranks), build_suffix_array(ref), k=2)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=2)
         assert (ix.key_hi.dtype, ix.key_lo.dtype) == (np.uint64, np.uint32)
         assert ix.key_hi.tolist() == [0, 0b0001, 0b0110, 0b1011, 0b1100]
         assert ix.key_lo.tolist() == [0, 3 + 2, 4 + 2, 0 + 2, 1]
@@ -47,7 +48,7 @@ class TestKeyEncoding:
         # CAA$ at K=2, rows $C, A$, AA, CA: the first three have k-mer AA;
         # loc fields 0 and 1 (sentinel offsets) order the sentinel rows first
         ref = make_reference("CAA")
-        ix = build_ipbwt(pack_bases(ref.ranks), build_suffix_array(ref), k=2)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=2)
         assert ix.key_hi.tolist() == [0, 0, 0, 0b0100]
         assert ix.key_lo.tolist() == [0, 1, 2, 3]
 
@@ -60,7 +61,7 @@ class TestKeyEncoding:
         else:
             ref = random_reference(rng, int(rng.integers(2, 40)))
         k = int(rng.integers(1, min(8, ref.n - 1) + 1))
-        ix = build_ipbwt(pack_bases(ref.ranks), build_suffix_array(ref), k=k)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=k)
         keys = table_keys(ix)
         assert keys == [expected_key(kmer, loc, k) for kmer, loc in brute_entries(ref.ranks, k)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -72,7 +73,7 @@ class TestKeyEncoding:
         ref = repetitive_reference(rng, 80) if seed % 2 else random_reference(rng, 60)
         while ref.n - 1 < 33:
             ref = repetitive_reference(rng, 80)
-        ix = build_ipbwt(pack_bases(ref.ranks), build_suffix_array(ref), k=32)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=32)
         keys = table_keys(ix)
         assert keys == [expected_key(kmer, loc, 32) for kmer, loc in brute_entries(ref.ranks, 32)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -92,47 +93,50 @@ class TestKeyEncoding:
 class TestBuild:
     def test_entries_match_brute_force_golden(self):
         ref = make_reference("CATTATTAGGA")
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         ix = build_ipbwt(pack_bases(ref.ranks), sa, k=3)
         expected = [expected_key(kmer, loc, 3) for kmer, loc in brute_entries(ref.ranks, 3)]
         assert table_keys(ix) == expected
 
-    @pytest.mark.parametrize("k", [1, 2, 31, 32])
+    @pytest.mark.parametrize("k", [1, 2, 21, 29, 31, 32])
     def test_kmer_rows_at_word_edges(self, k):
         # every n - 1 mod 4, so every amount of padding; positions 31, 32, 63
-        # and 64 start or end a 32-base word, and the last word holds the sentinel
+        # and 64 start or end a 32-base word, and the last word holds the sentinel.
+        # The text-order codes (the suffix sort's seed round) put in row order
+        # must give the same k-mers.
         rng = np.random.default_rng(k)
         for n_bases in (64, 65, 66, 67):
             ref = random_reference(rng, n_bases)
-            sa = build_suffix_array(ref)
-            got = kmer_rows(pack_bases(ref.ranks), sa, k)
+            sa = suffix_array(ref)
+            text = pack_bases(ref.ranks)
             expected = [expected_key(kmer, loc, k) >> 32
                         for kmer, loc in brute_entries(ref.ranks, k)]
-            assert got.dtype == np.uint64 and got.tolist() == expected, n_bases
+            for got in (kmer_rows(text, sa, k), text_kmers(text, ref.n, k)[sa]):
+                assert got.dtype == np.uint64 and got.tolist() == expected, n_bases
 
     def test_sentinel_rows_counted(self):
         ref = make_reference("CATTATTAGGA")
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         ix = build_ipbwt(pack_bases(ref.ranks), sa, k=3)
         assert int(np.count_nonzero(ix.key_lo < 3)) == 3  # k rows see the sentinel
 
     def test_k_validation(self):
         ref = make_reference("ACGT")
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         with pytest.raises(IpBwtError):
             build_ipbwt(pack_bases(ref.ranks), sa, k=0)
         with pytest.raises(IpBwtError):
             build_ipbwt(pack_bases(ref.ranks), sa, k=ref.n)
         long_ref = make_reference("ACGT" * 10)
-        build_ipbwt(pack_bases(long_ref.ranks), build_suffix_array(long_ref), k=32)
+        build_ipbwt(pack_bases(long_ref.ranks), suffix_array(long_ref), k=32)
         with pytest.raises(IpBwtError):
-            build_ipbwt(pack_bases(long_ref.ranks), build_suffix_array(long_ref), k=33)
+            build_ipbwt(pack_bases(long_ref.ranks), suffix_array(long_ref), k=33)
 
 
 class TestLowerBound:
     def test_known_lower_bounds(self):
         ref = make_reference("CATTATTAGGA")
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         ix = build_ipbwt(pack_bases(ref.ranks), sa, k=3)
         att = encode_ranks("ATT").tolist()
         keys = [
@@ -149,14 +153,14 @@ class TestLowerBound:
         rng = np.random.default_rng(seed)
         ref = repetitive_reference(rng)
         k = int(rng.integers(1, min(8, ref.n - 1) + 1))
-        ix = build_ipbwt(pack_bases(ref.ranks), build_suffix_array(ref), k=k)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=k)
         keys, expected = sample_queries(rng, brute_entries(ref.ranks, k), k, ref.n, 20)
         assert lower_bound_batch(ix, *words(keys)).tolist() == expected
 
     def test_batch_matches_scalar_on_clean_keys(self):
         rng = np.random.default_rng(77)
         ref = random_reference(rng, 120)
-        sa = build_suffix_array(ref)
+        sa = suffix_array(ref)
         ix = build_ipbwt(pack_bases(ref.ranks), sa, k=4)
         entries = brute_entries(ref.ranks, 4)
         kmers = rng.integers(1, 5, size=(60, 4)).tolist()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import load_index, save_index
 from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases
 from dnasearch.rmi import (
@@ -37,6 +36,7 @@ from conftest import (
     random_reference,
     repetitive_reference,
     sample_queries,
+    suffix_array,
     words,
 )
 
@@ -47,7 +47,7 @@ BOUND_KS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 21, 28, 32)
 
 def build_pair(rng, n_bases, k):
     ref = random_reference(rng, n_bases)
-    sa = build_suffix_array(ref)
+    sa = suffix_array(ref)
     ix = build_ipbwt(pack_bases(ref.ranks), sa, k=k)
     return ix, build_rmi(ix)
 
