@@ -3,10 +3,13 @@
 The suffix array is built by prefix doubling over numpy ranks (Manber and
 Myers, 1993), seeded at h = ``SEED_K`` with each position's k-mer code from
 :func:`dnasearch.ipbwt.text_kmers`, so random text is sorted in one round and
-a repeat of length L takes about log2(L / SEED_K) more. Doubling ends at
-the first round whose sort separates every suffix, and that sort's order is
-the suffix array. Because the text ends with a unique sentinel that sorts
-below every base, suffix order equals sorted-rotation (BW-matrix) order.
+a repeat of length L takes about log2(L / SEED_K) more. As in Larsson and
+Sadakane's qsufsort (TCS 2007), each later round re-sorts only the suffixes
+whose group (suffixes equal on the characters compared so far) still has
+two or more members, and a suffix's rank is the sorted position where its
+group starts, final once it is alone; the sort ends when no group is left.
+Because the text ends with a unique sentinel that sorts below every base,
+suffix order equals sorted-rotation (BW-matrix) order.
 The BWT is not kept: it is read once to pack the occurrence table, whose
 layout only this module knows. Only the ``fm`` engine reads the table, so
 :attr:`FmIndex.occ` builds it at its first read, from the packed text the
@@ -54,40 +57,70 @@ def build_suffix_array(text: np.ndarray, n: int) -> np.ndarray:
     The first round sorts each position p by its S-mer code (:func:`text_kmers`,
     code 0 from the sentinel on) times S + 1, plus min(j, S) for j = n-1-p, the
     distance to the sentinel: as the IP-BWT's loc field does, this puts X$
-    below XA, so equal keys are equal first S characters. Each later round
-    doubles k from S and sorts one uint64 key per suffix, rank[i] * (n+1)
-    plus rank[i+k] + 1 (0 past the end); n < 2^32 keeps it below 2^64.
-    Doubling ends at the first round whose sorted keys are all distinct:
-    that sort has separated every suffix, so its order is the suffix array
-    (Larsson and Sadakane's qsufsort stops refining a group once it is
-    sorted; here the whole sort stops).
+    below XA, so equal keys are equal first S characters. If they are all
+    distinct, that order is the suffix array. Otherwise each suffix's rank
+    is the sorted row where its group of equal keys starts, and each later
+    round doubles k from S and re-sorts only the rows of groups with two or
+    more members (qsufsort; Larsson and Sadakane, 2007): one stable sort of
+    the uint64 key rank[p] * n + rank[p+k], which n < 2^32 keeps below
+    2^64. Each group keeps its rows, split into new groups that each take
+    their first row as rank; a suffix left alone keeps its rank, which is
+    its row in the suffix array, and leaves the rows to re-sort.
     """
     m = min(n, SEED_K)
     key = text_kmers(text, n, SEED_K)
     key *= np.uint64(SEED_K + 1)
     key[: n - m] += np.uint64(SEED_K)
     key[n - m :] += np.arange(m - 1, -1, -1, dtype=np.uint64)  # j < S
+    order = np.argsort(key)
+    head = _group_heads(key[order])
+    # key is freed only after the result is made, which then lies above it in
+    # glibc's heap, so the IP-BWT's arrays reuse key's pages: freed before,
+    # the IP-BWT of a 500,000-base random text faulted in 3,128 pages, not 1,888
+    if head.all():  # every key distinct: this sort's order is the suffix array
+        return order.astype(np.uint32)
+    del key
+    order = order.astype(np.uint32)
+    at = np.arange(n, dtype=np.uint32)
+    rank = np.empty(n, dtype=np.uint32)
+    rank[order] = _group_starts(head, at)
+    at = at[_tied(head)]
     k = SEED_K
-    while True:
-        order = np.argsort(key)
-        sorted_keys = key[order]
-        # group[i]: the distinct keys below sorted_keys[i], each suffix's dense rank in sorted order
-        group = np.empty(n, dtype=np.int64)
-        group[0] = 0
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=group[1:])
-        np.cumsum(group, out=group)
-        if group[-1] == n - 1:  # every key distinct: this sort's order is the suffix array
-            return order.astype(np.uint32)
-        rank = np.empty_like(group)
-        rank[order] = group
-        # freed together here: freeing key or rank earlier left glibc's heap in a
-        # state that made multi-round sorts and the later build stages slower
-        del sorted_keys, group, key, order
-        key = rank.astype(np.uint64)
-        key *= np.uint64(n + 1)
-        key[: n - k] += rank[k:].astype(np.uint64)
-        key[: n - k] += np.uint64(1)
+    while at.size:
+        # every suffix at these rows ties with another on its first k characters,
+        # none of which is the sentinel, so p + k < n
+        p = order[at]
+        key = rank[p].astype(np.uint64)
+        key *= np.uint64(n)
+        key += rank[p + k]
+        perm = np.argsort(key, kind="stable")  # the keys arrive as one ascending run per group
+        key = key[perm]
+        p = p[perm]
+        order[at] = p
+        head = _group_heads(key)
+        rank[p] = _group_starts(head, at)
+        at = at[_tied(head)]
         k *= 2
+    return order
+
+
+def _group_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """head[i]: sorted_keys[i] starts a run of equal keys."""
+    head = np.empty(sorted_keys.size, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
+
+
+def _group_starts(head: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """For each row of ascending ``at``, the row of ``at`` where its group starts."""
+    start = np.where(head, at, np.uint32(0))
+    return np.maximum.accumulate(start, out=start)
+
+
+def _tied(head: np.ndarray) -> np.ndarray:
+    """The rows whose group has two or more members."""
+    return ~(head & np.append(head[1:], True))
 
 
 def build_bwt(text: np.ndarray, sa: np.ndarray) -> np.ndarray:

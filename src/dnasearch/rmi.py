@@ -3,7 +3,7 @@
 The layer holds one linear model per contiguous key partition (a leaf),
 found by halving the keys until each partition fits the mean absolute
 error bound ``alpha_leaf``. The partitions of one halving level are fit
-together, in blocks of whole partitions of about 2^16 keys, which keeps the
+together, in blocks of whole partitions of about 2^14 keys, which keeps the
 fit's temporaries small. A partition above ``SAMPLE_ABOVE`` keys is first
 fit on ``SAMPLE`` evenly spaced keys, against their positions in the
 partition; if those err by more than ``SAMPLE_SPLIT`` * alpha on average,
@@ -122,7 +122,12 @@ class RmiLayer:
 SAMPLE_ABOVE = 8192
 SAMPLE = 512
 SAMPLE_SPLIT = 4.0
-_BLOCK = 1 << 16  # keys per block of full fits: their temporaries stay small
+# keys per block of full fits. A block's temporaries (1.1 MB at most) stay
+# below glibc's default heap trim threshold, twice the largest mmapped array
+# freed so far (2.6 MB after the suffix sort of a 160,000-base text), so the
+# heap top one block frees is kept for the next, not handed back and faulted
+# in again (2^16 keys, 4.3 MB: 11,000 page faults per fit on such a text).
+_BLOCK = 1 << 14
 
 RADIX_BITS = 16  # bits of a k-mer code that index the radix table (RadixSpline)
 

@@ -13,7 +13,7 @@ from dnasearch.fmindex import (
     locate,
 )
 from dnasearch.ipbwt import pack_bases
-from dnasearch.seqcore import encode_ranks
+from dnasearch.seqcore import Reference, encode_ranks
 
 from conftest import (
     brute_bwt,
@@ -82,9 +82,10 @@ class TestSuffixArray:
         return len(bases) + 1 - len({bases[p : p + h] for p in range(len(bases) + 1)})
 
     # A repeat of L >= h bases leaves L - h + 1 suffixes tied with their copy
-    # after sorting by the first h characters. The sort returns at the first
-    # round with none: the seed round (no repeat), the first doubling round
-    # (one, two or three ties left by the seed), or a later one (L >= 2S).
+    # after sorting by the first h characters. The sort returns once no
+    # suffix is tied: after the seed round (no repeat), after the first
+    # doubling round (one, two or three ties left by the seed), or after a
+    # later one (L >= 2S).
     @pytest.mark.parametrize("repeat", [0, SEED_K, SEED_K + 1, SEED_K + 2, 2 * SEED_K + 1, 150])
     def test_stops_at_first_round_without_ties(self, repeat):
         # random text with one substring of ``repeat`` bases written twice,
@@ -98,6 +99,61 @@ class TestSuffixArray:
         sa = suffix_array(ref)
         assert sa.dtype == np.uint32 and sa[0] == ref.n - 1
         assert sa.tolist() == rotation_rows(ref.ranks)
+
+    # Runs of 4S - 1 to 8S bases stay tied for two or three doubling rounds,
+    # each leaving fewer suffixes to re-sort. A^L C A^L splits its groups
+    # unevenly: a suffix deep in the first run ties with one in the second
+    # until its C, or the sentinel, falls inside the compared prefix.
+    RUN_LENGTHS = (4 * SEED_K - 1, 4 * SEED_K, 4 * SEED_K + 1, 8 * SEED_K)
+
+    @pytest.mark.parametrize("length", RUN_LENGTHS)
+    def test_runs_over_several_rounds(self, length):
+        for bases in ("A" * length, "T" * length, "A" * length + "C" + "A" * length):
+            ref = make_reference(bases)
+            assert suffix_array(ref).tolist() == rotation_rows(ref.ranks), bases
+
+    def test_repeat_families_in_miniature(self):
+        # repeat-200's make-up at 2,500 bases: 30 copies of a 50-base unit
+        # with 1% point changes, a 600-base poly-A run and 400 random bases
+        rng = np.random.default_rng(24)
+        copies = np.tile(rng.integers(1, 5, size=50), 30)
+        hit = rng.random(copies.size) < 0.01
+        copies[hit] = (copies[hit] + rng.integers(0, 3, size=int(hit.sum()))) % 4 + 1
+        body = np.concatenate([copies, np.ones(600, dtype=np.int64), rng.integers(1, 5, size=400)])
+        ranks = np.append(body, 0).astype(np.uint8)
+        ref = Reference("repeats", ranks)
+        assert ref.n == 2_501 and hit.any()
+        assert suffix_array(ref).tolist() == rotation_rows(ranks)
+
+    def test_matches_full_resort_doubling(self):
+        # 20,000 bases: a 5,000-base poly-A run, 40 copies of a 100-base unit
+        # and random text, against doubling that re-sorts every suffix each round
+        rng = np.random.default_rng(2_000)
+        body = np.concatenate([
+            np.ones(5_000, dtype=np.int64),
+            np.tile(rng.integers(1, 5, size=100), 40),
+            rng.integers(1, 5, size=11_000),
+        ])
+        ref = Reference("repeats", np.append(body, 0).astype(np.uint8))
+        sa = suffix_array(ref)
+        assert sa.dtype == np.uint32
+        assert np.array_equal(sa, full_resort_doubling(ref.ranks))
+
+
+def full_resort_doubling(ranks: np.ndarray) -> np.ndarray:
+    """Suffix array by Manber-Myers doubling from h = 1 that sorts all suffixes each round."""
+    n = ranks.size
+    rank = ranks.astype(np.int64)
+    k = 1
+    while True:
+        second = np.zeros(n, dtype=np.int64)  # 0: past the end
+        second[: max(n - k, 0)] = rank[k:] + 1
+        order = np.lexsort((second, rank))
+        differs = (np.diff(rank[order]) != 0) | (np.diff(second[order]) != 0)
+        rank[order] = np.concatenate([[0], np.cumsum(differs)])
+        if rank.max() == n - 1:
+            return order
+        k *= 2
 
 
 def prefix_counts(ref, fm):
