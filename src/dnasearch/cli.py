@@ -184,7 +184,7 @@ def _write_tsv(write, low, high, valid, positions=None) -> None:
 
 def cmd_query(args) -> int:
     try:
-        engine, ref, meta = index_io.load_index(args.index)
+        engine = index_io.load_index(args.index)[0]
         with open(args.queries, "rb") as fh:
             ranks, lengths = parse_queries(fh)
     except (OSError, index_io.CorruptIndexError) as exc:

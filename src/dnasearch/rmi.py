@@ -4,8 +4,8 @@ The layer holds one linear model per contiguous key partition (a leaf),
 found by halving the keys until each partition fits the mean absolute
 error bound ``alpha_leaf``. The partitions of one halving level are fit
 together, in blocks of whole partitions of about 2^14 keys, which keeps the
-fit's temporaries small. A partition above ``SAMPLE_ABOVE`` keys is first
-fit on ``SAMPLE`` evenly spaced keys, against their positions in the
+fit's temporaries small. A partition of more than 2 * ``SAMPLE`` keys is
+first fit on ``SAMPLE`` evenly spaced keys, against their positions in the
 partition; if those err by more than ``SAMPLE_SPLIT`` * alpha on average,
 it splits with no full fit. Every partition that stops is fit, and its
 error measured, on all its keys, so a sample can add leaves but never
@@ -118,10 +118,9 @@ class RmiLayer:
                        self.intercepts[part], d)
 
 
-# the sampled split decision of fit_layer
-SAMPLE_ABOVE = 8192
+# the sampled split decision of fit_layer, for partitions above 2 * SAMPLE keys
 SAMPLE = 512
-SAMPLE_SPLIT = 4.0
+SAMPLE_SPLIT = 1.5
 # keys per block of full fits. A block's temporaries (1.1 MB at most) stay
 # below glibc's default heap trim threshold, twice the largest mmapped array
 # freed so far (2.6 MB after the suffix sort of a 160,000-base text), so the
@@ -248,7 +247,7 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
 
     A partition stops at mean absolute error <= alpha over all its keys,
     which a fit of one or two keys always meets; on an odd size the left
-    half takes the extra element. One above ``SAMPLE_ABOVE`` keys whose
+    half takes the extra element. One of more than 2 * ``SAMPLE`` keys whose
     ``SAMPLE`` evenly spaced keys err by more than ``SAMPLE_SPLIT`` * alpha
     splits without that full fit.
     """
@@ -257,7 +256,7 @@ def fit_layer(hi: np.ndarray, lo: np.ndarray, alpha: float) -> RmiLayer:
     sizes = np.array([hi.size], dtype=np.int64)
     done_starts, done_slopes, done_intercepts, done_max = [], [], [], []
     while starts.size:
-        fit = sizes <= SAMPLE_ABOVE
+        fit = sizes <= 2 * SAMPLE
         large = ~fit
         sampled = _fit_blocks(hi, lo, starts[large], sizes[large], SAMPLE)[2]
         fit[large] = sampled <= SAMPLE_SPLIT * alpha

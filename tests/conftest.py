@@ -56,6 +56,19 @@ def repetitive_reference(rng: np.random.Generator, max_bases: int = 40) -> Refer
     return Reference("repetitive", np.append(body, 0).astype(np.uint8))
 
 
+def repeat_families_reference(rng: np.random.Generator, random_bases: int) -> Reference:
+    """repeat-200's make-up in miniature.
+
+    30 copies of a 50-base unit with 1% point changes, a 600-base poly-A
+    run and ``random_bases`` random bases.
+    """
+    copies = np.tile(rng.integers(1, 5, size=50), 30)
+    hit = rng.random(copies.size) < 0.01
+    copies[hit] = (copies[hit] + rng.integers(0, 3, size=int(hit.sum()))) % 4 + 1
+    body = np.concatenate([copies, np.ones(600, dtype=np.int64), rng.integers(1, 5, size=random_bases)])
+    return Reference("repeats", np.append(body, 0).astype(np.uint8))
+
+
 def crowded_bucket_reference() -> Reference:
     """520 bases where, at K = 21 and alpha_leaf 0.5, one radix bucket holds many leaves.
 

@@ -21,6 +21,7 @@ from conftest import (
     naive_interval,
     naive_positions,
     random_reference,
+    repeat_families_reference,
     rotation_rows,
     suffix_array,
 )
@@ -115,15 +116,10 @@ class TestSuffixArray:
     def test_repeat_families_in_miniature(self):
         # repeat-200's make-up at 2,500 bases: 30 copies of a 50-base unit
         # with 1% point changes, a 600-base poly-A run and 400 random bases
-        rng = np.random.default_rng(24)
-        copies = np.tile(rng.integers(1, 5, size=50), 30)
-        hit = rng.random(copies.size) < 0.01
-        copies[hit] = (copies[hit] + rng.integers(0, 3, size=int(hit.sum()))) % 4 + 1
-        body = np.concatenate([copies, np.ones(600, dtype=np.int64), rng.integers(1, 5, size=400)])
-        ranks = np.append(body, 0).astype(np.uint8)
-        ref = Reference("repeats", ranks)
-        assert ref.n == 2_501 and hit.any()
-        assert suffix_array(ref).tolist() == rotation_rows(ranks)
+        ref = repeat_families_reference(np.random.default_rng(24), 400)
+        copies = ref.ranks[:1_500].reshape(30, 50)
+        assert ref.n == 2_501 and (copies != copies[0]).any()
+        assert suffix_array(ref).tolist() == rotation_rows(ref.ranks)
 
     def test_matches_full_resort_doubling(self):
         # 20,000 bases: a 5,000-base poly-A run, 40 copies of a 100-base unit

@@ -12,7 +12,6 @@ from dnasearch.ipbwt import IpBwt, build_ipbwt, lower_bound_batch, pack_bases
 from dnasearch.rmi import (
     RADIX_BITS,
     SAMPLE,
-    SAMPLE_ABOVE,
     SAMPLE_SPLIT,
     Rmi,
     RmiLayer,
@@ -24,7 +23,7 @@ from dnasearch.rmi import (
     predict,
     relative_keys,
 )
-from dnasearch import search
+from dnasearch import rmi, search
 from dnasearch.search import build_engine
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     damage_index,
     make_reference,
     random_reference,
+    repeat_families_reference,
     repetitive_reference,
     sample_queries,
     suffix_array,
@@ -141,6 +141,16 @@ def plain_halving(hi, lo, alpha):
     return (np.array(column) for column in zip(*sorted(leaves)))
 
 
+def assert_plain_halving_leaves(hi, lo, alpha):
+    layer = fit_layer(hi, lo, alpha)
+    starts, slopes, intercepts, max_errors = plain_halving(hi, lo, alpha)
+    assert np.array_equal(layer.starts, starts)
+    assert np.array_equal(layer.slopes, slopes)
+    assert np.array_equal(layer.intercepts, intercepts)
+    assert np.array_equal(layer.max_errors, max_errors)
+    assert np.all(layer_mean_errors(layer, hi, lo) <= alpha)
+
+
 class TestPartition:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([0.5, 2.0, 6.0]))
     @settings(max_examples=40, deadline=None)
@@ -162,17 +172,35 @@ class TestPartition:
 
     @pytest.mark.parametrize("alpha", [2.0, 6.0])
     def test_sampled_splits_give_the_plain_halving_leaves(self, alpha):
-        # 40,000 random keys: the partitions above SAMPLE_ABOVE keys split on
+        # 40,000 random keys: the partitions above 2 * SAMPLE keys split on
         # their samples, and the leaves are those of fitting every level in full
         hi, lo = sorted_keys(np.random.default_rng(12), 40_000)
-        layer = fit_layer(hi, lo, alpha)
-        assert hi.size > 4 * SAMPLE_ABOVE
-        starts, slopes, intercepts, max_errors = plain_halving(hi, lo, alpha)
-        assert np.array_equal(layer.starts, starts)
-        assert np.array_equal(layer.slopes, slopes)
-        assert np.array_equal(layer.intercepts, intercepts)
-        assert np.array_equal(layer.max_errors, max_errors)
-        assert np.all(layer_mean_errors(layer, hi, lo) <= alpha)
+        assert hi.size > 64 * SAMPLE
+        assert_plain_halving_leaves(hi, lo, alpha)
+
+    @pytest.mark.parametrize("alpha", [2.0, 6.0])
+    def test_skewed_keys_give_the_plain_halving_leaves(self, alpha):
+        # the IP-BWT keys of repeat families and a poly-A run, where a sample
+        # is most likely to split a partition that would have stopped
+        ref = repeat_families_reference(np.random.default_rng(24), 20_000)
+        ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=21)
+        assert ix.key_hi.size > 32 * SAMPLE
+        assert_plain_halving_leaves(ix.key_hi, ix.key_lo, alpha)
+
+    def test_most_keys_skip_the_full_fit(self, monkeypatch):
+        # every partition above 2 * SAMPLE keys is screened on its sample, so
+        # each of 40,000 random keys is fit in full at about two levels at alpha 6
+        hi, lo = sorted_keys(np.random.default_rng(12), 40_000)
+        full = []
+
+        def counted(hi, lo, starts, sizes, sample=0):
+            if not sample:
+                full.append(int(sizes.sum()))
+            return _fit_level(hi, lo, starts, sizes, sample)
+
+        monkeypatch.setattr(rmi, "_fit_level", counted)
+        fit_layer(hi, lo, 6.0)
+        assert sum(full) <= 3 * hi.size
 
     def test_linear_keys_pass_the_sample_and_the_full_fit(self):
         hi, lo = words([(1 << 70) + 7 * i for i in range(50_000)])
@@ -187,7 +215,7 @@ class TestPartition:
         size = 32 * (SAMPLE - 1) + 1
         hi, lo = words([(1 << 60) + (j // 32) * 32_000 + j % 32 for j in range(size)])
         starts, sizes = np.zeros(1, np.int64), np.array([size])
-        assert size > SAMPLE_ABOVE
+        assert size > 2 * SAMPLE
         assert _fit_level(hi, lo, starts, sizes, SAMPLE)[2][0] <= SAMPLE_SPLIT * alpha
         assert _fit_level(hi, lo, starts, sizes)[2][0] > alpha
         layer = fit_layer(hi, lo, alpha)
