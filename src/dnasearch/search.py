@@ -8,7 +8,8 @@ of :data:`_BLOCK` queries, so its temporaries stay bounded; ``fm`` mode
 searches each block with :func:`dnasearch.fmindex.backward_search_batch`.
 
 A query is processed right-to-left in chunks of K characters; each chunk
-costs one lower-bound evaluation per interval bound, exact with no
+costs one lower-bound evaluation per query, for its low bound, and one or
+two row tests for its high bound (:func:`_search_block`), exact with no
 correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). A batch
 is sorted once by its first chunk and run in blocks of that order, one
 round per chunk. The sort buys the probes locality, which pays most on
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnasearch.fmindex import FmIndex, backward_search_batch
-from dnasearch.ipbwt import IpBwt, check_k, lower_bound_batch
+from dnasearch.ipbwt import IpBwt, check_k, key_less, lower_bound_batch
 from dnasearch.rmi import Rmi, check_alpha
 
 MODES = ("rmi", "binary", "fm")
@@ -114,29 +115,46 @@ def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
 
     ``first_bits`` pack the first round's chunks. Every query runs every round:
     an empty interval maps to the empty one at the next suffix's insertion point.
+    A round looks up each query's low bound. Intervals never grow (count(cS)
+    <= count(S)), so only a query whose interval held 2+ rows looks up its
+    high key too; the rest test rows low (and low + 1 in the first round).
     """
-    ix, k = engine.ipbwt, engine.k
+    ix, k, n = engine.ipbwt, engine.k, engine.ipbwt.n
     nq, qlen = rows.size, qmatrix.shape[1]
     nchunks = -(-qlen // k)
     later = qmatrix[rows, : (nchunks - 1) * k]  # the full chunks of the later rounds
     low = np.zeros(nq, dtype=np.int64)
-    high = np.full(nq, ix.n, dtype=np.int64)
+    high = np.full(nq, n, dtype=np.int64)
     chunk_bits, chunk_len = first_bits, qlen - (nchunks - 1) * k
     for round_no in range(nchunks):
         if round_no:
             start = (nchunks - 1 - round_no) * k
             chunk_bits, chunk_len = _pack_codes(later[:, start : start + k]), k
+        wide = np.flatnonzero(high - low >= 2) if round_no else []  # high keys looked up
         # A short chunk X runs only in the first round, where low == 0. Its
         # low key pads with code 0 and takes loc field |X|, its high key pads
         # with T; a full chunk takes loc fields low + k and high + k.
         pad = 2 * (k - chunk_len)
         low_bits = chunk_bits << np.uint64(pad)
         high_bits = low_bits | np.uint64((1 << pad) - 1)
-        key_hi = np.concatenate([low_bits, high_bits])
-        key_lo = np.concatenate([low + chunk_len, high + k], dtype=np.uint32, casting="unsafe")
+        high_lo = high + k
+        key_hi = np.concatenate([low_bits, high_bits[wide]])
+        key_lo = np.concatenate([low + chunk_len, high_lo[wide]], dtype=np.uint32, casting="unsafe")
         window = _rmi_window(engine, key_hi, key_lo) if mode == "rmi" else ()
         bounds = lower_bound_batch(ix, key_hi, key_lo, *window)
-        low, high = bounds[:nq], bounds[nq:]
+        low = bounds[:nq]
+        if round_no:  # 0 or 1 rows outside wide: is row low, if in the table, below the high key?
+            row = np.minimum(low, n - 1)
+            high = low + (key_less(ix.key_hi[row], ix.key_lo[row], high_bits, high_lo) & (low < n))
+            high[wide] = bounds[nq:]
+        else:  # loc field n + K tops every row's: a row is below the high key iff its k-mer is <=.
+            # Where low + 1 is past the table both tests read row n - 1 (clipped); if that row is
+            # below the key, searchsorted counts the rows
+            tested = low + np.arange(2)[:, None]
+            below = ix.key_hi.take(tested, mode="clip") <= high_bits
+            high = low + below.sum(axis=0)
+            rest = np.flatnonzero(below[1])
+            high[rest] = np.searchsorted(ix.key_hi, high_bits[rest], side="right")
     return low, high
 
 
@@ -165,10 +183,16 @@ def batch_search_matrix(engine: SearchEngine, qmatrix: np.ndarray,
                 engine.fm, qmatrix[b : b + _BLOCK])
         return low, high
 
-    # sort once by the first round's chunk (packed a block at a time), then run blocks of that order
+    # sort once by the first round's chunk (packed a block at a time), then run blocks of that
+    # order: np.sort of words holding the chunk over the row index (its last bits cut where both
+    # do not fit) outruns np.argsort
     tail = qmatrix[:, (-(-qlen // engine.k) - 1) * engine.k :]
     first_bits = np.concatenate([_pack_codes(tail[b : b + _BLOCK]) for b in range(0, nq, _BLOCK)])
-    order = np.argsort(first_bits)
+    idx = max(nq - 1, 1).bit_length()
+    keyed = first_bits >> np.uint64(max(2 * tail.shape[1] + idx - 64, 0)) << np.uint64(idx)
+    keyed |= np.arange(nq, dtype=np.uint64)
+    keyed.sort()
+    order = (keyed & np.uint64((1 << idx) - 1)).astype(np.intp)
     for b in range(0, nq, _BLOCK):
         rows = order[b : b + _BLOCK]
         low[rows], high[rows] = _search_block(engine, qmatrix, rows, first_bits[rows], mode)

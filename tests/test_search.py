@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnasearch import search
 from dnasearch.fmindex import locate
 from dnasearch.index_io import load_index, save_index
 from dnasearch.search import (
@@ -23,6 +24,7 @@ from conftest import (
     naive_interval,
     naive_positions,
     random_reference,
+    repeat_families_reference,
     repetitive_reference,
 )
 
@@ -78,6 +80,114 @@ class TestChunking:
         for mode in MODES:
             low, high = search_one(small_engine, encode_ranks("CC"), mode)
             assert low == high
+
+
+class TestHighBound:
+    """Each way a round settles its high bound, in every mode, against the brute force.
+
+    On ``TEXT`` at K = 4, AAAA starts 8 rows (the poly-A run), GGTC 2,
+    ACGC 1 and CGTA none; TGGT's one row is the table's last.
+    """
+
+    TEXT = "CAAAAAAAAAAAGGTCTGGTCTACGC"
+
+    @staticmethod
+    def intervals(engine, ref, queries):
+        """The brute-force intervals of ``queries``, after checking every mode against them."""
+        ranks = [encode_ranks(q) for q in queries]
+        expected = [naive_interval(ref.ranks, r) for r in ranks]
+        lengths = np.array([r.size for r in ranks])
+        for mode in MODES:
+            low, high, _ = batch_search(engine, np.concatenate(ranks), lengths, mode)
+            assert list(zip(low.tolist(), high.tolist())) == expected, mode
+            assert [search_one(engine, r, mode) for r in ranks] == expected, mode
+        return expected
+
+    @pytest.fixture(scope="class")
+    def text_engine(self):
+        ref = make_reference(self.TEXT)
+        return build_engine(ref, k=4), ref
+
+    def test_first_round_widths(self, text_engine):
+        # rows low and low + 1 decide 0, 1 and 2 rows; 8 rows take the k-mer count
+        engine, ref = text_engine
+        found = self.intervals(engine, ref, ["CGTA", "ACGC", "GGTC", "AAAA", "TGGT"])
+        assert [hi - lo for lo, hi in found] == [0, 1, 2, 8, 1]
+        assert found[-1][1] == ref.n  # row low + 1 lies past the table
+
+    def test_second_round_after_a_wide_first(self, text_engine):
+        # AAAA's 8 rows narrow to 4, 1 and 0 rows; GGTC's 2 rows to 1 and 0
+        engine, ref = text_engine
+        found = self.intervals(engine, ref, ["AAAAAAAA", "CAAAAAAA", "GAAAAAAA",
+                                             "GTCTGGTC", "TTTTGGTC"])
+        assert [hi - lo for lo, hi in found] == [4, 1, 0, 1, 0]
+
+    def test_low_bound_at_the_table_end(self):
+        # no T in the text: an all-T query's low bound is n in every round, and
+        # no row past the table is read
+        ref = make_reference("ACGGCAGCCA")
+        engine = build_engine(ref, k=4)
+        found = self.intervals(engine, ref, ["T", "TT", "TTTT", "TTTTTT", "TTTTTTTT"])
+        assert found == [(ref.n, ref.n)] * 5
+
+    def test_short_and_sentinel_queries(self, text_engine):
+        # shorter than K: 0, 1, 2 and many rows; then the text's last 1 to 9
+        # bases, which end at the sentinel
+        engine, ref = text_engine
+        found = self.intervals(engine, ref, ["GAA", "CGC", "GG", "A", "T"])
+        assert [hi - lo for lo, hi in found] == [0, 1, 2, 12, 4]
+        suffixes = [self.TEXT[-length:] for length in range(1, 10)]
+        assert all(hi - lo >= 1 for lo, hi in self.intervals(engine, ref, suffixes))
+
+
+def recorded_lookups(engine, qm, mode):
+    """The rows of a batch search and the number of keys of each lower-bound lookup it made."""
+    counts = []
+    kernel = search.lower_bound_batch
+
+    def recording(ix, key_hi, key_lo, base=0, width=None):
+        counts.append(key_hi.size)
+        return kernel(ix, key_hi, key_lo, base, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "lower_bound_batch", recording)
+        rows = batch_search_matrix(engine, qm, mode)
+    return rows, counts
+
+
+class TestOneLookupPerQuery:
+    def test_one_round_looks_up_only_the_low_keys(self):
+        rng = np.random.default_rng(26)
+        ref = random_reference(rng, 5000)
+        engine = build_engine(ref, k=21)
+        starts = rng.integers(0, ref.n - 21, size=300)
+        qm = ref.ranks[starts[:, None] + np.arange(21)]
+        expected = batch_search_matrix(engine, qm, "fm")
+        for mode in ("rmi", "binary"):
+            rows, counts = recorded_lookups(engine, qm, mode)
+            assert [a.tolist() for a in rows] == [a.tolist() for a in expected], mode
+            assert counts == [300], mode
+
+    def test_later_rounds_add_only_the_wide_intervals(self):
+        # a repeat text at K = 10, 25-mers: a 5-base first chunk, then two full
+        # rounds; a high key joins a round's lookup iff its interval held 2+ rows
+        rng = np.random.default_rng(27)
+        ref = repeat_families_reference(rng, 400)
+        engine = build_engine(ref, k=10)
+        starts = rng.integers(0, ref.n - 25, size=200)
+        qm = ref.ranks[starts[:, None] + np.arange(25)]
+        qm[::7, 12] = qm[::7, 12] % 4 + 1  # another base: some intervals close in round 2
+
+        def wide(suffix):  # how many queries' last ``suffix`` bases start 2+ rows
+            low, high = batch_search_matrix(engine, qm[:, -suffix:], "fm")
+            return int(np.sum(high - low >= 2))
+
+        assert 0 < wide(5) < 200 and 0 < wide(15) < 200
+        expected = batch_search_matrix(engine, qm, "fm")
+        for mode in ("rmi", "binary"):
+            rows, counts = recorded_lookups(engine, qm, mode)
+            assert [a.tolist() for a in rows] == [a.tolist() for a in expected], mode
+            assert counts == [200, 200 + wide(5), 200 + wide(15)], mode
 
 
 class TestExactSearch:
