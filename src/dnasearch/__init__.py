@@ -6,37 +6,9 @@ contiguous run of the array, so a query is resolved in ceil(|Q|/K) chunk
 steps instead of |Q| single-character steps.
 """
 
-from dnasearch.seqcore import (
-    Reference,
-    load_fasta,
-    parse_queries,
-    generate_query_matrix,
-)
-from dnasearch.fmindex import FmIndex, build_fm_index
-from dnasearch.ipbwt import IpBwt, build_ipbwt
-from dnasearch.rmi import Rmi, build_rmi
-from dnasearch.search import (
-    SearchEngine,
-    build_engine,
-    batch_search,
-    batch_search_matrix,
-)
+from dnasearch.search import batch_search, batch_search_matrix, build_engine
+from dnasearch.seqcore import load_fasta, parse_queries
 
-__all__ = [
-    "Reference",
-    "load_fasta",
-    "parse_queries",
-    "generate_query_matrix",
-    "FmIndex",
-    "build_fm_index",
-    "IpBwt",
-    "build_ipbwt",
-    "Rmi",
-    "build_rmi",
-    "SearchEngine",
-    "build_engine",
-    "batch_search",
-    "batch_search_matrix",
-]
+__all__ = ["batch_search", "batch_search_matrix", "build_engine", "load_fasta", "parse_queries"]
 
 __version__ = "0.1.0"

@@ -87,12 +87,12 @@ def file_bytes(n: int, leaves: int) -> int:
 
 def save_index(path: str, engine: SearchEngine) -> dict[str, int]:
     """Write the engine to ``path``; returns per-section byte sizes."""
-    fm, ix, leaf = engine.fm, engine.ipbwt, engine.rmi.leaf
+    fm, leaf = engine.fm, engine.rmi.leaf
     flat = np.ascontiguousarray  # fh.write and crc32 read arrays through the buffer protocol
     sections = (
         ("header", [MAGIC + _HEADER.pack(VERSION, engine.k, fm.n, engine.rmi.alpha_leaf)]),
         ("sa", [flat(fm.sa, "<u4")]),
-        ("text", [ix.text]),
+        ("text", [fm.text]),
         ("rmi", [struct.pack("<Q", len(leaf)), flat(leaf.slopes, "<f8"),
                  flat(leaf.intercepts, "<f8"), flat(leaf.max_errors, "<u8"),
                  flat(leaf.starts, "<u8")]),

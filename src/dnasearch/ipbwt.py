@@ -20,6 +20,9 @@ A query key for a sentinel-free chunk c and bound b is (c, b + K). The low
 bound key of a chunk X shorter than K (first round, b = 0) is X padded
 with code 0 and loc field |X|: it sits above every row that is less than
 X in its first |X| characters and below every row that starts with X.
+:func:`lower_bound_batch` searches each key in the window its caller
+passes: the whole table for ``binary``, the window of the key's leaf
+(:meth:`dnasearch.rmi.Rmi.window`) for ``rmi``.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ class IpBwtError(ValueError):
 
 @dataclass
 class IpBwt:
-    """(k-mer, loc field) keys in row order, ascending as (key_hi, key_lo) pairs."""
+    """The key table: (k-mer, loc field) keys in row order, ascending as (key_hi, key_lo) pairs."""
 
     k: int
     n: int
-    text: np.ndarray  # uint8: the packed bases (pack_bases) the keys are derived from
     key_hi: np.ndarray  # uint64[n]: the k-mer codes
     key_lo: np.ndarray  # uint32[n]: the loc fields
 
@@ -92,7 +94,7 @@ def build_ipbwt(text: np.ndarray, sa: np.ndarray, k: int) -> IpBwt:
     n = sa.size
     check_k(n, k)
     key_lo = loc_column(sa, k)  # first, so that its temporaries are freed before the k-mers
-    return IpBwt(k=k, n=n, text=text, key_hi=kmer_rows(text, sa, k), key_lo=key_lo)
+    return IpBwt(k=k, n=n, key_hi=kmer_rows(text, sa, k), key_lo=key_lo)
 
 
 def _words(text: np.ndarray, n: int) -> np.ndarray:
@@ -206,11 +208,11 @@ def key_less(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
 
 
 def lower_bound_batch(ix: IpBwt, key_hi: np.ndarray, key_lo: np.ndarray,
-                      base=0, width: int | None = None) -> np.ndarray:
+                      base, width: int) -> np.ndarray:
     """Exact lower bounds of query keys (key_hi, key_lo) in the table, by :func:`count_below`.
 
-    Key j is searched among rows [base[j], base[j] + width), by default the
-    whole table; its lower bound must lie in [base[j], base[j] + width].
+    Key j is searched among rows [base[j], base[j] + width), where its lower
+    bound must lie in [base[j], base[j] + width]; ``base`` may be one row for all.
     """
     return count_below(lambda rows: key_less(ix.key_hi[rows], ix.key_lo[rows], key_hi, key_lo),
-                       np.broadcast_to(base, key_hi.shape), ix.n if width is None else width)
+                       np.broadcast_to(base, key_hi.shape), width)

@@ -37,6 +37,8 @@ Each model also keeps its partition's maximum error: the largest
 partition is the last one starting at or below it, that monotonicity puts
 the key's true lower bound within [prediction - error, prediction + error
 + 1], the window search bisects (the guarantee of the PGM-index).
+:meth:`Rmi.window` gives a batch of keys these windows, all as wide as
+the worst of their leaves needs, inside the table.
 """
 
 from __future__ import annotations
@@ -175,6 +177,21 @@ class Rmi:
         base = np.minimum(self.radix[hi >> np.uint64(self.shift)], b_hi.size - self.width)
         return count_below(lambda rows: ~key_less(hi, lo, b_hi[rows], b_lo[rows]),
                            base, self.width) - 1
+
+    def window(self, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, int]:
+        """(first row, width) of the search windows of keys (hi, lo) in the fit table.
+
+        Each starts at its leaf's prediction minus the leaf's maximum error;
+        all share the width the worst of these leaves needs, inside the table.
+        """
+        leaf, n = self.leaf, self.leaf.target_size
+        part = self.locate(hi, lo)
+        eps = leaf.max_errors[part]
+        base = leaf.predict(part, hi, lo)
+        base -= eps
+        width = min(2 * int(eps.max()) + 1, n)
+        np.clip(base, 0, n - width, out=base)
+        return base, width
 
 
 def _fit_level(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray, sizes: np.ndarray,

@@ -13,18 +13,17 @@ two row tests for its high bound (:func:`_search_block`), exact with no
 correction for the sentinel (keys as in :mod:`dnasearch.ipbwt`). A batch
 is sorted once by its first chunk and run in blocks of that order, one
 round per chunk. The sort buys the probes locality, which pays most on
-large tables (criterion 5's 10^7 bases); ``fm`` gains less than the sort
-costs, so it runs its blocks in input order. A chunk's codes are
+large tables (criterion 5's 10^7 bases). ``fm`` runs its blocks in input
+order: through the sort it took 729 against 508 ns/query on 5·10^5 random
+bases (21-mers) and tied at 10^7 (README, step 4). A chunk's codes are
 packed into one ``uint64`` word by an integer ``einsum``
 (:func:`_pack_codes`), so no step calls BLAS. Every lower bound
 (:func:`dnasearch.ipbwt.lower_bound_batch`) runs the package's one
 branchless search kernel, :func:`dnasearch.ipbwt.count_below`, with
-bit_length(width) tests per key: over the whole table in ``binary`` mode;
-in ``rmi`` mode over a window around the prediction of the key's leaf
-model, as wide as the leaf's maximum error allows. The leaf itself is
-found by the same kernel over the leaf boundaries
-(:meth:`dnasearch.rmi.Rmi.locate`). No step depends on the order of the
-keys.
+bit_length(width) tests per key, over the window its mode passes: the
+whole table, (0, n), in ``binary`` mode; in ``rmi`` mode the window that
+:meth:`dnasearch.rmi.Rmi.window` derives from the key's leaf model. No
+step depends on the order of the keys.
 
 The three modes are interchangeable: every engine serves each of them, on
 queries of any lengths, and all three give identical rows.
@@ -91,24 +90,6 @@ def _pack_codes(kmers: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", kmers - np.uint8(1), powers)
 
 
-def _rmi_window(engine: SearchEngine, key_hi: np.ndarray,
-                key_lo: np.ndarray) -> tuple[np.ndarray, int]:
-    """(first row, width) of the keys' search windows through their leaf models.
-
-    A window starts at its leaf's prediction minus the leaf's maximum error;
-    all share the width the worst of these leaves needs, inside the table.
-    """
-    rmi, n = engine.rmi, engine.ipbwt.n
-    leaf = rmi.leaf
-    part = rmi.locate(key_hi, key_lo)
-    eps = leaf.max_errors[part]
-    base = leaf.predict(part, key_hi, key_lo)
-    base -= eps
-    width = min(2 * int(eps.max()) + 1, n)
-    np.clip(base, 0, n - width, out=base)
-    return base, width
-
-
 def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
                   first_bits: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """One round per chunk, rightmost first, over the queries ``rows`` of the batch.
@@ -140,7 +121,7 @@ def _search_block(engine: SearchEngine, qmatrix: np.ndarray, rows: np.ndarray,
         high_lo = high + k
         key_hi = np.concatenate([low_bits, high_bits[wide]])
         key_lo = np.concatenate([low + chunk_len, high_lo[wide]], dtype=np.uint32, casting="unsafe")
-        window = _rmi_window(engine, key_hi, key_lo) if mode == "rmi" else ()
+        window = engine.rmi.window(key_hi, key_lo) if mode == "rmi" else (0, n)
         bounds = lower_bound_batch(ix, key_hi, key_lo, *window)
         low = bounds[:nq]
         if round_no:  # 0 or 1 rows outside wide: is row low, if in the table, below the high key?

@@ -132,17 +132,3 @@ def parse_queries(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     return _BYTE_TO_RANK[np.frombuffer(b"".join(lines), dtype=np.uint8)], lengths
 
-
-def generate_query_matrix(ref: Reference, length: int, count: int, seed: int) -> np.ndarray:
-    """Sample ``count`` substrings of the reference (sentinel excluded) as a rank matrix.
-
-    Start positions are uniform over [0, n-1-length]; the result has shape
-    ``(count, length)`` and dtype uint8, and is deterministic for a fixed seed.
-    """
-    if not 1 <= length <= ref.n - 1:
-        raise SequenceError(
-            f"query length {length} out of range for reference of {ref.n - 1} bases"
-        )
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, ref.n - length, size=count)
-    return ref.ranks[starts[:, None] + np.arange(length)]

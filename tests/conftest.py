@@ -11,7 +11,7 @@ from dnasearch.fmindex import build_suffix_array
 from dnasearch.index_io import _HEADER
 from dnasearch.ipbwt import MAX_K, pack_bases
 from dnasearch.rmi import audit_errors, key_errors
-from dnasearch.seqcore import Reference, encode_ranks
+from dnasearch.seqcore import Reference, SequenceError, encode_ranks
 from dnasearch.search import build_engine
 
 RANK_TO_CHAR = "$ACGT"
@@ -21,6 +21,21 @@ def make_reference(bases: str, name: str = "test") -> Reference:
     """Reference from an ACGT string (sentinel appended)."""
     ranks = np.append(encode_ranks(bases), 0).astype(np.uint8)
     return Reference(name, ranks)
+
+
+def generate_query_matrix(ref: Reference, length: int, count: int, seed: int) -> np.ndarray:
+    """Sample ``count`` substrings of the reference (sentinel excluded) as a rank matrix.
+
+    Start positions are uniform over [0, n-1-length]; the result has shape
+    ``(count, length)`` and dtype uint8, and is deterministic for a fixed seed.
+    """
+    if not 1 <= length <= ref.n - 1:
+        raise SequenceError(
+            f"query length {length} out of range for reference of {ref.n - 1} bases"
+        )
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, ref.n - length, size=count)
+    return ref.ranks[starts[:, None] + np.arange(length)]
 
 
 def suffix_array(ref: Reference) -> np.ndarray:

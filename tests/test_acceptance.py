@@ -18,9 +18,9 @@ from dnasearch.cli import main
 from dnasearch.fmindex import locate
 from dnasearch.index_io import load_index, save_index
 from dnasearch.search import batch_search_matrix, build_engine
-from dnasearch.seqcore import encode_ranks, generate_query_matrix
+from dnasearch.seqcore import encode_ranks
 
-from conftest import audit_leaves, make_reference, random_reference
+from conftest import audit_leaves, generate_query_matrix, make_reference, random_reference
 
 SKIP_PERF = os.environ.get("DNASEARCH_SKIP_PERF", "") not in ("", "0")
 

@@ -40,8 +40,7 @@ class TestRoundTrip:
         assert sizes["total"] == (tmp_path / "a.idx").stat().st_size
         loaded, ref2, meta = load_index(path)
         # the keys and the FM tables are rebuilt from the stored text
-        assert np.array_equal(loaded.ipbwt.text, engine.ipbwt.text)
-        for name in ("sa", "occ"):
+        for name in ("text", "sa", "occ"):
             a, b = getattr(loaded.fm, name), getattr(engine.fm, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(loaded.ipbwt.key_hi, engine.ipbwt.key_hi)
@@ -327,7 +326,7 @@ class TestCorruption:
             name: sizes[name] for name in ("header", *SECTIONS)
         }
         assert sections["header"][0] == 0
-        assert sections["text"][1] - sections["text"][0] == engine.ipbwt.text.size
+        assert sections["text"][1] - sections["text"][0] == engine.fm.text.size
         assert sections["rmi"][1] + 4 == sizes["total"]
 
 

@@ -145,7 +145,7 @@ class TestLowerBound:
             packed(att, 1 + 3),
             packed(att, 5 + 3),
         ]
-        assert lower_bound_batch(ix, *words(keys)).tolist() == [1, 5, 3, 5]
+        assert lower_bound_batch(ix, *words(keys), 0, ix.n).tolist() == [1, 5, 3, 5]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -155,7 +155,7 @@ class TestLowerBound:
         k = int(rng.integers(1, min(8, ref.n - 1) + 1))
         ix = build_ipbwt(pack_bases(ref.ranks), suffix_array(ref), k=k)
         keys, expected = sample_queries(rng, brute_entries(ref.ranks, k), k, ref.n, 20)
-        assert lower_bound_batch(ix, *words(keys)).tolist() == expected
+        assert lower_bound_batch(ix, *words(keys), 0, ix.n).tolist() == expected
 
     def test_batch_matches_scalar_on_clean_keys(self):
         rng = np.random.default_rng(77)
@@ -165,7 +165,7 @@ class TestLowerBound:
         entries = brute_entries(ref.ranks, 4)
         kmers = rng.integers(1, 5, size=(60, 4)).tolist()
         locs = rng.integers(0, ref.n + 1, size=60).tolist()
-        got = lower_bound_batch(ix, *words([packed(c, b + 4) for c, b in zip(kmers, locs)]))
+        got = lower_bound_batch(ix, *words([packed(c, b + 4) for c, b in zip(kmers, locs)]), 0, ix.n)
         assert got.tolist() == [brute_lower_bound(entries, c, b) for c, b in zip(kmers, locs)]
 
 

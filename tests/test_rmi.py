@@ -248,7 +248,7 @@ class TestBuild:
 
     def test_single_leaf_is_audited(self):
         hi, lo = words([(1 << 70) + 7 * i for i in range(1000)])
-        ix = IpBwt(k=21, n=hi.size, text=np.zeros(0, np.uint8), key_hi=hi, key_lo=lo)  # no text
+        ix = IpBwt(k=21, n=hi.size, key_hi=hi, key_lo=lo)
         rmi = build_rmi(ix)
         assert len(rmi.leaf) == 1
         assert audit_errors(rmi, ix) == [(0, 0, 0.0)]
@@ -281,7 +281,7 @@ class TestBuild:
         # to the kernel
         windows = []
 
-        def recording(ix_, q_hi, q_lo, base=0, width=None):
+        def recording(ix_, q_hi, q_lo, base, width):
             windows.append((np.asarray(base).copy(), width))
             return kernel(ix_, q_hi, q_lo, base, width)
 
@@ -307,7 +307,7 @@ def table_keys(ix):
 def stream_bounds(engine, keys):
     """Lower bounds of packed integer keys, each searched in its rmi window."""
     hi, lo = words(keys)
-    return search.lower_bound_batch(engine.ipbwt, hi, lo, *search._rmi_window(engine, hi, lo))
+    return search.lower_bound_batch(engine.ipbwt, hi, lo, *engine.rmi.window(hi, lo))
 
 
 class TestLowerBound:
@@ -320,7 +320,7 @@ class TestLowerBound:
         engine = build_engine(ref, k=k)
         keys, expected = sample_queries(rng, brute_entries(ref.ranks, k), k, ref.n, 24)
         assert stream_bounds(engine, keys).tolist() == expected
-        assert lower_bound_batch(engine.ipbwt, *words(keys)).tolist() == expected
+        assert lower_bound_batch(engine.ipbwt, *words(keys), 0, engine.ipbwt.n).tolist() == expected
 
     def test_boundary_keys_map_to_their_rows(self):
         rng = np.random.default_rng(4)
@@ -369,7 +369,7 @@ def check_locate_and_window(engine, keys):
     pred = leaf.predict(part, hi, lo)
     eps = leaf.max_errors[part]
     assert np.all(pred - eps <= rows) and np.all(rows <= pred + eps + 1)
-    base, width = search._rmi_window(engine, hi, lo)
+    base, width = rmi.window(hi, lo)
     assert 0 <= base.min() and base.max() + width <= ix.n
     assert np.all(base <= rows) and np.all(rows <= base + width)
     assert search.lower_bound_batch(ix, hi, lo, base, width).tolist() == rows.tolist()

@@ -1,3 +1,4 @@
+import bisect
 import io
 
 import numpy as np
@@ -141,18 +142,23 @@ class TestHighBound:
 
 
 def recorded_lookups(engine, qm, mode):
-    """The rows of a batch search and the number of keys of each lower-bound lookup it made."""
-    counts = []
+    """The rows of a batch search and the (key_hi, key_lo, base, width) of each lookup it made."""
+    calls = []
     kernel = search.lower_bound_batch
 
-    def recording(ix, key_hi, key_lo, base=0, width=None):
-        counts.append(key_hi.size)
+    def recording(ix, key_hi, key_lo, base, width):
+        calls.append((key_hi.copy(), key_lo.copy(), np.broadcast_to(base, key_hi.shape).copy(),
+                      width))
         return kernel(ix, key_hi, key_lo, base, width)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "lower_bound_batch", recording)
         rows = batch_search_matrix(engine, qm, mode)
-    return rows, counts
+    return rows, calls
+
+
+def lookup_sizes(calls):
+    return [key_hi.size for key_hi, *_ in calls]
 
 
 class TestOneLookupPerQuery:
@@ -164,9 +170,9 @@ class TestOneLookupPerQuery:
         qm = ref.ranks[starts[:, None] + np.arange(21)]
         expected = batch_search_matrix(engine, qm, "fm")
         for mode in ("rmi", "binary"):
-            rows, counts = recorded_lookups(engine, qm, mode)
+            rows, calls = recorded_lookups(engine, qm, mode)
             assert [a.tolist() for a in rows] == [a.tolist() for a in expected], mode
-            assert counts == [300], mode
+            assert lookup_sizes(calls) == [300], mode
 
     def test_later_rounds_add_only_the_wide_intervals(self):
         # a repeat text at K = 10, 25-mers: a 5-base first chunk, then two full
@@ -185,9 +191,35 @@ class TestOneLookupPerQuery:
         assert 0 < wide(5) < 200 and 0 < wide(15) < 200
         expected = batch_search_matrix(engine, qm, "fm")
         for mode in ("rmi", "binary"):
-            rows, counts = recorded_lookups(engine, qm, mode)
+            rows, calls = recorded_lookups(engine, qm, mode)
             assert [a.tolist() for a in rows] == [a.tolist() for a in expected], mode
-            assert counts == [200, 200 + wide(5), 200 + wide(15)], mode
+            assert lookup_sizes(calls) == [200, 200 + wide(5), 200 + wide(15)], mode
+
+    def test_each_lookup_passes_its_mode_window(self):
+        # binary searches the whole table; rmi a window of its leaves' width that
+        # holds each key's bound, in every round, high keys included
+        rng = np.random.default_rng(28)
+        ref = repeat_families_reference(rng, 400)
+        engine = build_engine(ref, k=10)
+        ix, model = engine.ipbwt, engine.rmi
+        table = [(int(h) << 32) | int(lo) for h, lo in zip(ix.key_hi, ix.key_lo)]
+        starts = rng.integers(0, ref.n - 25, size=200)
+        qm = ref.ranks[starts[:, None] + np.arange(25)]
+        expected = batch_search_matrix(engine, qm, "fm")
+        for mode in ("binary", "rmi"):
+            rows, calls = recorded_lookups(engine, qm, mode)
+            assert [a.tolist() for a in rows] == [a.tolist() for a in expected], mode
+            assert len(calls) == 3 and lookup_sizes(calls) != [200] * 3, mode
+            for key_hi, key_lo, base, width in calls:
+                if mode == "binary":
+                    assert np.all(base == 0) and width == ix.n
+                    continue
+                eps = model.leaf.max_errors[model.locate(key_hi, key_lo)]
+                assert width <= 2 * int(eps.max()) + 1
+                bounds = np.array([bisect.bisect_left(table, (int(h) << 32) | int(lo))
+                                   for h, lo in zip(key_hi, key_lo)])
+                assert base.min() >= 0 and base.max() + width <= ix.n
+                assert np.all(base <= bounds) and np.all(bounds <= base + width)
 
 
 class TestExactSearch:

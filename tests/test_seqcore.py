@@ -11,12 +11,11 @@ from dnasearch.seqcore import (
     Reference,
     SequenceError,
     encode_ranks,
-    generate_query_matrix,
     load_fasta,
     parse_queries,
 )
 
-from conftest import RANK_TO_CHAR, make_reference
+from conftest import RANK_TO_CHAR, generate_query_matrix, make_reference
 
 bases_st = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
